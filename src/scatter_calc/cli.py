@@ -19,7 +19,7 @@ from .errors import ScatterCalcError
 from . import antilex, milner_rado, neg_graph, partition, terms
 from .ordinal import FUNDAMENTAL_SEQUENCE_ID, format_ordinal, parse_ordinal
 
-SCHEMA = "scatter-calc.v1"
+SCHEMA = "scatter-calc.v2"
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -227,7 +227,9 @@ def cmd_neg_graph(args) -> int:
         return 0
     # check
     data = json.loads(_read(args.graph))
-    graph = neg_graph.GridGraph.from_json(data.get("graph", data))
+    if isinstance(data, dict) and "graph" in data:     # a build certificate
+        data = data["graph"]
+    graph = neg_graph.GridGraph.from_json(data)
     triangle = neg_graph.check_triangle_free(graph)
     corner = neg_graph.check_corner_invariant(graph)
     payload = _header("neg-graph check", None)

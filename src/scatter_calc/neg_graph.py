@@ -10,9 +10,8 @@ choice; the checkers verify this exhaustively.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import ScatterCalcError
 from .partition import Labeling, PairColoring
@@ -29,6 +28,10 @@ class InvalidParams(NegGraphError):
     def __init__(self, field_name: str, detail: str):
         super().__init__(f"invalid {field_name}: {detail}")
         self.field_name = field_name
+
+
+class InvalidGraph(InvalidParams):
+    """Grid-graph JSON from outside the program is malformed."""
 
 
 class NotABijection(NegGraphError):
@@ -108,29 +111,29 @@ class NegGraphParams:
         return params
 
 
+def _below(value: Any, bound: int) -> bool:
+    return type(value) is int and 0 <= value < bound
+
+
 @dataclass
 class GridGraph:
+    """Corner-shaped edges on the k-by-l grid and the C-sets of the
+    recursion; for a built graph the edges are exactly
+    ((iota, rho), (nu, xi)) with xi in C[rho, nu] and iota < nu."""
+
     k: int
     l: int
     edges: FrozenSet[Edge]
-    provenance: Dict[Edge, Tuple[int, int]] = field(default_factory=dict)
     csets: Dict[Tuple[int, int], Tuple[int, ...]] = field(default_factory=dict)
 
     def vertices(self) -> List[Vertex]:
         return [(c, r) for c in range(self.k) for r in range(self.l)]
-
-    def edge_lookup(self) -> FrozenSet[FrozenSet[Vertex]]:
-        return frozenset(frozenset(e) for e in self.edges)
 
     def to_json(self) -> dict:
         return {
             "k": self.k,
             "l": self.l,
             "edges": [[list(a), list(b)] for a, b in sorted(self.edges)],
-            "provenance": [
-                {"edge": [list(a), list(b)], "rho": p[0], "zeta": p[1]}
-                for (a, b), p in sorted(self.provenance.items())
-            ],
             "csets": [
                 {"row": row, "col": col, "entries": list(entries)}
                 for (row, col), entries in sorted(self.csets.items())
@@ -138,22 +141,37 @@ class GridGraph:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "GridGraph":
-        edges = frozenset(
-            (tuple(a), tuple(b)) for a, b in (map(tuple, e) for e in data["edges"]))
-        provenance = {
-            (tuple(p["edge"][0]), tuple(p["edge"][1])): (p["rho"], p["zeta"])
-            for p in data.get("provenance", [])
-        }
-        csets = {
-            (c["row"], c["col"]): tuple(c["entries"])
-            for c in data.get("csets", [])
-        }
-        return cls(data["k"], data["l"], edges, provenance, csets)
+    def from_json(cls, data: Any) -> "GridGraph":
+        """Inverse of ``to_json`` that checks every field of outside input;
+        unknown keys, such as those of schema v1 certificates, are ignored."""
+        if not isinstance(data, dict):
+            raise InvalidGraph("graph", "expected a JSON object")
+        k, l = data.get("k"), data.get("l")
+        for name, value in (("k", k), ("l", l)):
+            if type(value) is not int or value < 0:
+                raise InvalidGraph(name, f"expected a natural number, got {value!r}")
+        edges = data.get("edges")
+        if not isinstance(edges, list):
+            raise InvalidGraph("edges", "expected a list of vertex pairs")
+        for e in edges:
+            if not (isinstance(e, list) and len(e) == 2 and all(
+                    isinstance(v, list) and len(v) == 2 and _below(v[0], k) and _below(v[1], l)
+                    for v in e)):
+                raise InvalidGraph("edges", f"{e!r} is not a pair of vertices of the {k} x {l} grid")
+        csets = data.get("csets", [])
+        if not isinstance(csets, list):
+            raise InvalidGraph("csets", "expected a list of C-sets")
+        for c in csets:
+            if not (isinstance(c, dict) and _below(c.get("row"), l) and _below(c.get("col"), k)
+                    and isinstance(c.get("entries"), list)
+                    and all(_below(x, l) for x in c["entries"])):
+                raise InvalidGraph("csets", f"{c!r} is not a C-set of the {k} x {l} grid")
+        return cls(k, l, frozenset((tuple(a), tuple(b)) for a, b in edges),
+                   {(c["row"], c["col"]): tuple(c["entries"]) for c in csets})
 
 
 def build_neg_graph(params: NegGraphParams) -> GridGraph:
-    """Run the row recursion and return the resulting graph with provenance.
+    """Run the row recursion and read the edges off the resulting C-sets.
 
     For each row rho and column zeta, every pair (iota < zeta, mu below
     u_rho(zeta)) contributes the minimum of the guess set reached through the
@@ -163,8 +181,6 @@ def build_neg_graph(params: NegGraphParams) -> GridGraph:
     params.validate()
     k, l = params.k, params.l
     C: Dict[Tuple[int, int], FrozenSet[int]] = {}
-    edges = set()
-    provenance: Dict[Edge, Tuple[int, int]] = {}
     for rho in range(l):
         urow = params.u[rho]
         for zeta in range(k):
@@ -190,19 +206,15 @@ def build_neg_graph(params: NegGraphParams) -> GridGraph:
                         if candidates:
                             entries.add(min(candidates))
             C[(rho, zeta)] = frozenset(entries)
-        for nu in range(k):
-            for xi in sorted(C[(rho, nu)]):
-                for iota in range(nu):
-                    edge = ((iota, rho), (nu, xi))
-                    if edge not in edges:
-                        edges.add(edge)
-                        provenance[edge] = (rho, nu)
     csets = {key: tuple(sorted(v)) for key, v in C.items() if v}
-    return GridGraph(k, l, frozenset(edges), provenance, csets)
+    edges = frozenset(((iota, rho), (nu, xi)) for (rho, nu), entries in csets.items()
+                      for xi in entries for iota in range(nu))
+    return GridGraph(k, l, edges, csets)
 
 
-def find_triangle(graph: GridGraph) -> Optional[Tuple[Vertex, Vertex, Vertex]]:
-    """Exhaustive triangle scan; returns the least witness triple or None."""
+def check_triangle_free(graph: GridGraph) -> Optional[Tuple[Vertex, Vertex, Vertex]]:
+    """Exhaustive triangle scan: None when triangle-free, otherwise the
+    least witness triple."""
     verts = graph.vertices()
     index = {v: i for i, v in enumerate(verts)}
     masks = [0] * len(verts)
@@ -219,30 +231,23 @@ def find_triangle(graph: GridGraph) -> Optional[Tuple[Vertex, Vertex, Vertex]]:
     return None
 
 
-def check_triangle_free(graph: GridGraph) -> Optional[Tuple[Vertex, Vertex, Vertex]]:
-    """None when triangle-free, otherwise a witness triple."""
-    return find_triangle(graph)
-
-
 def check_corner_invariant(graph: GridGraph) -> Optional[Edge]:
     """Every edge must join a smaller column at a higher row to a larger
     column at a lower row, and per-column down-degrees must stay within the
-    recorded C-set sizes.  Returns a witness edge on failure."""
+    recorded C-set sizes.  Returns a witness edge on failure: the least
+    misshapen edge, else the least edge of the first over-full column."""
+    overfull = None
+    key = None
     for edge in sorted(graph.edges):
         (a, ra), (b, rb) = edge
         if not (a < b and rb < ra):
             return edge
-    counts: Counter = Counter()
-    first_edge: Dict[Tuple[Vertex, int], Edge] = {}
-    for edge in sorted(graph.edges):
-        (a, ra), (b, rb) = edge
-        key = ((a, ra), b)
-        counts[key] += 1
-        first_edge.setdefault(key, edge)
-    for ((a, ra), b), count in sorted(counts.items()):
-        if count > len(graph.csets.get((ra, b), ())):
-            return first_edge[((a, ra), b)]
-    return None
+        if key != (a, ra, b):   # sorting groups the edges from (a, ra) into column b
+            key, first, count = (a, ra, b), edge, 0
+        count += 1
+        if overfull is None and count > len(graph.csets.get((ra, b), ())):
+            overfull = first
+    return overfull
 
 
 def column_lift(graph: GridGraph, row_map) -> GridGraph:
@@ -254,18 +259,11 @@ def column_lift(graph: GridGraph, row_map) -> GridGraph:
     if sorted(mapping.keys()) != list(range(graph.l)) or \
             sorted(mapping.values()) != list(range(graph.l)):
         raise NotABijection("row map must be a bijection of the row index set")
-    edges = set()
-    provenance = {}
-    for edge in graph.edges:
-        (a, ra), (b, rb) = edge
-        lifted = ((a, mapping[ra]), (b, mapping[rb]))
-        edges.add(lifted)
-        if edge in graph.provenance:
-            rho, zeta = graph.provenance[edge]
-            provenance[lifted] = (mapping[rho], zeta)
+    edges = frozenset(((a, mapping[ra]), (b, mapping[rb]))
+                      for (a, ra), (b, rb) in graph.edges)
     csets = {(mapping[row], col): entries
              for (row, col), entries in graph.csets.items()}
-    return GridGraph(graph.k, graph.l, frozenset(edges), provenance, csets)
+    return GridGraph(graph.k, graph.l, edges, csets)
 
 
 def compose_negative_coloring(labeling: Labeling, graph: GridGraph,
@@ -280,9 +278,9 @@ def compose_negative_coloring(labeling: Labeling, graph: GridGraph,
         raise DomainMismatch("correspondence must be injective")
     if any(v not in vertices for v in corr):
         raise DomainMismatch("correspondence leaves the vertex grid")
-    lookup = graph.edge_lookup()
 
     def colour(i: int, j: int) -> int:
-        return 1 if frozenset((corr[i], corr[j])) in lookup else 0
+        a, b = corr[i], corr[j]
+        return 1 if (a, b) in graph.edges or (b, a) in graph.edges else 0
 
     return PairColoring.from_function(labeling.elements, 2, colour)

@@ -9,7 +9,7 @@ with ordinal equality because the representation is canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple, Union
+from typing import Tuple, Union
 
 from .errors import ScatterCalcError
 
@@ -17,6 +17,12 @@ from .errors import ScatterCalcError
 # "not representable" even though CNF arithmetic is formally closed below
 # epsilon_0.
 EXPONENT_DEPTH_LIMIT = 64
+
+# Resource guard for order terms: the parser refuses deeper bracket nesting
+# and pow() refuses deeper expansions, so a parsed term nests at most about
+# twice this deep, which the recursive walkers handle within Python's default
+# recursion limit.
+TERM_DEPTH_LIMIT = 128
 
 FUNDAMENTAL_SEQUENCE_ID = "wainer-cnf"
 
@@ -90,11 +96,6 @@ class CnfOrdinal:
             rest = rest + ((exp, c - 1),)
         return CnfOrdinal(rest)
 
-    def leading_exponent(self) -> "CnfOrdinal":
-        if not self.terms:
-            raise ZeroInput("0 has no leading exponent")
-        return self.terms[0][0]
-
     def depth(self) -> int:
         if not self.terms:
             return 0
@@ -102,13 +103,13 @@ class CnfOrdinal:
 
     # -- operators ----------------------------------------------------------
 
-    def __lt__(self, other): return ord_compare(self, _coerce(other)) < 0
-    def __le__(self, other): return ord_compare(self, _coerce(other)) <= 0
-    def __gt__(self, other): return ord_compare(self, _coerce(other)) > 0
-    def __ge__(self, other): return ord_compare(self, _coerce(other)) >= 0
-    def __add__(self, other): return ord_add(self, _coerce(other))
-    def __mul__(self, other): return ord_mul(self, _coerce(other))
-    def __pow__(self, other): return ord_pow(self, _coerce(other))
+    def __lt__(self, other): return ord_compare(self, ensure_ordinal(other)) < 0
+    def __le__(self, other): return ord_compare(self, ensure_ordinal(other)) <= 0
+    def __gt__(self, other): return ord_compare(self, ensure_ordinal(other)) > 0
+    def __ge__(self, other): return ord_compare(self, ensure_ordinal(other)) >= 0
+    def __add__(self, other): return ord_add(self, ensure_ordinal(other))
+    def __mul__(self, other): return ord_mul(self, ensure_ordinal(other))
+    def __pow__(self, other): return ord_pow(self, ensure_ordinal(other))
 
     def __str__(self) -> str:
         return format_ordinal(self)
@@ -132,7 +133,8 @@ def from_int(n: int) -> CnfOrdinal:
     return CnfOrdinal(((ZERO, n),))
 
 
-def _coerce(value: OrdinalLike) -> CnfOrdinal:
+def ensure_ordinal(value: OrdinalLike) -> CnfOrdinal:
+    """Public coercion helper: ints become finite ordinals."""
     if isinstance(value, CnfOrdinal):
         return value
     if isinstance(value, int):
@@ -140,13 +142,8 @@ def _coerce(value: OrdinalLike) -> CnfOrdinal:
     raise OrdinalError(f"cannot interpret {value!r} as an ordinal")
 
 
-def ensure_ordinal(value: OrdinalLike) -> CnfOrdinal:
-    """Public coercion helper: ints become finite ordinals."""
-    return _coerce(value)
-
-
 def omega_power(exponent: OrdinalLike, coefficient: int = 1) -> CnfOrdinal:
-    exponent = _coerce(exponent)
+    exponent = ensure_ordinal(exponent)
     if coefficient == 0:
         return ZERO
     return CnfOrdinal(((exponent, coefficient),))
@@ -154,7 +151,7 @@ def omega_power(exponent: OrdinalLike, coefficient: int = 1) -> CnfOrdinal:
 
 def ord_compare(a: OrdinalLike, b: OrdinalLike) -> int:
     """Total ordinal order: -1, 0 or 1."""
-    a, b = _coerce(a), _coerce(b)
+    a, b = ensure_ordinal(a), ensure_ordinal(b)
     for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
         c = ord_compare(ea, eb)
         if c != 0:
@@ -167,7 +164,7 @@ def ord_compare(a: OrdinalLike, b: OrdinalLike) -> int:
 
 
 def ord_add(a: OrdinalLike, b: OrdinalLike) -> CnfOrdinal:
-    a, b = _coerce(a), _coerce(b)
+    a, b = ensure_ordinal(a), ensure_ordinal(b)
     if a.is_zero():
         return b
     if b.is_zero():
@@ -192,7 +189,7 @@ def ord_add(a: OrdinalLike, b: OrdinalLike) -> CnfOrdinal:
 
 def ord_sub_left(a: OrdinalLike, b: OrdinalLike) -> CnfOrdinal:
     """The unique s with a + s = b; requires a <= b."""
-    a, b = _coerce(a), _coerce(b)
+    a, b = ensure_ordinal(a), ensure_ordinal(b)
     for i, (ta, tb) in enumerate(zip(a.terms, b.terms)):
         if ta == tb:
             continue
@@ -210,7 +207,7 @@ def ord_sub_left(a: OrdinalLike, b: OrdinalLike) -> CnfOrdinal:
 
 
 def ord_mul(a: OrdinalLike, b: OrdinalLike) -> CnfOrdinal:
-    a, b = _coerce(a), _coerce(b)
+    a, b = ensure_ordinal(a), ensure_ordinal(b)
     if a.is_zero() or b.is_zero():
         return ZERO
     e1, c1 = a.terms[0]
@@ -238,7 +235,7 @@ def _finite_pow(a: CnfOrdinal, n: int) -> CnfOrdinal:
 
 
 def ord_pow(a: OrdinalLike, b: OrdinalLike) -> CnfOrdinal:
-    a, b = _coerce(a), _coerce(b)
+    a, b = ensure_ordinal(a), ensure_ordinal(b)
     if b.is_zero():
         return ONE
     if a.is_zero():
@@ -271,7 +268,7 @@ def ord_pow(a: OrdinalLike, b: OrdinalLike) -> CnfOrdinal:
 
 def is_indecomposable(a: OrdinalLike) -> bool:
     """True iff a is a single omega power (1 = w^0 counts)."""
-    a = _coerce(a)
+    a = ensure_ordinal(a)
     if a.is_zero():
         raise ZeroInput("0 is neither decomposable nor indecomposable here")
     return len(a.terms) == 1 and a.terms[0][1] == 1
@@ -284,7 +281,7 @@ def fundamental_sequence(a: OrdinalLike, i: int) -> CnfOrdinal:
     (w^(g+1)*c)[i] = w^(g+1)*(c-1) + w^g*(i+1);
     (w^l*c)[i] = w^l*(c-1) + w^(l[i]) for limit l.
     """
-    a = _coerce(a)
+    a = ensure_ordinal(a)
     if not a.is_limit():
         raise NotALimit(f"{a} is not a limit ordinal")
     if i < 0:
@@ -303,7 +300,7 @@ def fundamental_sequence(a: OrdinalLike, i: int) -> CnfOrdinal:
 
 def split_at_exponent(xi: OrdinalLike, gamma: OrdinalLike) -> Tuple[int, CnfOrdinal]:
     """Write xi < w^(gamma+1) as w^gamma*i + rest with rest < w^gamma."""
-    xi, gamma = _coerce(xi), _coerce(gamma)
+    xi, gamma = ensure_ordinal(xi), ensure_ordinal(gamma)
     count = 0
     rest = []
     for exponent, coefficient in xi.terms:
@@ -320,7 +317,7 @@ def split_at_exponent(xi: OrdinalLike, gamma: OrdinalLike) -> Tuple[int, CnfOrdi
 # -- text form ---------------------------------------------------------------
 
 def format_ordinal(a: OrdinalLike) -> str:
-    a = _coerce(a)
+    a = ensure_ordinal(a)
     if a.is_zero():
         return "0"
     parts = []
@@ -343,12 +340,18 @@ def format_ordinal(a: OrdinalLike) -> str:
 
 
 class _OrdinalParser:
+    """Scanner and ordinal grammar; the term parser extends both."""
+
+    syntax_error = OrdinalSyntaxError
+    depth_limit = EXPONENT_DEPTH_LIMIT
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
-    def error(self, message: str) -> OrdinalSyntaxError:
-        return OrdinalSyntaxError(message, self.pos)
+    def error(self, message: str) -> ScatterCalcError:
+        return self.syntax_error(message, self.pos)
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -363,6 +366,18 @@ class _OrdinalParser:
             raise self.error(f"expected {ch!r}")
         self.pos += 1
 
+    def open(self, ch: str):
+        """Take an opening bracket, refusing nesting beyond ``depth_limit``
+        before the recursive descent can exhaust the interpreter stack."""
+        self.take(ch)
+        self.depth += 1
+        if self.depth > self.depth_limit:
+            raise self.error(f"nesting deeper than {self.depth_limit}")
+
+    def close(self, ch: str):
+        self.take(ch)
+        self.depth -= 1
+
     def natural(self) -> int:
         self.skip_ws()
         start = self.pos
@@ -375,16 +390,16 @@ class _OrdinalParser:
     def exponent(self) -> CnfOrdinal:
         ch = self.peek()
         if ch == "(":
-            self.take("(")
+            self.open("(")
             value = self.ordinal()
-            self.take(")")
+            self.close(")")
             return value
         if ch == "w":
             self.pos += 1
             return OMEGA
         return from_int(self.natural())
 
-    def term(self) -> CnfOrdinal:
+    def cnf_term(self) -> CnfOrdinal:
         ch = self.peek()
         if ch == "w":
             self.pos += 1
@@ -402,27 +417,27 @@ class _OrdinalParser:
         raise self.error("expected 'w' or a natural number")
 
     def ordinal(self) -> CnfOrdinal:
-        value = self.term()
+        value = self.cnf_term()
         while self.peek() == "+":
             self.take("+")
-            value = ord_add(value, self.term())
+            value = ord_add(value, self.cnf_term())
+        return value
+
+    def literal(self) -> CnfOrdinal:
+        """An ordinal whose exponent tower fits EXPONENT_DEPTH_LIMIT."""
+        self.skip_ws()
+        start = self.pos
+        value = self.ordinal()
+        if value.depth() > EXPONENT_DEPTH_LIMIT:
+            raise self.syntax_error("ordinal literal nests too deep", start)
         return value
 
 
 def parse_ordinal(text: str) -> CnfOrdinal:
     parser = _OrdinalParser(text)
-    value = parser.ordinal()
+    value = parser.literal()
     parser.skip_ws()
     if parser.pos != len(text):
         raise parser.error("trailing input after ordinal")
-    if value.depth() > EXPONENT_DEPTH_LIMIT:
-        raise OverflowBeyondEpsilon0("ordinal literal nests too deep")
     return value
 
-
-def ordinals_below(a: OrdinalLike) -> Iterator[CnfOrdinal]:
-    """Ascending enumeration of all ordinals below finite a."""
-    a = _coerce(a)
-    n = a.as_int()
-    for i in range(n):
-        yield from_int(i)

@@ -201,9 +201,9 @@ def extract_unary(P: Sequence[Any], nu: int, F: Callable[[tuple], int]
             if hit is None:
                 missing = a
                 break
-            family[_ident(a)] = hit
+            family[a] = hit
         if missing is None:
-            witness = [family[_ident(a)] for a in points]
+            witness = [family[a] for a in points]
             for g in witness:
                 if _checked_colour(F, g, nu) != alpha:
                     raise PartitionError("internal: unverified unary witness")
@@ -211,11 +211,6 @@ def extract_unary(P: Sequence[Any], nu: int, F: Callable[[tuple], int]
         prefix.append(missing)
     raise PartitionError(
         "internal: selector recursion completed, contradicting its own stages")
-
-
-def _ident(x: Any) -> Any:
-    # domain elements are plain hashable values in practice
-    return x
 
 
 def lex_power_domain(T: Sequence[Any], nu: int) -> List[tuple]:
@@ -278,13 +273,13 @@ def _pair_colour_fn(colour, P: Sequence[Any], R: Sequence[Any]):
     if isinstance(colour, PairColoring):
         pos = {}
         for idx, elem in enumerate(colour.elements):
-            pos[_ident(elem)] = idx
+            pos[elem] = idx
         expected = [(a, b) for a in P for b in R]
         if len(colour.elements) != len(expected):
             raise BadColouringDomain("colouring domain must be the product P x R")
 
         def fn(x, y):
-            return colour.colour(pos[_ident(x)], pos[_ident(y)])
+            return colour.colour(pos[x], pos[y])
 
         return fn
     if callable(colour):
@@ -334,9 +329,9 @@ def step_up_extract(P: Sequence[Any], R: Sequence[Any], n: int, colour,
         B = list(B)
         if not B or not (0 <= xi < zi):
             raise RealizerContractViolation("unary realizer returned a bad colour or empty set")
-        pool_pos = {_ident(b): i for i, b in enumerate(pool)}
+        pool_pos = {b: i for i, b in enumerate(pool)}
         try:
-            order = [pool_pos[_ident(b)] for b in B]
+            order = [pool_pos[b] for b in B]
         except KeyError:
             raise RealizerContractViolation("unary realizer left the ground set") from None
         if any(p >= q for p, q in zip(order, order[1:])):

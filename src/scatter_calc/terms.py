@@ -19,10 +19,12 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ScatterCalcError
 from .ordinal import (
+    TERM_DEPTH_LIMIT,
     CnfOrdinal,
     OMEGA,
     ONE,
     ZERO,
+    _OrdinalParser,
     ensure_ordinal,
     format_ordinal,
     fundamental_sequence,
@@ -43,6 +45,10 @@ class TermSyntaxError(TermError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class TermTooDeep(TermError):
+    """A pow() expansion would nest deeper than TERM_DEPTH_LIMIT."""
 
 
 class InvalidIndexTerm(TermError):
@@ -166,16 +172,14 @@ def finsupp_elem(mapping) -> FinSuppElem:
     return FinSuppElem(tuple(items))
 
 
-def sum_of(*children: OrderTerm) -> SumList:
-    return SumList(tuple(children))
-
-
 def pow_term(base: OrderTerm, n: int) -> OrderTerm:
     """n-fold lexicographic power, first coordinate major.  pow(t, 0) is a point."""
     if n < 0:
         raise TermError("pow() exponent must be a natural number")
     if n == 0:
         return Fin(1)
+    if term_depth(base) + n - 1 > TERM_DEPTH_LIMIT:
+        raise TermTooDeep(f"pow() expansion nests deeper than {TERM_DEPTH_LIMIT}")
     result = base
     for _ in range(n - 1):
         result = Scaled(result, base)
@@ -183,6 +187,17 @@ def pow_term(base: OrderTerm, n: int) -> OrderTerm:
 
 
 # -- structural classification -------------------------------------------------
+
+def term_depth(term: OrderTerm) -> int:
+    """Constructor nesting depth; fin, ord and shuffle count 1."""
+    if isinstance(term, (Rev, FinSupp)):
+        return 1 + term_depth(term.inner)
+    if isinstance(term, SumList):
+        return 1 + max(map(term_depth, term.children))
+    if isinstance(term, Scaled):
+        return 1 + max(term_depth(term.inner), term_depth(term.index))
+    return 1
+
 
 def finite_size(term: OrderTerm) -> Optional[int]:
     """Number of elements when the denotation is finite, else None."""
@@ -366,12 +381,8 @@ def compare_elements(term: OrderTerm, x: Any, y: Any) -> int:
     return _cmp(term, x, y)
 
 
-def element_sort_key(term: OrderTerm):
-    return functools.cmp_to_key(lambda a, b: _cmp(term, a, b))
-
-
 def sort_elements(term: OrderTerm, elems: Sequence[Any]) -> List[Any]:
-    return sorted(elems, key=element_sort_key(term))
+    return sorted(elems, key=functools.cmp_to_key(lambda a, b: _cmp(term, a, b)))
 
 
 def reverse_term(term: OrderTerm) -> OrderTerm:
@@ -403,26 +414,9 @@ def format_term(term: OrderTerm) -> str:
     raise TermError(f"not an OrderTerm: {term!r}")
 
 
-class _TermParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str) -> TermSyntaxError:
-        return TermSyntaxError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str):
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
+class _TermParser(_OrdinalParser):
+    syntax_error = TermSyntaxError
+    depth_limit = TERM_DEPTH_LIMIT
 
     def identifier(self) -> str:
         self.skip_ws()
@@ -432,34 +426,6 @@ class _TermParser:
         if self.pos == start:
             raise self.error("expected a term constructor")
         return self.text[start:self.pos]
-
-    def natural(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a natural number")
-        return int(self.text[start:self.pos])
-
-    def ordinal_until(self, stops: str) -> CnfOrdinal:
-        self.skip_ws()
-        start = self.pos
-        depth = 0
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "(":
-                depth += 1
-            elif ch == ")" and depth > 0:
-                depth -= 1
-            elif depth == 0 and ch in stops:
-                break
-            self.pos += 1
-        snippet = self.text[start:self.pos]
-        try:
-            return parse_ordinal(snippet)
-        except ScatterCalcError as exc:
-            raise TermSyntaxError(f"bad ordinal {snippet!r}: {exc}", start) from exc
 
     def json_value(self) -> Any:
         self.skip_ws()
@@ -474,56 +440,55 @@ class _TermParser:
     def term(self) -> OrderTerm:
         name = self.identifier()
         if name == "fin":
-            self.take("(")
+            self.open("(")
             size = self.natural()
-            self.take(")")
+            self.close(")")
             return Fin(size)
         if name == "ord":
-            self.take("(")
-            ordinal = self.ordinal_until(")")
-            self.take(")")
+            self.open("(")
+            ordinal = self.literal()
+            self.close(")")
             return Ord(ordinal)
         if name == "rev":
-            self.take("(")
+            self.open("(")
             inner = self.term()
-            self.take(")")
+            self.close(")")
             return Rev(inner)
         if name == "sum":
-            self.take("[")
+            self.open("[")
             children = [self.term()]
             while self.peek() == ",":
                 self.take(",")
                 children.append(self.term())
-            self.take("]")
+            self.close("]")
             return SumList(tuple(children))
         if name == "scaled":
-            self.take("(")
+            self.open("(")
             inner = self.term()
             self.take(",")
             index = self.term()
-            self.take(")")
+            self.close(")")
             return Scaled(inner, index)
         if name == "shuffle":
-            self.take("(")
-            alphabet = self.ordinal_until(")")
-            self.take(")")
+            self.open("(")
+            alphabet = self.literal()
+            self.close(")")
             return Shuffle(alphabet)
         if name == "finsupp":
-            self.take("(")
-            length = self.ordinal_until(",")
+            self.open("(")
+            length = self.literal()
             self.take(",")
             inner = self.term()
             self.take(",")
-            self.skip_ws()
             raw = self.json_value()
-            self.take(")")
+            self.close(")")
             return FinSupp(length, inner, decode_element(inner, raw))
         if name == "pow":
-            self.take("(")
+            self.open("(")
             base = self.term()
             self.take(",")
             n = self.natural()
-            self.take(")")
+            self.close(")")
             return pow_term(base, n)
         raise self.error(f"unknown constructor {name!r}")
 
@@ -686,7 +651,7 @@ def _random_ordinal_below(a: CnfOrdinal, rng: random.Random, depth: int = 0) -> 
     return ord_add(value, _random_below_power(exponent, rng, depth))
 
 
-def _canonical_ordinals_below(a: CnfOrdinal, want: int) -> List[CnfOrdinal]:
+def _canonical_ordinals(a: CnfOrdinal, want: int) -> List[CnfOrdinal]:
     out = []
     for i in range(3):
         out.append(from_int(i))
@@ -718,7 +683,7 @@ def _canonical_elements(term: OrderTerm, want: int) -> List[Any]:
     if isinstance(term, Fin):
         return list(range(min(term.size, want)))
     if isinstance(term, Ord):
-        return _canonical_ordinals_below(term.ordinal, want)
+        return _canonical_ordinals(term.ordinal, want)
     if isinstance(term, Rev):
         return _canonical_elements(term.inner, want)
     if isinstance(term, SumList):
@@ -740,7 +705,7 @@ def _canonical_elements(term: OrderTerm, want: int) -> List[Any]:
     if isinstance(term, FinSupp):
         inner = _canonical_elements(term.inner, 4)
         nonzero = [v for v in inner if v != term.zero][:2]
-        positions = _canonical_ordinals_below(term.length, 3) if not term.length.is_zero() else []
+        positions = _canonical_ordinals(term.length, 3) if not term.length.is_zero() else []
         out = [FinSuppElem()]
         for p in positions:
             for v in nonzero:

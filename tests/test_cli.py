@@ -22,7 +22,7 @@ def test_parse_ok():
     assert res.returncode == 0
     data = json.loads(res.stdout)
     assert data["term"] == "scaled(ord(w), fin(2))"
-    assert data["schema"] == "scatter-calc.v1"
+    assert data["schema"] == "scatter-calc.v2"
     assert data["fundamental_sequence"] == "wainer-cnf"
 
 
@@ -30,6 +30,17 @@ def test_parse_invalid_index_is_usage_error():
     res = run("parse", "--term", "scaled(ord(w), shuffle(w))")
     assert res.returncode == 1
     assert "InvalidIndexTerm" in res.stderr
+
+
+def assert_one_error_line(res):
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stderr
+
+
+def test_deep_terms_are_input_errors():
+    for term in ["rev(" * 3000 + "fin(1)" + ")" * 3000, "pow(fin(2), 5000)"]:
+        assert_one_error_line(run("parse", "--term", term))
 
 
 def test_unknown_flag_is_usage_error():
@@ -127,6 +138,16 @@ def test_neg_graph_check_witness_exit_2(tmp_path):
     assert check.returncode == 2
     data = json.loads(check.stdout)
     assert data["triangle_free"] is False
+
+
+def test_neg_graph_check_rejects_malformed_graphs():
+    for data in [{"graph": {"k": "2", "l": 3, "edges": [], "csets": []}},
+                 [1, 2],
+                 {"k": 2, "l": 3, "edges": [[[0, 2], [5, 9]]], "csets": []},
+                 {"k": 2, "l": 3, "edges": [[0, 1]], "csets": []}]:
+        res = run("neg-graph", "check", "-", stdin=json.dumps(data))
+        assert_one_error_line(res)
+        assert "InvalidGraph" in res.stderr
 
 
 def test_ks_search_and_verify(tmp_path):

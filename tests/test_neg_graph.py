@@ -7,6 +7,7 @@ import pytest
 from scatter_calc.neg_graph import (
     DomainMismatch,
     GridGraph,
+    InvalidGraph,
     InvalidParams,
     NegGraphParams,
     NotABijection,
@@ -50,6 +51,11 @@ def small_params() -> NegGraphParams:
     )
 
 
+def random_corpus():
+    rng = random.Random(7)
+    return [build_neg_graph(random_params(rng)) for _ in range(40)]
+
+
 def test_empty_guess_sets_give_empty_graph():
     p = NegGraphParams(k=2, l=4, d={}, u={r: (1, 2) for r in range(4)},
                        g={2: (0, 1), 3: (0, 2)})
@@ -82,14 +88,12 @@ def test_build_is_deterministic():
     a, b = build_neg_graph(p), build_neg_graph(p)
     assert a.edges == b.edges
     assert a.csets == b.csets
-    assert a.provenance == b.provenance
 
 
-def test_monotone_growth_of_provenance_steps():
-    graph = build_neg_graph(small_params())
-    # an edge created at step rho only touches rows <= rho
-    for ((_, ra), (_, rb)), (rho, _) in graph.provenance.items():
-        assert ra == rho and rb < rho
+def test_edges_are_their_csets():
+    for graph in [build_neg_graph(small_params())] + random_corpus():
+        assert graph.edges == {((i, r), (n, x)) for (r, n), xs in graph.csets.items()
+                               for x in xs for i in range(n)}
 
 
 def test_triangle_detector_sanity():
@@ -106,15 +110,13 @@ def test_corner_detector_sanity():
     graph = build_neg_graph(small_params())
     assert check_corner_invariant(graph) is None
     bad = GridGraph(graph.k, graph.l,
-                    frozenset(graph.edges | {((1, 5), (1, 2))}), {}, graph.csets)
+                    frozenset(graph.edges | {((1, 5), (1, 2))}), graph.csets)
     assert check_corner_invariant(bad) == ((1, 5), (1, 2))
 
 
 def test_random_corpus_invariants():
-    rng = random.Random(7)
     seen_edges = 0
-    for _ in range(40):
-        graph = build_neg_graph(random_params(rng))
+    for graph in random_corpus():
         seen_edges += len(graph.edges)
         assert check_triangle_free(graph) is None
         assert check_corner_invariant(graph) is None
@@ -132,8 +134,7 @@ def test_column_lift():
     swap[0], swap[1] = 1, 0
     swapped = column_lift(graph, swap)
     assert check_triangle_free(swapped) is None
-    for edge, (rho, zeta) in swapped.provenance.items():
-        assert 0 <= rho < graph.l and 0 <= zeta < graph.k
+    assert swapped.csets == {(swap[r], c): xs for (r, c), xs in graph.csets.items()}
     with pytest.raises(NotABijection):
         column_lift(graph, {r: 0 for r in range(graph.l)})
 
@@ -166,4 +167,17 @@ def test_json_roundtrip():
     again = GridGraph.from_json(graph.to_json())
     assert again.edges == graph.edges
     assert again.csets == graph.csets
-    assert again.provenance == graph.provenance
+    assert set(graph.to_json()) == {"k", "l", "edges", "csets"}
+
+
+@pytest.mark.parametrize("data, field_name", [
+    ({"k": "2", "l": 3, "edges": [], "csets": []}, "k"),
+    ([1, 2], "graph"),
+    ({"k": 2, "l": 3, "edges": [[[0, 2], [5, 9]]], "csets": []}, "edges"),
+    ({"k": 2, "l": 3, "edges": [[0, 1]], "csets": []}, "edges"),
+    ({"k": 2, "l": 3, "edges": [], "csets": [{"row": 2, "col": 1, "entries": [7]}]}, "csets"),
+])
+def test_from_json_rejects_malformed_graphs(data, field_name):
+    with pytest.raises(InvalidGraph) as err:
+        GridGraph.from_json(data)
+    assert err.value.field_name == field_name

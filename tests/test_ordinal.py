@@ -152,6 +152,11 @@ def test_parse_errors_have_positions():
             parse_ordinal(bad)
 
 
+def test_parse_rejects_deep_nesting():
+    with pytest.raises(OrdinalSyntaxError):
+        parse_ordinal("w^(" * 3000 + "1" + ")" * 3000)
+
+
 def test_sub_left_and_split():
     assert ord_sub_left(o("w^2"), o("w^2 + 1")) == ONE
     assert ord_sub_left(o("w*3 + 5"), o("w*5")) == ord_mul(W, 2)

@@ -29,13 +29,14 @@ from scatter_calc import (
     search_embedding,
     validate_element,
 )
-from scatter_calc.ordinal import OMEGA, from_int, ord_pow
+from scatter_calc.ordinal import TERM_DEPTH_LIMIT, OMEGA, from_int, ord_pow
 from scatter_calc.terms import (
     EntryOutOfRange,
     InvalidElement,
     InvalidIndexTerm,
     PatternNotFinite,
     TermSyntaxError,
+    TermTooDeep,
     element_key,
     is_bl_index,
     sort_elements,
@@ -69,6 +70,23 @@ def test_parse_error_positions():
     for bad in ["fin(x)", "sum[]", "scaled(fin(2))", "ord(w", "unknown(3)", "fin(3) junk"]:
         with pytest.raises(TermSyntaxError):
             parse_term(bad)
+
+
+def test_ordinal_errors_inside_terms_have_absolute_positions():
+    for bad, position in [("ord(w^)", 6), ("shuffle(w +)", 11), ("finsupp(w*, fin(2), 0)", 10)]:
+        with pytest.raises(TermSyntaxError) as err:
+            parse_term(bad)
+        assert err.value.position == position
+
+
+def test_term_depth_limit():
+    with pytest.raises(TermSyntaxError):
+        parse_term("rev(" * 3000 + "fin(1)" + ")" * 3000)
+    with pytest.raises(TermTooDeep):
+        pow_term(Fin(2), 5000)
+    with pytest.raises(TermTooDeep):
+        parse_term(f"pow(pow(fin(2), {TERM_DEPTH_LIMIT}), 2)")
+    assert finite_size(parse_term(f"pow(fin(2), {TERM_DEPTH_LIMIT})")) == 2 ** TERM_DEPTH_LIMIT
 
 
 def test_finite_powers_are_admissible_indices():
