@@ -17,7 +17,6 @@ from .ordinal import (
     format_ordinal,
     from_int,
     ord_add,
-    ord_compare,
     parse_ordinal,
 )
 from .terms import (
@@ -101,17 +100,10 @@ def delta_prime(f: FinSuppFn, g: FinSuppFn) -> CnfOrdinal:
     """Largest position where f and g disagree."""
     if f.host != g.host:
         raise HostMismatch("both functions must live in the same sum")
-    if f.elem == g.elem:
+    disagreement = f.elem.first_disagreement(g.elem, f.host.zero)
+    if disagreement is None:
         raise EqualInputs("equal functions have no disagreement")
-    positions = {p for p, _ in f.elem.entries} | {p for p, _ in g.elem.entries}
-    best = None
-    for p in positions:
-        if f.value_at(p) != g.value_at(p):
-            if best is None or ord_compare(p, best) > 0:
-                best = p
-    if best is None:
-        raise AntilexError("internal: distinct supports with no disagreement")
-    return best
+    return disagreement[0]
 
 
 def compare_antilex(f: FinSuppFn, g: FinSuppFn) -> int:
@@ -130,8 +122,7 @@ def check_antilex_lemma(f: FinSuppFn, g: FinSuppFn, h: FinSuppFn) -> bool:
     left = delta_prime(f, g)
     right = delta_prime(g, h)
     outer = delta_prime(f, h)
-    biggest = left if ord_compare(left, right) >= 0 else right
-    return ord_compare(biggest, outer) <= 0
+    return max(left.key, right.key) <= outer.key
 
 
 # -- decreasing sequences and value trees ------------------------------------------
@@ -148,7 +139,7 @@ class DecSeq:
         for x in self.entries:
             if not isinstance(x, CnfOrdinal):
                 raise AntilexError("DecSeq entries must be CnfOrdinal")
-            if prev is not None and ord_compare(prev, x) <= 0:
+            if prev is not None and prev.key <= x.key:
                 raise AntilexError("DecSeq entries must be strictly decreasing")
             prev = x
 
@@ -206,21 +197,21 @@ def validate_alpha_tree(tree: AlphaTree) -> Optional[tuple]:
         if len(seq) == 0:
             return ("empty-sequence", seq)
         for x in seq.entries:
-            if ord_compare(x, tree.alpha) >= 0:
+            if x.key >= tree.alpha.key:
                 return ("entry-above-alpha", seq)
     for seq, val in tree.entries.items():
         if len(seq) > 1:
             parent = seq.parent()
-            if parent in tree.entries and ord_compare(val, tree.entries[parent]) >= 0:
+            if parent in tree.entries and val.key >= tree.entries[parent].key:
                 return ("child-not-below-parent", seq, parent)
     for seq_a, seq_b in itertools.combinations(tree.entries, 2):
         if len(seq_a) != len(seq_b) or seq_a.entries[:-1] != seq_b.entries[:-1]:
             continue
         ca, cb = seq_a.entries[-1], seq_b.entries[-1]
         va, vb = tree.entries[seq_a], tree.entries[seq_b]
-        if ord_compare(ca, cb) < 0 and ord_compare(va, vb) >= 0:
+        if ca.key < cb.key and va.key >= vb.key:
             return ("siblings-not-increasing", seq_a, seq_b)
-        if ord_compare(ca, cb) > 0 and ord_compare(va, vb) <= 0:
+        if ca.key > cb.key and va.key <= vb.key:
             return ("siblings-not-increasing", seq_b, seq_a)
     return None
 
@@ -433,7 +424,7 @@ def marker_host_length(term: OrderTerm) -> CnfOrdinal:
         base = ZERO
         for child in term.children:
             length = marker_host_length(child)
-            if ord_compare(length, base) > 0:
+            if length.key > base.key:
                 base = length
         return ord_add(base, from_int(len(term.children)))
     if isinstance(term, Scaled):
@@ -468,7 +459,7 @@ def _embed_entries(term: OrderTerm, elem) -> Dict[CnfOrdinal, int]:
         shared = ZERO
         for child in term.children:
             length = marker_host_length(child)
-            if ord_compare(length, shared) > 0:
+            if length.key > shared.key:
                 shared = length
         entries = _embed_entries(term.children[k], inner_elem)
         entries[ord_add(shared, from_int(k))] = MARKER_UP

@@ -19,7 +19,6 @@ from .ordinal import (
     from_int,
     omega_power,
     ord_add,
-    ord_compare,
     ord_mul,
     ord_sub_left,
     split_at_exponent,
@@ -51,6 +50,17 @@ class ElementOutOfRange(MilnerRadoError):
 
 class UnsupportedConstructor(MilnerRadoError):
     pass
+
+
+class LabelTooLarge(MilnerRadoError):
+    """A composite label outgrew LABEL_BIT_LIMIT."""
+
+
+# Work limit for term labels: each nesting level pairs two labels, roughly
+# squaring them, so nested sums would otherwise grow the label's bit length
+# geometrically with the depth.  4096 bits stays below Python's default limit
+# on int-to-text conversion (4300 digits), so every label can be printed.
+LABEL_BIT_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,7 @@ def _label_within_power(exponent: CnfOrdinal, xi: CnfOrdinal) -> int:
         _, rest = split_at_exponent(xi, gamma)
         return 1 + _label_within_power(gamma, rest)
     i = 0
-    while ord_compare(xi, omega_power(fundamental_sequence(exponent, i))) >= 0:
+    while xi.key >= omega_power(fundamental_sequence(exponent, i)).key:
         i += 1
     return 1 + _label_within_power(fundamental_sequence(exponent, i), xi)
 
@@ -112,14 +122,14 @@ def mr_label_ordinal(alpha, xi) -> int:
     label n always has order type below w^(n+1).
     """
     alpha, xi = ensure_ordinal(alpha), ensure_ordinal(xi)
-    if ord_compare(xi, alpha) >= 0:
+    if xi.key >= alpha.key:
         raise ElementOutOfRange(f"{xi} is not an element of {alpha}")
     if alpha.is_finite():
         return 0
     running = ZERO
     for exponent, coefficient in alpha.terms:
         nxt = ord_add(running, omega_power(exponent, coefficient))
-        if ord_compare(xi, nxt) < 0:
+        if xi.key < nxt.key:
             delta = ord_sub_left(running, xi)
             _, rest = split_at_exponent(delta, exponent)
             return _label_within_power(exponent, rest)
@@ -176,24 +186,25 @@ def _term_label(term: OrderTerm, elem: Any, pi: PairingFn,
             "reversal is only labelled over ordinal and finite bases")
     if isinstance(term, SumList):
         k, inner_elem = elem
-        m = 0
-        n = _term_label(term.children[k], inner_elem, pi, trace)
-        value = pi(m, n)
-        if trace is not None:
-            trace.append((m, n, value))
-        return value
+        return _pair(pi, 0, _term_label(term.children[k], inner_elem, pi, trace), trace)
     if isinstance(term, Scaled):
         index_elem, inner_elem = elem
         m = _term_label(term.index, index_elem, pi, None)
-        n = _term_label(term.inner, inner_elem, pi, trace)
-        value = pi(m, n)
-        if trace is not None:
-            trace.append((m, n, value))
-        return value
+        return _pair(pi, m, _term_label(term.inner, inner_elem, pi, trace), trace)
     if isinstance(term, (Shuffle, FinSupp)):
         raise UnsupportedConstructor(
             f"{type(term).__name__} terms are outside the labelled fragment")
     raise MilnerRadoError(f"not an OrderTerm: {term!r}")
+
+
+def _pair(pi: PairingFn, m: int, n: int,
+          trace: Optional[List[Tuple[int, int, int]]]) -> int:
+    value = pi(m, n)
+    if value.bit_length() > LABEL_BIT_LIMIT:
+        raise LabelTooLarge(f"label exceeds {LABEL_BIT_LIMIT} bits")
+    if trace is not None:
+        trace.append((m, n, value))
+    return value
 
 
 def mr_label_term(term: OrderTerm, elem: Any, pi: PairingFn = CANTOR1) -> int:

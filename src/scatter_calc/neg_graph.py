@@ -99,16 +99,38 @@ class NegGraphParams:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "NegGraphParams":
+    def from_json(cls, data: Any) -> "NegGraphParams":
+        """Inverse of ``to_json``: checks the shape of outside input, then
+        ``validate`` checks the values."""
+        if not isinstance(data, dict):
+            raise InvalidParams("params", "expected a JSON object")
+        for name in ("k", "l"):
+            if type(data.get(name)) is not int:
+                raise InvalidParams(name, f"expected an integer, got {data.get(name)!r}")
+        rows = {name: _row_lists(name, data.get(name)) for name in ("d", "u", "g")}
         params = cls(
             k=data["k"],
             l=data["l"],
-            d={int(r): frozenset(v) for r, v in data["d"].items()},
-            u={int(r): tuple(v) for r, v in data["u"].items()},
-            g={int(r): tuple(v) for r, v in data["g"].items()},
+            d={r: frozenset(v) for r, v in rows["d"].items()},
+            u={r: tuple(v) for r, v in rows["u"].items()},
+            g={r: tuple(v) for r, v in rows["g"].items()},
         )
         params.validate()
         return params
+
+
+def _row_lists(name: str, value: Any) -> Dict[int, List[int]]:
+    """A JSON object from row numbers to lists of integers, keyed by int."""
+    if not isinstance(value, dict):
+        raise InvalidParams(name, "expected an object from rows to lists of integers")
+    rows = {}
+    for row, entries in value.items():
+        if not (isinstance(row, str) and row.isdecimal()):
+            raise InvalidParams(name, f"row {row!r} is not a natural number")
+        if not (isinstance(entries, list) and all(type(x) is int for x in entries)):
+            raise InvalidParams(name, f"row {row}: {entries!r} is not a list of integers")
+        rows[int(row)] = entries
+    return rows
 
 
 def _below(value: Any, bound: int) -> bool:
@@ -196,9 +218,7 @@ def build_neg_graph(params: NegGraphParams) -> GridGraph:
                     ginner = params.g.get(gamma1)
                     if ginner is None:
                         continue
-                    for mu in range(urow[zeta]):
-                        if mu >= k:
-                            continue
+                    for mu in range(min(urow[zeta], k)):
                         dset = params.d.get(ginner[mu])
                         if dset is None:
                             continue

@@ -2,13 +2,15 @@
 
 A value is a finite sum ``w^e1*c1 + ... + w^em*cm`` with strictly decreasing
 exponents (themselves ordinals of the same kind) and positive integer
-coefficients.  The empty sum is 0.  Equality is structural, which coincides
-with ordinal equality because the representation is canonical.
+coefficients.  The empty sum is 0.  Each value carries its canonical key,
+the nested tuple ``((key(e1), c1), ..., (key(em), cm))``: Python's tuple
+order on keys is exactly the ordinal order, so comparison, equality and
+hashing all go through the key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple, Union
 
 from .errors import ScatterCalcError
@@ -49,22 +51,30 @@ class OrdinalSyntaxError(OrdinalError):
         self.position = position
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class CnfOrdinal:
-    """Cantor normal form ordinal; ``terms`` is a tuple of (exponent, coefficient)."""
+    """Cantor normal form ordinal; ``terms`` is a tuple of (exponent, coefficient).
+
+    ``key`` is the canonical key, ``((exponent.key, coefficient), ...)``;
+    two ordinals compare as their keys do."""
 
     terms: Tuple[Tuple["CnfOrdinal", int], ...] = ()
+    key: tuple = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        prev = None
+        key = []
         for exponent, coefficient in self.terms:
             if not isinstance(exponent, CnfOrdinal):
                 raise OrdinalError(f"exponent must be a CnfOrdinal, got {exponent!r}")
             if not isinstance(coefficient, int) or coefficient < 1:
                 raise OrdinalError(f"coefficient must be a positive int, got {coefficient!r}")
-            if prev is not None and ord_compare(prev, exponent) <= 0:
+            if key and key[-1][0] <= exponent.key:
                 raise OrdinalError("exponents must be strictly decreasing")
-            prev = exponent
+            key.append((exponent.key, coefficient))
+        key = tuple(key)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     # -- structure ----------------------------------------------------------
 
@@ -103,13 +113,21 @@ class CnfOrdinal:
 
     # -- operators ----------------------------------------------------------
 
-    def __lt__(self, other): return ord_compare(self, ensure_ordinal(other)) < 0
-    def __le__(self, other): return ord_compare(self, ensure_ordinal(other)) <= 0
-    def __gt__(self, other): return ord_compare(self, ensure_ordinal(other)) > 0
-    def __ge__(self, other): return ord_compare(self, ensure_ordinal(other)) >= 0
-    def __add__(self, other): return ord_add(self, ensure_ordinal(other))
-    def __mul__(self, other): return ord_mul(self, ensure_ordinal(other))
-    def __pow__(self, other): return ord_pow(self, ensure_ordinal(other))
+    def __eq__(self, other):
+        if isinstance(other, CnfOrdinal):
+            return self.key == other.key
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
+
+    def __lt__(self, other): return self.key < ensure_ordinal(other).key
+    def __le__(self, other): return self.key <= ensure_ordinal(other).key
+    def __gt__(self, other): return self.key > ensure_ordinal(other).key
+    def __ge__(self, other): return self.key >= ensure_ordinal(other).key
+    def __add__(self, other): return ord_add(self, other)
+    def __mul__(self, other): return ord_mul(self, other)
+    def __pow__(self, other): return ord_pow(self, other)
 
     def __str__(self) -> str:
         return format_ordinal(self)
@@ -151,16 +169,8 @@ def omega_power(exponent: OrdinalLike, coefficient: int = 1) -> CnfOrdinal:
 
 def ord_compare(a: OrdinalLike, b: OrdinalLike) -> int:
     """Total ordinal order: -1, 0 or 1."""
-    a, b = ensure_ordinal(a), ensure_ordinal(b)
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = ord_compare(ea, eb)
-        if c != 0:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) == len(b.terms):
-        return 0
-    return -1 if len(a.terms) < len(b.terms) else 1
+    a, b = ensure_ordinal(a).key, ensure_ordinal(b).key
+    return (a > b) - (a < b)
 
 
 def ord_add(a: OrdinalLike, b: OrdinalLike) -> CnfOrdinal:
@@ -173,13 +183,11 @@ def ord_add(a: OrdinalLike, b: OrdinalLike) -> CnfOrdinal:
     keep = []
     merged = None
     for exponent, coefficient in a.terms:
-        c = ord_compare(exponent, eb)
-        if c > 0:
+        if exponent.key > eb.key:
             keep.append((exponent, coefficient))
-        elif c == 0:
-            merged = coefficient
-            break
         else:
+            if exponent.key == eb.key:
+                merged = coefficient
             break
     if merged is not None:
         head = (eb, merged + b.terms[0][1])
@@ -193,10 +201,9 @@ def ord_sub_left(a: OrdinalLike, b: OrdinalLike) -> CnfOrdinal:
     for i, (ta, tb) in enumerate(zip(a.terms, b.terms)):
         if ta == tb:
             continue
-        c = ord_compare(ta[0], tb[0])
-        if c < 0:
+        if ta[0].key < tb[0].key:
             return CnfOrdinal(b.terms[i:])
-        if c > 0:
+        if ta[0].key > tb[0].key:
             raise OrdinalError(f"{a} > {b}: left subtraction undefined")
         if ta[1] < tb[1]:
             return CnfOrdinal(((tb[0], tb[1] - ta[1]),) + b.terms[i + 1:])
@@ -304,10 +311,9 @@ def split_at_exponent(xi: OrdinalLike, gamma: OrdinalLike) -> Tuple[int, CnfOrdi
     count = 0
     rest = []
     for exponent, coefficient in xi.terms:
-        c = ord_compare(exponent, gamma)
-        if c > 0:
+        if exponent.key > gamma.key:
             raise OrdinalError(f"{xi} is not below w^({gamma}+1)")
-        if c == 0:
+        if exponent.key == gamma.key:
             count = coefficient
         else:
             rest.append((exponent, coefficient))

@@ -30,7 +30,6 @@ from .ordinal import (
     fundamental_sequence,
     from_int,
     ord_add,
-    ord_compare,
     ord_mul,
     omega_power,
     parse_ordinal,
@@ -118,7 +117,7 @@ class Shuffle:
     alphabet: CnfOrdinal
 
     def __post_init__(self):
-        if not isinstance(self.alphabet, CnfOrdinal) or ord_compare(self.alphabet, from_int(2)) < 0:
+        if not isinstance(self.alphabet, CnfOrdinal) or self.alphabet < 2:
             raise TermError("shuffle() needs an ordinal alphabet of size >= 2")
 
 
@@ -151,12 +150,9 @@ class FinSuppElem:
         for position, _ in self.entries:
             if not isinstance(position, CnfOrdinal):
                 raise InvalidElement("support positions must be CnfOrdinal")
-            if prev is not None and ord_compare(prev, position) <= 0:
+            if prev is not None and prev.key <= position.key:
                 raise InvalidElement("support positions must be strictly decreasing")
             prev = position
-
-    def positions(self) -> Tuple[CnfOrdinal, ...]:
-        return tuple(p for p, _ in self.entries)
 
     def value_at(self, position: CnfOrdinal, zero: Any) -> Any:
         for p, v in self.entries:
@@ -164,11 +160,33 @@ class FinSuppElem:
                 return v
         return zero
 
+    def first_disagreement(self, other: "FinSuppElem",
+                           zero: Any) -> Optional[Tuple[CnfOrdinal, Any, Any]]:
+        """(position, own value, other's value) at the largest position where
+        the two maps differ, or None when they are equal.  Both supports are
+        decreasing, so one merge visits the positions largest first."""
+        xs, ys = self.entries, other.entries
+        i = j = 0
+        while i < len(xs) or j < len(ys):
+            if j == len(ys) or (i < len(xs) and xs[i][0].key > ys[j][0].key):
+                position, vx, vy = xs[i][0], xs[i][1], zero
+                i += 1
+            elif i == len(xs) or ys[j][0].key > xs[i][0].key:
+                position, vx, vy = ys[j][0], zero, ys[j][1]
+                j += 1
+            else:
+                position, vx, vy = xs[i][0], xs[i][1], ys[j][1]
+                i += 1
+                j += 1
+            if vx != vy:
+                return position, vx, vy
+        return None
+
 
 def finsupp_elem(mapping) -> FinSuppElem:
     """Build a FinSuppElem from {position: value}; positions may be ints."""
     items = [(ensure_ordinal(p), v) for p, v in dict(mapping).items()]
-    items.sort(key=functools.cmp_to_key(lambda a, b: ord_compare(a[0], b[0])), reverse=True)
+    items.sort(key=lambda item: item[0].key, reverse=True)
     return FinSuppElem(tuple(items))
 
 
@@ -272,7 +290,7 @@ def validate_element(term: OrderTerm, elem: Any) -> bool:
     if isinstance(term, Fin):
         return isinstance(elem, int) and 0 <= elem < term.size
     if isinstance(term, Ord):
-        return isinstance(elem, CnfOrdinal) and ord_compare(elem, term.ordinal) < 0
+        return isinstance(elem, CnfOrdinal) and elem.key < term.ordinal.key
     if isinstance(term, Rev):
         return validate_element(term.inner, elem)
     if isinstance(term, SumList):
@@ -289,13 +307,14 @@ def validate_element(term: OrderTerm, elem: Any) -> bool:
     if isinstance(term, Shuffle):
         if not isinstance(elem, tuple):
             return False
-        return all(isinstance(x, CnfOrdinal) and ord_compare(x, term.alphabet) < 0
-                   for x in elem)
+        bound = term.alphabet.key
+        return all(isinstance(x, CnfOrdinal) and x.key < bound for x in elem)
     if isinstance(term, FinSupp):
         if not isinstance(elem, FinSuppElem):
             return False
+        bound = term.length.key
         for position, value in elem.entries:
-            if ord_compare(position, term.length) >= 0:
+            if position.key >= bound:
                 return False
             if not validate_element(term.inner, value):
                 return False
@@ -318,33 +337,39 @@ def compare_shuffle(alphabet, s: Sequence, t: Sequence) -> int:
     s = tuple(ensure_ordinal(x) for x in s)
     t = tuple(ensure_ordinal(x) for x in t)
     for x in itertools.chain(s, t):
-        if ord_compare(x, alphabet) >= 0:
+        if x.key >= alphabet.key:
             raise EntryOutOfRange(f"entry {x} is not below {alphabet}")
-    d = None
-    for i in range(max(len(s), len(t))):
-        if i >= len(s) or i >= len(t) or s[i] != t[i]:
-            d = i
+    return _cmp_shuffle(s, t)
+
+
+def _cmp_shuffle(s: Sequence[CnfOrdinal], t: Sequence[CnfOrdinal]) -> int:
+    """The parity order on sequences whose entries are already checked."""
+    d = 0
+    for x, y in zip(s, t):
+        if x.key != y.key:
             break
-    if d is None:
+        d += 1
+    if d == len(s) == len(t):
         return 0
     if d % 2 == 0:
         if d == len(t):          # t is a proper prefix of s
             return -1
         if d == len(s):
             return 1
-        return -1 if ord_compare(t[d], s[d]) < 0 else 1
+        return -1 if t[d].key < s[d].key else 1
     if d == len(s):              # s is a proper prefix of t
         return -1
     if d == len(t):
         return 1
-    return -1 if ord_compare(s[d], t[d]) < 0 else 1
+    return -1 if s[d].key < t[d].key else 1
 
 
 def _cmp(term: OrderTerm, x: Any, y: Any) -> int:
     if isinstance(term, Fin):
         return (x > y) - (x < y)
     if isinstance(term, Ord):
-        return ord_compare(x, y)
+        x, y = x.key, y.key
+        return (x > y) - (x < y)
     if isinstance(term, Rev):
         return -_cmp(term.inner, x, y)
     if isinstance(term, SumList):
@@ -357,18 +382,12 @@ def _cmp(term: OrderTerm, x: Any, y: Any) -> int:
             return c
         return _cmp(term.inner, x[1], y[1])
     if isinstance(term, Shuffle):
-        return compare_shuffle(term.alphabet, x, y)
+        return _cmp_shuffle(x, y)
     if isinstance(term, FinSupp):
-        positions = sorted(
-            set(x.positions()) | set(y.positions()),
-            key=functools.cmp_to_key(ord_compare),
-            reverse=True)
-        for position in positions:
-            vx = x.value_at(position, term.zero)
-            vy = y.value_at(position, term.zero)
-            if vx != vy:
-                return _cmp(term.inner, vx, vy)
-        return 0
+        disagreement = x.first_disagreement(y, term.zero)
+        if disagreement is None:
+            return 0
+        return _cmp(term.inner, disagreement[1], disagreement[2])
     raise TermError(f"not an OrderTerm: {term!r}")
 
 
@@ -670,7 +689,7 @@ def _canonical_ordinals(a: CnfOrdinal, want: int) -> List[CnfOrdinal]:
     uniq = []
     seen = set()
     for x in out:
-        if ord_compare(x, a) < 0 and x not in seen:
+        if x.key < a.key and x not in seen:
             seen.add(x)
             uniq.append(x)
     return uniq[: max(want, 1)]
@@ -697,7 +716,7 @@ def _canonical_elements(term: OrderTerm, want: int) -> List[Any]:
         inner = _canonical_elements(term.inner, half)
         return [(ie, e) for ie in _canonical_elements(term.index, half) for e in inner]
     if isinstance(term, Shuffle):
-        letters = [x for x in (ZERO, ONE) if ord_compare(x, term.alphabet) < 0]
+        letters = [x for x in (ZERO, ONE) if x.key < term.alphabet.key]
         out = [()]
         for length in (1, 2, 3):
             out.extend(tuple(p) for p in itertools.product(letters, repeat=length))
@@ -732,7 +751,7 @@ def _random_element(term: OrderTerm, rng: random.Random) -> Any:
         return (_random_element(term.index, rng), _random_element(term.inner, rng))
     if isinstance(term, Shuffle):
         length = rng.randrange(0, 8)
-        menu = [x for x in _SMALL_ORDINAL_MENU if ord_compare(x, term.alphabet) < 0]
+        menu = [x for x in _SMALL_ORDINAL_MENU if x.key < term.alphabet.key]
         return tuple(rng.choice(menu) for _ in range(length))
     if isinstance(term, FinSupp):
         if term.length.is_zero():

@@ -2,11 +2,94 @@
 
 These deliberately avoid the library's comparator code paths: finite orders
 are materialized directly from the textbook construction rules, so that
-sorting with the library comparator can be checked against them.
+sorting with the library comparator can be checked against them.  The
+reference comparators walk the Cantor normal form recursively and never
+read an ordinal's canonical key, hash or ``==``.
 """
 
-from scatter_calc import Fin, FinSupp, FinSuppElem, Ord, Rev, Scaled, SumList
+import functools
+
+from scatter_calc import Fin, FinSupp, FinSuppElem, Ord, Rev, Scaled, Shuffle, SumList
 from scatter_calc.ordinal import from_int
+
+
+def reference_ord_compare(a, b):
+    """Recursive CNF comparison: the leading terms decide, exponent first."""
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        c = reference_ord_compare(ea, eb)
+        if c != 0:
+            return c
+        if ca != cb:
+            return -1 if ca < cb else 1
+    if len(a.terms) == len(b.terms):
+        return 0
+    return -1 if len(a.terms) < len(b.terms) else 1
+
+
+def reference_shuffle_compare(s, t):
+    """Parity order: at the first disagreement d, even d favours the later
+    sequence being a prefix or smaller, odd d the reverse."""
+    d = None
+    for i in range(max(len(s), len(t))):
+        if i >= len(s) or i >= len(t) or reference_ord_compare(s[i], t[i]) != 0:
+            d = i
+            break
+    if d is None:
+        return 0
+    if d % 2 == 0:
+        if d == len(t):
+            return -1
+        if d == len(s):
+            return 1
+        return -1 if reference_ord_compare(t[d], s[d]) < 0 else 1
+    if d == len(s):
+        return -1
+    if d == len(t):
+        return 1
+    return -1 if reference_ord_compare(s[d], t[d]) < 0 else 1
+
+
+def reference_disagreement(inner, zero, x, y):
+    """(position, x's value, y's value) at the largest position where two
+    finite-support maps differ, or None: the union of both supports sorted
+    in decreasing order, then a lookup of each map at every position."""
+    positions = sorted([p for p, _ in x.entries] + [p for p, _ in y.entries],
+                       key=functools.cmp_to_key(reference_ord_compare), reverse=True)
+
+    def value_at(f, position):
+        for p, v in f.entries:
+            if reference_ord_compare(p, position) == 0:
+                return v
+        return zero
+
+    for position in positions:
+        vx, vy = value_at(x, position), value_at(y, position)
+        if reference_cmp(inner, vx, vy) != 0:
+            return position, vx, vy
+    return None
+
+
+def reference_cmp(term, x, y):
+    """The element order of term, built on the reference comparators."""
+    if isinstance(term, Fin):
+        return (x > y) - (x < y)
+    if isinstance(term, Ord):
+        return reference_ord_compare(x, y)
+    if isinstance(term, Rev):
+        return -reference_cmp(term.inner, x, y)
+    if isinstance(term, SumList):
+        if x[0] != y[0]:
+            return -1 if x[0] < y[0] else 1
+        return reference_cmp(term.children[x[0]], x[1], y[1])
+    if isinstance(term, Scaled):
+        return (reference_cmp(term.index, x[0], y[0])
+                or reference_cmp(term.inner, x[1], y[1]))
+    if isinstance(term, Shuffle):
+        return reference_shuffle_compare(x, y)
+    if isinstance(term, FinSupp):
+        found = reference_disagreement(term.inner, term.zero, x, y)
+        return 0 if found is None else reference_cmp(term.inner, found[1], found[2])
+    raise AssertionError(f"not an OrderTerm: {term}")
 
 
 def textbook_materialize(term):

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import reference_disagreement
 from scatter_calc.antilex import (
     AlphaTree,
     EqualInputs,
@@ -63,6 +64,22 @@ def test_delta_prime_examples():
     other = FinSupp(W, Fin(3), 0)
     with pytest.raises(HostMismatch):
         delta_prime(f, FinSuppFn.zero(other))
+
+
+def test_delta_prime_matches_reference():
+    # the second host's designated zero is 1, so its supports carry 0 and 2
+    rng = random.Random(23)
+    for host, values in [(HOST, [1, 2]), (FinSupp(ord_pow(W, 2), Fin(3), 1), [0, 2])]:
+        for _ in range(300):
+            f, g = (FinSuppFn.build(host, {p: rng.choice(values)
+                                           for p in rng.sample(POSITION_MENU, rng.randrange(4))})
+                    for _ in range(2))
+            expected = reference_disagreement(host.inner, host.zero, f.elem, g.elem)
+            if expected is None:
+                with pytest.raises(EqualInputs):
+                    delta_prime(f, g)
+            else:
+                assert delta_prime(f, g) == expected[0]
 
 
 def test_compare_examples():

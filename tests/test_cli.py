@@ -3,13 +3,19 @@
 import json
 import subprocess
 import sys
+import time
+
+import pytest
+
+from scatter_calc import decode_element, parse_term
+from scatter_calc.milner_rado import LabelTooLarge, mr_label_term
 
 PY = [sys.executable, "-m", "scatter_calc"]
 
 
-def run(*argv, stdin=None):
+def run(*argv, stdin=None, timeout=None):
     return subprocess.run(PY + list(argv), capture_output=True, text=True,
-                          input=stdin)
+                          input=stdin, timeout=timeout)
 
 
 def payload(result):
@@ -103,6 +109,21 @@ def test_mr_label_and_bound():
     assert payload(res)["bound"] == "w"
 
 
+def test_mr_label_on_deep_sums_is_bounded():
+    depth = 26
+    term = "sum[" * depth + "ord(w)" + "]" * depth
+    elem = "5"
+    for _ in range(depth):
+        elem = {"i": 0, "e": elem}
+    parsed = parse_term(term)
+    start = time.perf_counter()
+    with pytest.raises(LabelTooLarge):
+        mr_label_term(parsed, decode_element(parsed, elem))
+    assert time.perf_counter() - start < 1.0
+    assert_one_error_line(run("mr-label", "--term", term, "--elem", json.dumps(elem),
+                              timeout=60))
+
+
 def test_ks_check_exit_codes():
     ok = run("ks-check", "--term", "scaled(ord(w), fin(2))", "--n", "3",
              "--budget", "40", "--seed", "2")
@@ -148,6 +169,26 @@ def test_neg_graph_check_rejects_malformed_graphs():
         res = run("neg-graph", "check", "-", stdin=json.dumps(data))
         assert_one_error_line(res)
         assert "InvalidGraph" in res.stderr
+
+
+def test_neg_graph_build_rejects_malformed_params():
+    for data in [[1, 2], {"k": "2", "l": 3, "d": {}, "u": {}, "g": {}}]:
+        res = run("neg-graph", "build", "--params", "-", stdin=json.dumps(data))
+        assert_one_error_line(res)
+        assert "InvalidParams" in res.stderr
+
+
+def test_neg_graph_build_ignores_u_beyond_the_columns():
+    # u_4(1) is far above k, and gives the same graph as any value >= k
+    params = {
+        "k": 2, "l": 5,
+        "d": {"2": [0, 1], "3": [1, 2], "4": [0, 3]},
+        "u": {str(r): [1, 3] for r in range(4)} | {"4": [1, 10 ** 18]},
+        "g": {"2": [0, 1], "3": [2, 0], "4": [3, 2]},
+    }
+    build = run("neg-graph", "build", "--params", "-", stdin=json.dumps(params), timeout=60)
+    assert build.returncode == 0
+    assert json.loads(build.stdout)["graph"]["edges"] == [[[0, 4], [1, 0]]]
 
 
 def test_ks_search_and_verify(tmp_path):

@@ -5,11 +5,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import reference_ord_compare
 from scatter_calc.ordinal import (
     EXPONENT_DEPTH_LIMIT,
+    CnfOrdinal,
     NotALimit,
     OMEGA,
     ONE,
+    OrdinalError,
     OverflowBeyondEpsilon0,
     OrdinalSyntaxError,
     ZERO,
@@ -174,6 +177,35 @@ def test_order_is_total_and_transitive(a, b, c):
     assert (cab == 0) == (a == b)
     if ord_compare(a, b) <= 0 and ord_compare(b, c) <= 0:
         assert ord_compare(a, c) <= 0
+
+
+@settings(max_examples=500, deadline=None)
+@given(ordinals(depth=3), ordinals(depth=3))
+def test_key_order_matches_recursive_reference(a, b):
+    expected = reference_ord_compare(a, b)
+    assert ord_compare(a, b) == expected
+    assert (a < b, a <= b, a > b, a >= b) == (
+        expected < 0, expected <= 0, expected > 0, expected >= 0)
+    assert (a == b) == (expected == 0)
+    twin = rebuild(a)
+    assert twin is not a and twin == a and hash(twin) == hash(a)
+    if expected == 0:
+        assert hash(a) == hash(b)
+
+
+def rebuild(a):
+    """An equal ordinal that shares no object with a."""
+    return CnfOrdinal(tuple((rebuild(e), c) for e, c in a.terms))
+
+
+def test_constructor_rejects_non_decreasing_exponents():
+    two = from_int(2)
+    for exponents in [(ONE, ONE), (ONE, W), (ZERO, two), (W, ord_add(W, 1)), (W, rebuild(W))]:
+        with pytest.raises(OrdinalError):
+            CnfOrdinal(tuple((e, 1) for e in exponents))
+    with pytest.raises(OrdinalError):
+        CnfOrdinal(((two, 1), (ONE, 2), (ONE, 1)))
+    assert CnfOrdinal(((two, 1), (ONE, 2), (ZERO, 1))) == o("w^2 + w*2 + 1")
 
 
 @settings(max_examples=300, deadline=None)

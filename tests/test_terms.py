@@ -6,10 +6,11 @@ import random
 import pytest
 
 from corpus import corpus_terms
-from oracles import textbook_materialize
+from oracles import reference_cmp, textbook_materialize
 
 from scatter_calc import (
     Fin,
+    FinSuppElem,
     Ord,
     Rev,
     Scaled,
@@ -37,6 +38,7 @@ from scatter_calc.terms import (
     PatternNotFinite,
     TermSyntaxError,
     TermTooDeep,
+    _cmp,
     element_key,
     is_bl_index,
     sort_elements,
@@ -137,12 +139,46 @@ def test_compare_invalid_element():
         compare_elements(Fin(2), 0, 5)
 
 
+def test_compare_rejects_entries_at_the_bound():
+    # each element sits exactly at its term's bound, so only a strict
+    # key comparison in validate_element rejects it
+    cases = [
+        (Ord(W), W, from_int(3)),
+        (Shuffle(W), (from_int(1), W), (from_int(1),)),
+        (parse_term("finsupp(w, fin(2), 0)"), FinSuppElem(((W, 1),)), FinSuppElem()),
+    ]
+    for term, bad, good in cases:
+        assert validate_element(term, good)
+        with pytest.raises(InvalidElement):
+            compare_elements(term, bad, good)
+        with pytest.raises(InvalidElement):
+            compare_elements(term, good, bad)
+
+
+def test_finsupp_elem_rejects_non_decreasing_positions():
+    for positions in [(from_int(1), from_int(2)), (from_int(2), from_int(2)),
+                      (from_int(3), W)]:
+        with pytest.raises(InvalidElement):
+            FinSuppElem(tuple((p, 1) for p in positions))
+
+
+def test_cmp_matches_reference_on_corpus_pools():
+    # the corpus includes finsupp(w^2, fin(3), 1), whose designated zero is 1
+    for t_index, term in enumerate(corpus_terms()):
+        pool = sample_elements(term, 48, 2000 + t_index)
+        for x in pool:
+            for y in pool:
+                assert _cmp(term, x, y) == reference_cmp(term, x, y), (format_term(term), x, y)
+
+
 def test_shuffle_examples():
     assert compare_shuffle(W, (), ()) == 0
     assert compare_shuffle(W, [1], [0]) == -1          # <1> below <0>
     assert compare_shuffle(W, [0], [0, 0]) == -1       # odd split, prefix below
     with pytest.raises(EntryOutOfRange):
         compare_shuffle(from_int(2), [5], [0])
+    with pytest.raises(EntryOutOfRange):
+        compare_shuffle(W, [0], [1, W])          # an entry equal to the alphabet
 
 
 def test_shuffle_brute_force_total_order():
