@@ -141,12 +141,19 @@ def _below(value: Any, bound: int) -> bool:
 class GridGraph:
     """Corner-shaped edges on the k-by-l grid and the C-sets of the
     recursion; for a built graph the edges are exactly
-    ((iota, rho), (nu, xi)) with xi in C[rho, nu] and iota < nu."""
+    ((iota, rho), (nu, xi)) with xi in C[rho, nu] and iota < nu.
+
+    ``edges`` is stored sorted and without duplicates, the order in which
+    ``to_json`` prints them and the checkers scan them."""
 
     k: int
     l: int
-    edges: FrozenSet[Edge]
+    edges: Tuple[Edge, ...]
     csets: Dict[Tuple[int, int], Tuple[int, ...]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # Timsort takes one linear pass over input that is already sorted
+        self.edges = tuple(dict.fromkeys(sorted(self.edges)))
 
     def vertices(self) -> List[Vertex]:
         return [(c, r) for c in range(self.k) for r in range(self.l)]
@@ -155,7 +162,7 @@ class GridGraph:
         return {
             "k": self.k,
             "l": self.l,
-            "edges": [[list(a), list(b)] for a, b in sorted(self.edges)],
+            "edges": [[list(a), list(b)] for a, b in self.edges],
             "csets": [
                 {"row": row, "col": col, "entries": list(entries)}
                 for (row, col), entries in sorted(self.csets.items())
@@ -175,11 +182,17 @@ class GridGraph:
         edges = data.get("edges")
         if not isinstance(edges, list):
             raise InvalidGraph("edges", "expected a list of vertex pairs")
+        pairs = []
         for e in edges:
-            if not (isinstance(e, list) and len(e) == 2 and all(
-                    isinstance(v, list) and len(v) == 2 and _below(v[0], k) and _below(v[1], l)
-                    for v in e)):
-                raise InvalidGraph("edges", f"{e!r} is not a pair of vertices of the {k} x {l} grid")
+            if isinstance(e, list) and len(e) == 2:
+                a, b = e
+                if isinstance(a, list) and isinstance(b, list) and len(a) == len(b) == 2:
+                    (ca, ra), (cb, rb) = a, b
+                    if (type(ca) is type(ra) is type(cb) is type(rb) is int
+                            and 0 <= ca < k and 0 <= cb < k and 0 <= ra < l and 0 <= rb < l):
+                        pairs.append(((ca, ra), (cb, rb)))
+                        continue
+            raise InvalidGraph("edges", f"{e!r} is not a pair of vertices of the {k} x {l} grid")
         csets = data.get("csets", [])
         if not isinstance(csets, list):
             raise InvalidGraph("csets", "expected a list of C-sets")
@@ -188,8 +201,7 @@ class GridGraph:
                     and isinstance(c.get("entries"), list)
                     and all(_below(x, l) for x in c["entries"])):
                 raise InvalidGraph("csets", f"{c!r} is not a C-set of the {k} x {l} grid")
-        return cls(k, l, frozenset((tuple(a), tuple(b)) for a, b in edges),
-                   {(c["row"], c["col"]): tuple(c["entries"]) for c in csets})
+        return cls(k, l, pairs, {(c["row"], c["col"]): tuple(c["entries"]) for c in csets})
 
 
 def build_neg_graph(params: NegGraphParams) -> GridGraph:
@@ -227,27 +239,27 @@ def build_neg_graph(params: NegGraphParams) -> GridGraph:
                             entries.add(min(candidates))
             C[(rho, zeta)] = frozenset(entries)
     csets = {key: tuple(sorted(v)) for key, v in C.items() if v}
-    edges = frozenset(((iota, rho), (nu, xi)) for (rho, nu), entries in csets.items()
-                      for xi in entries for iota in range(nu))
+    edges = [((iota, rho), (nu, xi)) for iota in range(k) for rho in range(l)
+             for nu in range(iota + 1, k) for xi in csets.get((rho, nu), ())]
     return GridGraph(k, l, edges, csets)
 
 
 def check_triangle_free(graph: GridGraph) -> Optional[Tuple[Vertex, Vertex, Vertex]]:
     """Exhaustive triangle scan: None when triangle-free, otherwise the
-    least witness triple."""
-    verts = graph.vertices()
-    index = {v: i for i, v in enumerate(verts)}
-    masks = [0] * len(verts)
-    for a, b in graph.edges:
-        ia, ib = index[a], index[b]
+    least witness, the first edge that lies on a triangle completed by the
+    least common neighbour of its ends, as a sorted triple.  Vertex (c, r)
+    is bit c*l + r of the adjacency masks, so bit order is vertex order."""
+    l = graph.l
+    masks = [0] * (graph.k * l)
+    for (a, ra), (b, rb) in graph.edges:
+        ia, ib = a * l + ra, b * l + rb
         masks[ia] |= 1 << ib
         masks[ib] |= 1 << ia
-    for a, b in sorted(graph.edges):
-        common = masks[index[a]] & masks[index[b]]
+    for (a, ra), (b, rb) in graph.edges:
+        common = masks[a * l + ra] & masks[b * l + rb]
         if common:
-            low = common & -common
-            c = verts[low.bit_length() - 1]
-            return tuple(sorted((a, b, c)))
+            c = divmod((common & -common).bit_length() - 1, l)
+            return tuple(sorted(((a, ra), (b, rb), c)))
     return None
 
 
@@ -258,11 +270,11 @@ def check_corner_invariant(graph: GridGraph) -> Optional[Edge]:
     misshapen edge, else the least edge of the first over-full column."""
     overfull = None
     key = None
-    for edge in sorted(graph.edges):
+    for edge in graph.edges:
         (a, ra), (b, rb) = edge
         if not (a < b and rb < ra):
             return edge
-        if key != (a, ra, b):   # sorting groups the edges from (a, ra) into column b
+        if key != (a, ra, b):   # the sorted edges from (a, ra) into column b are adjacent
             key, first, count = (a, ra, b), edge, 0
         count += 1
         if overfull is None and count > len(graph.csets.get((ra, b), ())):
@@ -279,8 +291,7 @@ def column_lift(graph: GridGraph, row_map) -> GridGraph:
     if sorted(mapping.keys()) != list(range(graph.l)) or \
             sorted(mapping.values()) != list(range(graph.l)):
         raise NotABijection("row map must be a bijection of the row index set")
-    edges = frozenset(((a, mapping[ra]), (b, mapping[rb]))
-                      for (a, ra), (b, rb) in graph.edges)
+    edges = [((a, mapping[ra]), (b, mapping[rb])) for (a, ra), (b, rb) in graph.edges]
     csets = {(mapping[row], col): entries
              for (row, col), entries in graph.csets.items()}
     return GridGraph(graph.k, graph.l, edges, csets)
@@ -293,6 +304,7 @@ def compose_negative_coloring(labeling: Labeling, graph: GridGraph,
     if len(correspondence) != len(labeling.elements):
         raise DomainMismatch("correspondence must cover the labelled domain")
     vertices = set(graph.vertices())
+    edges = set(graph.edges)
     corr = [tuple(v) for v in correspondence]
     if len(set(corr)) != len(corr):
         raise DomainMismatch("correspondence must be injective")
@@ -301,6 +313,6 @@ def compose_negative_coloring(labeling: Labeling, graph: GridGraph,
 
     def colour(i: int, j: int) -> int:
         a, b = corr[i], corr[j]
-        return 1 if (a, b) in graph.edges or (b, a) in graph.edges else 0
+        return 1 if (a, b) in edges or (b, a) in edges else 0
 
     return PairColoring.from_function(labeling.elements, 2, colour)

@@ -778,14 +778,17 @@ def sample_elements(term: OrderTerm, budget: int, seed: int = 0) -> List[Any]:
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if finite_size(term) == 0:
+    size = finite_size(term)
+    if size == 0:
         return []
     rng = random.Random(seed)
     pool = {}
     for elem in _canonical_elements(term, budget):
         pool.setdefault(element_key(term, elem), elem)
+    # a pool holding every element of a finite term cannot grow
+    target = 3 * budget if size is None else min(3 * budget, size)
     attempts = 0
-    while len(pool) < 3 * budget and attempts < 12 * budget:
+    while len(pool) < target and attempts < 12 * budget:
         attempts += 1
         elem = _random_element(term, rng)
         pool.setdefault(element_key(term, elem), elem)

@@ -4,7 +4,8 @@ These deliberately avoid the library's comparator code paths: finite orders
 are materialized directly from the textbook construction rules, so that
 sorting with the library comparator can be checked against them.  The
 reference comparators walk the Cantor normal form recursively and never
-read an ordinal's canonical key, hash or ``==``.
+read an ordinal's canonical key, hash or ``==``.  The grid-graph checkers
+sort a plain set of edges themselves and never read a ``GridGraph``.
 """
 
 import functools
@@ -121,3 +122,41 @@ def textbook_materialize(term):
         return [FinSuppElem(tuple((p, v) for p, v in row if v != term.zero))
                 for row in rows]
     raise AssertionError(f"not finite: {term}")
+
+
+def reference_triangle_free(k, l, edges):
+    """Triangle scan over a set of edges: the first edge in sorted order
+    with a common neighbour, completed by its least common neighbour, as a
+    sorted triple; None when there is no triangle."""
+    verts = [(c, r) for c in range(k) for r in range(l)]
+    index = {v: i for i, v in enumerate(verts)}
+    masks = [0] * len(verts)
+    for a, b in edges:
+        ia, ib = index[a], index[b]
+        masks[ia] |= 1 << ib
+        masks[ib] |= 1 << ia
+    for a, b in sorted(edges):
+        common = masks[index[a]] & masks[index[b]]
+        if common:
+            low = common & -common
+            c = verts[low.bit_length() - 1]
+            return tuple(sorted((a, b, c)))
+    return None
+
+
+def reference_corner_invariant(edges, csets):
+    """The least misshapen edge in sorted order, else the least edge of the
+    first group of edges from one vertex into one column that outnumbers
+    the C-set of that row and column; None when neither exists."""
+    overfull = None
+    key = None
+    for edge in sorted(edges):
+        (a, ra), (b, rb) = edge
+        if not (a < b and rb < ra):
+            return edge
+        if key != (a, ra, b):
+            key, first, count = (a, ra, b), edge, 0
+        count += 1
+        if overfull is None and count > len(csets.get((ra, b), ())):
+            overfull = first
+    return overfull

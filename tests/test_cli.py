@@ -1,5 +1,6 @@
 """Command-line interface tests: wiring, exit codes, certificates."""
 
+import itertools
 import json
 import subprocess
 import sys
@@ -159,6 +160,45 @@ def test_neg_graph_check_witness_exit_2(tmp_path):
     assert check.returncode == 2
     data = json.loads(check.stdout)
     assert data["triangle_free"] is False
+
+
+ROUND_TRIP_PARAMS = {
+    "k": 4, "l": 12,
+    "d": {"4": [0, 2, 3], "6": [0, 1, 3, 5], "9": [4, 5, 7], "10": [0, 1, 7], "11": [3, 5]},
+    "u": {"0": [2, 3, 5, 7], "1": [1, 4, 5, 6], "2": [2, 4, 6, 9], "3": [5, 6, 9, 12],
+          "4": [4, 6, 8, 9], "5": [4, 5, 7, 8], "6": [2, 5, 6, 7], "7": [2, 4, 5, 8],
+          "8": [3, 6, 7, 10], "9": [3, 6, 8, 9], "10": [5, 6, 7, 9], "11": [3, 4, 5, 7]},
+    "g": {"4": [0, 1, 2, 3], "5": [0, 2, 3, 4], "6": [1, 2, 4, 5], "7": [0, 4, 5, 6],
+          "8": [0, 1, 3, 4], "9": [2, 3, 5, 8], "10": [1, 4, 5, 6], "11": [0, 1, 4, 8]},
+}
+
+
+def test_neg_graph_check_ignores_edge_order():
+    build = run("neg-graph", "build", "--params", "-", stdin=json.dumps(ROUND_TRIP_PARAMS))
+    assert build.returncode == 0
+    cert = json.loads(build.stdout)
+    assert len(cert["graph"]["edges"]) == 9
+    as_is = run("neg-graph", "check", "-", stdin=build.stdout)
+    cert["graph"]["edges"].reverse()
+    flipped = run("neg-graph", "check", "-", stdin=json.dumps(cert))
+    assert as_is.returncode == flipped.returncode == 0
+    assert as_is.stdout == flipped.stdout
+
+
+def test_neg_graph_check_reports_the_least_triangle():
+    graph = json.loads(run("neg-graph", "build", "--params", "-",
+                           stdin=json.dumps(ROUND_TRIP_PARAMS)).stdout)["graph"]
+    # two planted corner-shaped triangles, the least one listed last
+    graph["edges"] += [[[1, 11], [2, 6]], [[1, 11], [3, 2]], [[2, 6], [3, 2]],
+                       [[0, 5], [1, 3]], [[0, 5], [2, 1]], [[1, 3], [2, 1]]]
+    check = run("neg-graph", "check", "-", stdin=json.dumps({"graph": graph}))
+    assert check.returncode == 2
+    witness = json.loads(check.stdout)["triangle_witness"]
+    edges = {frozenset(map(tuple, e)) for e in graph["edges"]}
+    vertices = sorted({v for e in edges for v in e})
+    least = min(t for t in itertools.combinations(vertices, 3)
+                if all(frozenset(p) in edges for p in itertools.combinations(t, 2)))
+    assert witness == [list(v) for v in least] == [[0, 5], [1, 3], [2, 1]]
 
 
 def test_neg_graph_check_rejects_malformed_graphs():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oracles import reference_corner_invariant, reference_triangle_free
 from scatter_calc.neg_graph import (
     DomainMismatch,
     GridGraph,
@@ -56,16 +57,46 @@ def random_corpus():
     return [build_neg_graph(random_params(rng)) for _ in range(40)]
 
 
+def random_json_graph(rng: random.Random) -> dict:
+    """A graph in JSON form read off random C-sets, then perturbed: planted
+    triangles, duplicate edges, non-corner edges (some in one column),
+    C-sets with their last entry dropped and a shuffled edge list."""
+    k, l = rng.randint(1, 4), rng.randint(1, 9)
+    csets, edges = [], []
+    for r in range(1, l):
+        for n in range(1, k):
+            if rng.random() < 0.4:
+                entries = sorted(rng.sample(range(r), rng.randint(1, min(r, 3))))
+                csets.append({"row": r, "col": n, "entries": entries})
+                edges += [[[i, r], [n, x]] for x in entries for i in range(n)]
+    verts = [[c, r] for c in range(k) for r in range(l)]
+    if len(verts) >= 3 and rng.random() < 0.3:
+        a, b, c = rng.sample(verts, 3)
+        edges += [[a, b], [c, a], [b, c]]
+    if edges and rng.random() < 0.3:
+        edges += [list(rng.choice(edges)) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.15:
+        c = rng.randrange(k)
+        edges.append([[c, rng.randrange(l)], [c, rng.randrange(l)]])
+    if edges and rng.random() < 0.15:
+        edges.append(rng.choice(edges)[::-1])
+    if csets and rng.random() < 0.3:
+        entry = rng.choice(csets)
+        entry["entries"] = entry["entries"][:-1]
+    rng.shuffle(edges)
+    return {"k": k, "l": l, "edges": edges, "csets": csets}
+
+
 def test_empty_guess_sets_give_empty_graph():
     p = NegGraphParams(k=2, l=4, d={}, u={r: (1, 2) for r in range(4)},
                        g={2: (0, 1), 3: (0, 2)})
-    assert build_neg_graph(p).edges == frozenset()
+    assert build_neg_graph(p).edges == ()
 
 
 def test_single_column_gives_empty_graph():
     p = NegGraphParams(k=1, l=3, d={1: frozenset({0}), 2: frozenset({1})},
                        u={r: (3,) for r in range(3)}, g={1: (0,), 2: (1,)})
-    assert build_neg_graph(p).edges == frozenset()
+    assert build_neg_graph(p).edges == ()
 
 
 def test_invalid_params_name_the_field():
@@ -92,8 +123,10 @@ def test_build_is_deterministic():
 
 def test_edges_are_their_csets():
     for graph in [build_neg_graph(small_params())] + random_corpus():
-        assert graph.edges == {((i, r), (n, x)) for (r, n), xs in graph.csets.items()
-                               for x in xs for i in range(n)}
+        expected = {((i, r), (n, x)) for (r, n), xs in graph.csets.items()
+                    for x in xs for i in range(n)}
+        assert set(graph.edges) == expected
+        assert graph.edges == tuple(sorted(expected))
 
 
 def test_triangle_detector_sanity():
@@ -101,17 +134,58 @@ def test_triangle_detector_sanity():
     assert check_triangle_free(graph) is None
     # inject a triangle by hand
     tri = {((0, 5), (1, 4)), ((0, 5), (1, 3)), ((1, 4), (1, 3))}
-    bad = GridGraph(graph.k, graph.l, frozenset(graph.edges | tri))
+    bad = GridGraph(graph.k, graph.l, set(graph.edges) | tri)
     witness = check_triangle_free(bad)
     assert witness is not None and len(witness) == 3
+    assert witness == ((0, 5), (1, 3), (1, 4))
+    # a second triangle on smaller vertices, listed last, is the least witness
+    low = [((1, 1), (1, 0)), ((0, 2), (1, 1)), ((0, 2), (1, 0))]
+    both = GridGraph(graph.k, graph.l, list(bad.edges) + low)
+    assert check_triangle_free(both) == ((0, 2), (1, 0), (1, 1))
 
 
 def test_corner_detector_sanity():
     graph = build_neg_graph(small_params())
     assert check_corner_invariant(graph) is None
-    bad = GridGraph(graph.k, graph.l,
-                    frozenset(graph.edges | {((1, 5), (1, 2))}), graph.csets)
+    bad = GridGraph(graph.k, graph.l, graph.edges + (((1, 5), (1, 2)),), graph.csets)
     assert check_corner_invariant(bad) == ((1, 5), (1, 2))
+
+
+def test_checkers_match_sorted_edge_references():
+    rng = random.Random(11)
+    triangles = corner_failures = clean = 0
+    for _ in range(3000):
+        data = random_json_graph(rng)
+        k, l = data["k"], data["l"]
+        edges = {(tuple(a), tuple(b)) for a, b in data["edges"]}
+        csets = {(c["row"], c["col"]): tuple(c["entries"]) for c in data["csets"]}
+        graph = GridGraph.from_json(data)
+        assert graph.edges == tuple(sorted(edges))
+        assert graph.csets == csets
+        witness, corner = check_triangle_free(graph), check_corner_invariant(graph)
+        assert witness == reference_triangle_free(k, l, edges)
+        assert corner == reference_corner_invariant(edges, csets)
+        triangles += witness is not None
+        corner_failures += corner is not None
+        clean += witness is None and corner is None
+        reordered = dict(data, edges=data["edges"][::-1] + data["edges"][:1])
+        assert GridGraph.from_json(reordered).to_json() == graph.to_json()
+    # both checkers fail on some graphs and pass on others
+    assert triangles > 300 and corner_failures > 300 and clean > 300
+
+
+@pytest.mark.parametrize("bad", [
+    [[0, 0]], [[0, 0], [1, 0], [1, 1]], [[0, 0], [1]], [[0, 0], [0, 3]], [[0, 0], [2, 0]],
+    [[0, 3], [1, 0]], [[2, 0], [1, 0]], [[-1, 0], [1, 0]], [[0, 0], [1, -1]],
+    [[0, 0], [-1, 0]], [[True, 0], [1, 0]], [[0.0, 1], [1, 0]], [[0, 1], [1, 0.0]],
+    [[0, 1], [1, None]], [(0, 1), [1, 0]], "ab", 7,
+])
+def test_from_json_names_the_first_bad_edge(bad):
+    edges = [[[0, 2], [1, 1]], bad, [[0, 1], [1, 0]], [[0, 0], [1, 9]]]
+    with pytest.raises(InvalidGraph) as err:
+        GridGraph.from_json({"k": 2, "l": 3, "edges": edges})
+    assert err.value.field_name == "edges"
+    assert str(err.value) == f"invalid edges: {bad!r} is not a pair of vertices of the 2 x 3 grid"
 
 
 def test_random_corpus_invariants():
@@ -120,6 +194,7 @@ def test_random_corpus_invariants():
         seen_edges += len(graph.edges)
         assert check_triangle_free(graph) is None
         assert check_corner_invariant(graph) is None
+        assert graph.edges == tuple(sorted(set(graph.edges)))
     assert seen_edges > 100   # the recursion is genuinely exercised
 
 
@@ -153,7 +228,7 @@ def test_compose_negative_coloring():
 def test_compose_detects_injected_triangle():
     graph = build_neg_graph(small_params())
     tri = {((0, 5), (1, 4)), ((0, 5), (1, 3)), ((1, 4), (1, 3))}
-    bad = GridGraph(graph.k, graph.l, frozenset(graph.edges | tri))
+    bad = GridGraph(graph.k, graph.l, set(graph.edges) | tri)
     verts = bad.vertices()
     labeling = Labeling(list(range(len(verts))), [0] * len(verts))
     col = compose_negative_coloring(labeling, bad, verts)

@@ -259,6 +259,25 @@ def test_sample_examples():
     assert sh == sort_elements(Shuffle(W), sh)
 
 
+def test_sample_of_a_complete_finite_pool_makes_no_draws(monkeypatch):
+    from scatter_calc import terms
+    draw = terms._random_element
+    calls = []
+
+    def counted(term, rng):
+        calls.append(term)
+        return draw(term, rng)
+
+    monkeypatch.setattr(terms, "_random_element", counted)
+    assert sample_elements(Fin(3), 48, 0) == [0, 1, 2]
+    host = parse_term("finsupp(3, fin(2), 0)")
+    assert sample_elements(host, 48, 0) == textbook_materialize(host)
+    assert calls == []
+    # an infinite term still tops its pool up with random draws
+    sample_elements(parse_term("ord(w^2)"), 48, 0)
+    assert calls
+
+
 def test_sample_deterministic_and_valid():
     for term in corpus_terms():
         a = sample_elements(term, 17, 11)
