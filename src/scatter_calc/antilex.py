@@ -12,7 +12,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from .errors import ScatterCalcError
 from .ordinal import (
     CnfOrdinal,
-    ZERO,
     ensure_ordinal,
     format_ordinal,
     from_int,
@@ -29,7 +28,6 @@ from .terms import (
     Rev,
     Scaled,
     SumList,
-    compare_elements,
     finsupp_elem,
     format_term,
     validate_element,
@@ -107,11 +105,11 @@ def delta_prime(f: FinSuppFn, g: FinSuppFn) -> CnfOrdinal:
 
 
 def compare_antilex(f: FinSuppFn, g: FinSuppFn) -> int:
-    """Order decided at the largest disagreement; same code path as the
-    host-term comparator."""
+    """Order decided at the largest disagreement by the host's comparator;
+    both elements were validated when f and g were built."""
     if f.host != g.host:
         raise HostMismatch("both functions must live in the same sum")
-    return compare_elements(f.host, f.elem, g.elem)
+    return f.host.cmp(f.elem, g.elem)
 
 
 def check_antilex_lemma(f: FinSuppFn, g: FinSuppFn, h: FinSuppFn) -> bool:
@@ -386,51 +384,29 @@ MARKER_UP = 2
 MARKER_DOWN = 0
 
 
-def _index_kind(term: OrderTerm) -> str:
-    if isinstance(term, Fin):
-        return "up"
-    if isinstance(term, Ord):
-        return "up"
-    if isinstance(term, Rev) and isinstance(term.inner, (Ord, Fin)):
-        return "down"
-    raise UnsupportedHost(f"unsupported index {format_term(term)} for marker embedding")
-
-
-def _index_length(term: OrderTerm) -> CnfOrdinal:
-    if isinstance(term, Fin):
-        return from_int(term.size)
-    if isinstance(term, Ord):
-        return term.ordinal
-    if isinstance(term, Rev):
-        return _index_length(term.inner)
-    raise UnsupportedHost(f"unsupported index {format_term(term)}")
-
-
-def _index_position(term: OrderTerm, elem) -> CnfOrdinal:
-    if isinstance(term, Fin):
-        return from_int(elem)
-    if isinstance(term, Ord):
-        return elem
-    if isinstance(term, Rev):
-        return _index_position(term.inner, elem)
-    raise UnsupportedHost(f"unsupported index {format_term(term)}")
+def _base_index(term: OrderTerm) -> Tuple[CnfOrdinal, Callable[[Any], CnfOrdinal], int]:
+    """(length, position of an element, marker) of a base index: fin or ord,
+    marked up, or the reversal of one, marked down."""
+    base, marker = (term.inner, MARKER_DOWN) if isinstance(term, Rev) else (term, MARKER_UP)
+    if isinstance(base, Fin):
+        return from_int(base.size), from_int, marker
+    if isinstance(base, Ord):
+        return base.ordinal, lambda elem: elem, marker
+    raise UnsupportedHost(f"marker embedding does not cover {format_term(term)}")
 
 
 def marker_host_length(term: OrderTerm) -> CnfOrdinal:
-    if isinstance(term, (Fin, Ord)) or (
-            isinstance(term, Rev) and isinstance(term.inner, (Fin, Ord))):
-        return _index_length(term)
     if isinstance(term, SumList):
-        base = ZERO
-        for child in term.children:
-            length = marker_host_length(child)
-            if length.key > base.key:
-                base = length
-        return ord_add(base, from_int(len(term.children)))
+        return ord_add(_shared_length(term), from_int(len(term.children)))
     if isinstance(term, Scaled):
-        return ord_add(marker_host_length(term.inner), _index_length(term.index))
-    raise UnsupportedHost(
-        f"marker embedding does not cover {format_term(term)}")
+        return ord_add(marker_host_length(term.inner), _base_index(term.index)[0])
+    return _base_index(term)[0]
+
+
+def _shared_length(term: SumList) -> CnfOrdinal:
+    """The longest marker host among the summands, where the summand markers start."""
+    return max((marker_host_length(child) for child in term.children),
+               key=lambda length: length.key)
 
 
 def marker_host(term: OrderTerm) -> FinSupp:
@@ -450,25 +426,16 @@ def marker_embed(term: OrderTerm, elem) -> FinSuppFn:
 
 
 def _embed_entries(term: OrderTerm, elem) -> Dict[CnfOrdinal, int]:
-    if isinstance(term, (Fin, Ord)) or (
-            isinstance(term, Rev) and isinstance(term.inner, (Fin, Ord))):
-        marker = MARKER_UP if _index_kind(term) == "up" else MARKER_DOWN
-        return {_index_position(term, elem): marker}
     if isinstance(term, SumList):
         k, inner_elem = elem
-        shared = ZERO
-        for child in term.children:
-            length = marker_host_length(child)
-            if length.key > shared.key:
-                shared = length
         entries = _embed_entries(term.children[k], inner_elem)
-        entries[ord_add(shared, from_int(k))] = MARKER_UP
+        entries[ord_add(_shared_length(term), from_int(k))] = MARKER_UP
         return entries
     if isinstance(term, Scaled):
         index_elem, inner_elem = elem
-        shared = marker_host_length(term.inner)
         entries = _embed_entries(term.inner, inner_elem)
-        marker = MARKER_UP if _index_kind(term.index) == "up" else MARKER_DOWN
-        entries[ord_add(shared, _index_position(term.index, index_elem))] = marker
+        _, position, marker = _base_index(term.index)
+        entries[ord_add(marker_host_length(term.inner), position(index_elem))] = marker
         return entries
-    raise UnsupportedHost(f"marker embedding does not cover {format_term(term)}")
+    _, position, marker = _base_index(term)
+    return {position(elem): marker}

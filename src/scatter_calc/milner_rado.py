@@ -26,12 +26,10 @@ from .ordinal import (
 from . import terms
 from .terms import (
     Fin,
-    FinSupp,
     Ord,
     OrderTerm,
     Rev,
     Scaled,
-    Shuffle,
     SumList,
     pow_term,
     search_embedding,
@@ -191,10 +189,8 @@ def _term_label(term: OrderTerm, elem: Any, pi: PairingFn,
         index_elem, inner_elem = elem
         m = _term_label(term.index, index_elem, pi, None)
         return _pair(pi, m, _term_label(term.inner, inner_elem, pi, trace), trace)
-    if isinstance(term, (Shuffle, FinSupp)):
-        raise UnsupportedConstructor(
-            f"{type(term).__name__} terms are outside the labelled fragment")
-    raise MilnerRadoError(f"not an OrderTerm: {term!r}")
+    raise UnsupportedConstructor(
+        f"{type(term).__name__} terms are outside the labelled fragment")
 
 
 def _pair(pi: PairingFn, m: int, n: int,

@@ -190,6 +190,8 @@ class GridGraph:
                     (ca, ra), (cb, rb) = a, b
                     if (type(ca) is type(ra) is type(cb) is type(rb) is int
                             and 0 <= ca < k and 0 <= cb < k and 0 <= ra < l and 0 <= rb < l):
+                        if ca == cb and ra == rb:
+                            raise InvalidGraph("edges", f"{e!r} is a self-loop")
                         pairs.append(((ca, ra), (cb, rb)))
                         continue
             raise InvalidGraph("edges", f"{e!r} is not a pair of vertices of the {k} x {l} grid")

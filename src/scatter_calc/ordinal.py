@@ -67,7 +67,7 @@ class CnfOrdinal:
         for exponent, coefficient in self.terms:
             if not isinstance(exponent, CnfOrdinal):
                 raise OrdinalError(f"exponent must be a CnfOrdinal, got {exponent!r}")
-            if not isinstance(coefficient, int) or coefficient < 1:
+            if type(coefficient) is not int or coefficient < 1:
                 raise OrdinalError(f"coefficient must be a positive int, got {coefficient!r}")
             if key and key[-1][0] <= exponent.key:
                 raise OrdinalError("exponents must be strictly decreasing")
@@ -144,6 +144,8 @@ OMEGA = CnfOrdinal(((ONE, 1),))
 
 
 def from_int(n: int) -> CnfOrdinal:
+    if type(n) is not int:
+        raise OrdinalError(f"{n!r} is not an integer")
     if n < 0:
         raise OrdinalError("ordinals are non-negative")
     if n == 0:

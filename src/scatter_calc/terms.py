@@ -14,8 +14,9 @@ import functools
 import itertools
 import json
 import random
+import weakref
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .errors import ScatterCalcError
 from .ordinal import (
@@ -68,74 +69,394 @@ class PatternNotFinite(TermError):
 
 # -- term constructors --------------------------------------------------------
 
-@dataclass(frozen=True)
-class Fin:
-    size: int
-
-    def __post_init__(self):
-        if not isinstance(self.size, int) or self.size < 0:
-            raise TermError(f"fin() needs a natural number, got {self.size!r}")
+_FACTS = ("finite", "depth", "well_ordered", "anti_well_ordered")
 
 
-@dataclass(frozen=True)
-class Ord:
-    ordinal: CnfOrdinal
+class OrderTerm:
+    """A term node.  Constructors intern their nodes in a weak table, so
+    structurally equal terms are one object, ``==`` is identity and a shared
+    subterm is built, hashed and compared once.
 
-    def __post_init__(self):
-        if not isinstance(self.ordinal, CnfOrdinal):
+    Every call checks its arguments and derives the node's facts from its
+    children's (``_facts``): whether the denotation is ``finite``, the
+    ``depth`` (constructor nesting; fin, ord and shuffle count 1) and the
+    ``well_ordered`` and ``anti_well_ordered`` flags.  A new node stores them
+    with its hash.  The exact ``finite_size`` is counted once, on first use:
+    fin(2) inside d nested pow(..., 2) has 2^(2^d) elements.  Every subclass
+    implements the element model: validate, cmp, encode, _decode, format,
+    _materialize, _canonical and random_element.
+    """
+
+    __slots__ = _FACTS + ("_size", "_hash", "__weakref__")
+    fields: Tuple[str, ...] = ()
+    _table: "weakref.WeakValueDictionary[tuple, OrderTerm]" = weakref.WeakValueDictionary()
+
+    def __new__(cls, *args):
+        facts = cls._facts(*args)
+        key = (cls,) + args
+        node = OrderTerm._table.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.fields + _FACTS, args + facts):
+                object.__setattr__(node, name, value)
+            object.__setattr__(node, "_hash", hash(key))
+            OrderTerm._table[key] = node
+        return node
+
+    def _frozen(self, *args):
+        raise AttributeError(f"{type(self).__name__} terms are immutable")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):   # copies and unpickled terms are interned too
+        return type(self), tuple(getattr(self, name) for name in self.fields)
+
+    @property
+    def finite_size(self) -> Optional[int]:
+        """Number of elements when the denotation is finite, else None."""
+        try:
+            return self._size
+        except AttributeError:   # not counted yet
+            object.__setattr__(self, "_size", self._count() if self.finite else None)
+            return self._size
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.fields)
+        return f"{type(self).__name__}({args})"
+
+    def reverse(self) -> "OrderTerm":
+        return Rev(self)
+
+    def decode(self, data: Any) -> Any:
+        elem = self._decode(data)
+        if not self.validate(elem):
+            raise self._undecodable(data, "decoded value is not a valid element")
+        return elem
+
+    def _undecodable(self, data: Any, reason: str) -> InvalidElement:
+        return InvalidElement(f"cannot decode {data!r} for {self.format()}: {reason}")
+
+    def materialize(self) -> List[Any]:
+        """All elements of a finite-denotation term, ascending, built structurally."""
+        if not self.finite:
+            raise PatternNotFinite(f"{self.format()} does not denote a finite order")
+        return self._materialize()
+
+    def canonical(self, want: int) -> List[Any]:
+        """Small witnesses of the order: all of it when it is small and finite."""
+        size = self.finite_size
+        if size is not None and size <= max(want, 8):
+            return self.materialize()
+        return self._canonical(want)
+
+
+class Fin(OrderTerm):
+    __slots__ = fields = ("size",)
+
+    @staticmethod
+    def _facts(size):
+        if type(size) is not int or size < 0:
+            raise TermError(f"fin() needs a natural number, got {size!r}")
+        return True, 1, True, True
+
+    def _count(self): return self.size
+    def validate(self, elem): return type(elem) is int and 0 <= elem < self.size
+    def cmp(self, x, y): return (x > y) - (x < y)
+    def encode(self, elem): return elem
+    def format(self): return f"fin({self.size})"
+    def _materialize(self): return list(range(self.size))
+    def _canonical(self, want): return list(range(min(self.size, want)))
+
+    def _decode(self, data):
+        if type(data) is not int:
+            raise self._undecodable(data, "expected an integer")
+        return data
+
+    def random_element(self, rng):
+        if self.size == 0:
+            raise TermError("fin(0) has no elements")
+        return rng.randrange(self.size)
+
+
+class Ord(OrderTerm):
+    __slots__ = fields = ("ordinal",)
+
+    @staticmethod
+    def _facts(ordinal):
+        if not isinstance(ordinal, CnfOrdinal):
             raise TermError("ord() needs a CnfOrdinal")
+        return ordinal.is_finite(), 1, True, ordinal.is_finite()
+
+    def _count(self): return self.ordinal.as_int()
+    def validate(self, elem): return isinstance(elem, CnfOrdinal) and elem.key < self.ordinal.key
+    def cmp(self, x, y): return (x.key > y.key) - (x.key < y.key)
+    def encode(self, elem): return format_ordinal(elem)
+    def format(self): return f"ord({format_ordinal(self.ordinal)})"
+    def _materialize(self): return [from_int(i) for i in range(self.finite_size)]
+    def _canonical(self, want): return _canonical_ordinals(self.ordinal, want)
+    def random_element(self, rng): return _random_ordinal_below(self.ordinal, rng)
+
+    def _decode(self, data):
+        if type(data) is int:
+            return from_int(data)
+        if isinstance(data, str):
+            try:
+                return parse_ordinal(data)
+            except ScatterCalcError as exc:
+                raise self._undecodable(data, str(exc)) from exc
+        raise self._undecodable(data, "expected an ordinal string")
 
 
-@dataclass(frozen=True)
-class Rev:
-    inner: "OrderTerm"
+class Rev(OrderTerm):
+    __slots__ = fields = ("inner",)
+
+    @staticmethod
+    def _facts(inner):
+        return inner.finite, inner.depth + 1, inner.anti_well_ordered, inner.well_ordered
+
+    def _count(self): return self.inner.finite_size
+    def validate(self, elem): return self.inner.validate(elem)
+    def cmp(self, x, y): return -self.inner.cmp(x, y)
+    def encode(self, elem): return self.inner.encode(elem)
+    def decode(self, data): return self.inner.decode(data)
+    def format(self): return f"rev({self.inner.format()})"
+    def _materialize(self): return list(reversed(self.inner.materialize()))
+    def _canonical(self, want): return self.inner.canonical(want)
+    def random_element(self, rng): return self.inner.random_element(rng)
+
+    def reverse(self):
+        """Peeling a top-level Rev keeps reverse an involution."""
+        return self.inner
 
 
-@dataclass(frozen=True)
-class SumList:
-    children: Tuple["OrderTerm", ...]
+class SumList(OrderTerm):
+    __slots__ = fields = ("children",)
 
-    def __post_init__(self):
-        if not self.children:
+    @staticmethod
+    def _facts(children):
+        if not children:
             raise TermError("sum[] needs at least one child")
+        return (all(c.finite for c in children),
+                1 + max(c.depth for c in children),
+                all(c.well_ordered for c in children),
+                all(c.anti_well_ordered for c in children))
+
+    def _count(self): return sum(c.finite_size for c in self.children)
+    def encode(self, elem): return {"i": elem[0], "e": self.children[elem[0]].encode(elem[1])}
+    def format(self): return "sum[" + ", ".join(c.format() for c in self.children) + "]"
+
+    def validate(self, elem):
+        if not (isinstance(elem, tuple) and len(elem) == 2):
+            return False
+        k, inner = elem
+        return (type(k) is int and 0 <= k < len(self.children)
+                and self.children[k].validate(inner))
+
+    def cmp(self, x, y):
+        if x[0] != y[0]:
+            return -1 if x[0] < y[0] else 1
+        return self.children[x[0]].cmp(x[1], y[1])
+
+    def _decode(self, data):
+        if not (isinstance(data, dict) and set(data) == {"i", "e"}):
+            raise self._undecodable(data, 'expected {"i": k, "e": ...}')
+        k = data["i"]
+        if not (type(k) is int and 0 <= k < len(self.children)):
+            raise self._undecodable(data, "child index out of range")
+        return k, self.children[k].decode(data["e"])
+
+    def _materialize(self):
+        return [(k, e) for k, child in enumerate(self.children) for e in child.materialize()]
+
+    def _canonical(self, want):
+        per = max(1, want // len(self.children))
+        return [(k, e) for k, child in enumerate(self.children) for e in child.canonical(per)]
+
+    def random_element(self, rng):
+        k = rng.randrange(len(self.children))
+        return k, self.children[k].random_element(rng)
 
 
-@dataclass(frozen=True)
-class Scaled:
-    inner: "OrderTerm"
-    index: "OrderTerm"
+class Scaled(OrderTerm):
+    """The sum of copies of inner along index, an admissible index: finite,
+    well-ordered or anti-well-ordered (finite orders are both)."""
 
-    def __post_init__(self):
-        if not is_bl_index(self.index):
+    __slots__ = fields = ("inner", "index")
+
+    @staticmethod
+    def _facts(inner, index):
+        if not (index.well_ordered or index.anti_well_ordered):
             raise InvalidIndexTerm(
                 f"scaled() index must be finite, well-ordered or anti-well-ordered: "
-                f"{format_term(self.index)}")
+                f"{index.format()}")
+        return (inner.finite and index.finite,
+                1 + max(inner.depth, index.depth),
+                inner.well_ordered and index.well_ordered,
+                inner.anti_well_ordered and index.anti_well_ordered)
+
+    def _count(self): return self.inner.finite_size * self.index.finite_size
+    def cmp(self, x, y): return self.index.cmp(x[0], y[0]) or self.inner.cmp(x[1], y[1])
+    def format(self): return f"scaled({self.inner.format()}, {self.index.format()})"
+
+    def validate(self, elem):
+        if not (isinstance(elem, tuple) and len(elem) == 2):
+            return False
+        return self.index.validate(elem[0]) and self.inner.validate(elem[1])
+
+    def encode(self, elem):
+        return {"i": self.index.encode(elem[0]), "e": self.inner.encode(elem[1])}
+
+    def _decode(self, data):
+        if not (isinstance(data, dict) and set(data) == {"i", "e"}):
+            raise self._undecodable(data, 'expected {"i": idx, "e": ...}')
+        return self.index.decode(data["i"]), self.inner.decode(data["e"])
+
+    def _materialize(self):
+        inner = self.inner.materialize()
+        return [(ie, e) for ie in self.index.materialize() for e in inner]
+
+    def _canonical(self, want):
+        half = max(2, int(want ** 0.5) + 1)
+        inner = self.inner.canonical(half)
+        return [(ie, e) for ie in self.index.canonical(half) for e in inner]
+
+    def random_element(self, rng):
+        return self.index.random_element(rng), self.inner.random_element(rng)
 
 
-@dataclass(frozen=True)
-class Shuffle:
-    alphabet: CnfOrdinal
+class Shuffle(OrderTerm):
+    __slots__ = fields = ("alphabet",)
 
-    def __post_init__(self):
-        if not isinstance(self.alphabet, CnfOrdinal) or self.alphabet < 2:
+    @staticmethod
+    def _facts(alphabet):
+        if not isinstance(alphabet, CnfOrdinal) or alphabet < 2:
             raise TermError("shuffle() needs an ordinal alphabet of size >= 2")
+        return False, 1, False, False
+
+    def cmp(self, x, y): return _cmp_shuffle(x, y)
+    def encode(self, elem): return [format_ordinal(x) for x in elem]
+    def format(self): return f"shuffle({format_ordinal(self.alphabet)})"
+
+    def validate(self, elem):
+        if not isinstance(elem, tuple):
+            return False
+        bound = self.alphabet.key
+        return all(isinstance(x, CnfOrdinal) and x.key < bound for x in elem)
+
+    def _decode(self, data):
+        if not isinstance(data, list):
+            raise self._undecodable(data, "expected a list of ordinal strings")
+        letters = Ord(self.alphabet)
+        return tuple(letters.decode(x) for x in data)
+
+    def _canonical(self, want):
+        letters = [x for x in (ZERO, ONE) if x.key < self.alphabet.key]
+        out = [()]
+        for length in (1, 2, 3):
+            out.extend(tuple(p) for p in itertools.product(letters, repeat=length))
+        return out
+
+    def random_element(self, rng):
+        length = rng.randrange(0, 8)
+        menu = [x for x in _SMALL_ORDINAL_MENU if x.key < self.alphabet.key]
+        return tuple(rng.choice(menu) for _ in range(length))
 
 
-@dataclass(frozen=True)
-class FinSupp:
-    length: CnfOrdinal
-    inner: "OrderTerm"
-    zero: Any
+class FinSupp(OrderTerm):
+    """Anti-lexicographic sum of ``length`` copies of inner with finite
+    support away from the designated ``zero``."""
 
-    def __post_init__(self):
-        if not isinstance(self.length, CnfOrdinal):
+    __slots__ = fields = ("length", "inner", "zero")
+
+    @staticmethod
+    def _facts(length, inner, zero):
+        if not isinstance(length, CnfOrdinal):
             raise TermError("finsupp() length must be a CnfOrdinal")
-        if not validate_element(self.inner, self.zero):
+        if not inner.validate(zero):
             raise InvalidElement(
-                f"designated zero {self.zero!r} is not an element of {format_term(self.inner)}")
+                f"designated zero {zero!r} is not an element of {inner.format()}")
+        # a one-point inner gives one point at any length
+        finite = inner.finite and (length.is_finite() or inner.finite_size == 1)
+        return finite, inner.depth + 1, finite, finite
 
+    def _count(self):
+        size = self.inner.finite_size
+        return 1 if size == 1 else size ** self.length.as_int()
 
-OrderTerm = Union[Fin, Ord, Rev, SumList, Scaled, Shuffle, FinSupp]
+    def validate(self, elem):
+        if not isinstance(elem, FinSuppElem):
+            return False
+        bound = self.length.key
+        for position, value in elem.entries:
+            if position.key >= bound or not self.inner.validate(value) or value == self.zero:
+                return False
+        return True
+
+    def cmp(self, x, y):
+        disagreement = x.first_disagreement(y, self.zero)
+        if disagreement is None:
+            return 0
+        return self.inner.cmp(disagreement[1], disagreement[2])
+
+    def encode(self, elem):
+        return {"supp": [{"pos": format_ordinal(p), "e": self.inner.encode(v)}
+                         for p, v in elem.entries]}
+
+    def _decode(self, data):
+        if not (isinstance(data, dict) and set(data) == {"supp"}):
+            raise self._undecodable(data, 'expected {"supp": [...]}')
+        entries = []
+        for item in data["supp"]:
+            if not (isinstance(item, dict) and set(item) == {"pos", "e"}):
+                raise self._undecodable(data, 'support items must be {"pos": ..., "e": ...}')
+            pos = item["pos"]
+            pos = from_int(pos) if type(pos) is int else Ord(self.length).decode(pos)
+            entries.append((pos, self.inner.decode(item["e"])))
+        return FinSuppElem(tuple(entries))
+
+    def format(self):
+        zero = json.dumps(self.inner.encode(self.zero), sort_keys=True, separators=(",", ":"))
+        return f"finsupp({format_ordinal(self.length)}, {self.inner.format()}, {zero})"
+
+    def _materialize(self):
+        inner = self.inner.materialize()
+        if len(inner) <= 1 or self.length.is_zero():
+            return [FinSuppElem()]
+        positions = [from_int(i) for i in range(self.length.as_int())]
+        positions.reverse()  # most significant first
+        out = [()]
+        for position in positions:
+            out = [prefix + ((position, v),) for prefix in out for v in inner]
+        return [FinSuppElem(tuple(p for p in entry if p[1] != self.zero)) for entry in out]
+
+    def _canonical(self, want):
+        nonzero = [v for v in self.inner.canonical(4) if v != self.zero][:2]
+        positions = _canonical_ordinals(self.length, 3) if not self.length.is_zero() else []
+        out = [FinSuppElem()]
+        for p in positions:
+            for v in nonzero:
+                out.append(finsupp_elem({p: v}))
+        if len(positions) >= 2 and nonzero:
+            out.append(finsupp_elem({positions[0]: nonzero[0], positions[1]: nonzero[0]}))
+        return out
+
+    def random_element(self, rng):
+        if self.length.is_zero():
+            return FinSuppElem()
+        values = []
+        for _ in range(8):
+            v = self.inner.random_element(rng)
+            if v != self.zero:
+                values.append(v)
+        if not values:
+            return FinSuppElem()
+        mapping = {}
+        for _ in range(rng.randrange(0, 4)):
+            mapping[_random_ordinal_below(self.length, rng)] = rng.choice(values)
+        return finsupp_elem(mapping)
 
 
 @dataclass(frozen=True)
@@ -196,7 +517,7 @@ def pow_term(base: OrderTerm, n: int) -> OrderTerm:
         raise TermError("pow() exponent must be a natural number")
     if n == 0:
         return Fin(1)
-    if term_depth(base) + n - 1 > TERM_DEPTH_LIMIT:
+    if base.depth + n - 1 > TERM_DEPTH_LIMIT:
         raise TermTooDeep(f"pow() expansion nests deeper than {TERM_DEPTH_LIMIT}")
     result = base
     for _ in range(n - 1):
@@ -204,127 +525,17 @@ def pow_term(base: OrderTerm, n: int) -> OrderTerm:
     return result
 
 
-# -- structural classification -------------------------------------------------
-
-def term_depth(term: OrderTerm) -> int:
-    """Constructor nesting depth; fin, ord and shuffle count 1."""
-    if isinstance(term, (Rev, FinSupp)):
-        return 1 + term_depth(term.inner)
-    if isinstance(term, SumList):
-        return 1 + max(map(term_depth, term.children))
-    if isinstance(term, Scaled):
-        return 1 + max(term_depth(term.inner), term_depth(term.index))
-    return 1
-
-
 def finite_size(term: OrderTerm) -> Optional[int]:
     """Number of elements when the denotation is finite, else None."""
-    if isinstance(term, Fin):
-        return term.size
-    if isinstance(term, Ord):
-        return term.ordinal.as_int() if term.ordinal.is_finite() else None
-    if isinstance(term, Rev):
-        return finite_size(term.inner)
-    if isinstance(term, SumList):
-        total = 0
-        for child in term.children:
-            size = finite_size(child)
-            if size is None:
-                return None
-            total += size
-        return total
-    if isinstance(term, Scaled):
-        a, b = finite_size(term.inner), finite_size(term.index)
-        if a is None or b is None:
-            return None
-        return a * b
-    if isinstance(term, Shuffle):
-        return None
-    if isinstance(term, FinSupp):
-        inner = finite_size(term.inner)
-        if inner is None:
-            return None
-        if inner <= 1:
-            return 1
-        if not term.length.is_finite():
-            return None
-        return inner ** term.length.as_int()
-    raise TermError(f"not an OrderTerm: {term!r}")
+    return term.finite_size
 
 
-def is_well_ordered(term: OrderTerm) -> bool:
-    if isinstance(term, (Fin, Ord)):
-        return True
-    if isinstance(term, Rev):
-        return is_anti_well_ordered(term.inner)
-    if isinstance(term, SumList):
-        return all(is_well_ordered(c) for c in term.children)
-    if isinstance(term, Scaled):
-        return is_well_ordered(term.inner) and is_well_ordered(term.index)
-    return finite_size(term) is not None
-
-
-def is_anti_well_ordered(term: OrderTerm) -> bool:
-    if isinstance(term, Fin):
-        return True
-    if isinstance(term, Ord):
-        return term.ordinal.is_finite()
-    if isinstance(term, Rev):
-        return is_well_ordered(term.inner)
-    if isinstance(term, SumList):
-        return all(is_anti_well_ordered(c) for c in term.children)
-    if isinstance(term, Scaled):
-        return is_anti_well_ordered(term.inner) and is_anti_well_ordered(term.index)
-    return finite_size(term) is not None
-
-
-def is_bl_index(term: OrderTerm) -> bool:
-    """Admissible index of a scaled sum: finite, well- or anti-well-ordered."""
-    return finite_size(term) is not None or is_well_ordered(term) or is_anti_well_ordered(term)
-
-
-# -- element validation ---------------------------------------------------------
+# -- elements and comparators ---------------------------------------------------
 
 def validate_element(term: OrderTerm, elem: Any) -> bool:
     """True iff elem structurally denotes a point of term."""
-    if isinstance(term, Fin):
-        return isinstance(elem, int) and 0 <= elem < term.size
-    if isinstance(term, Ord):
-        return isinstance(elem, CnfOrdinal) and elem.key < term.ordinal.key
-    if isinstance(term, Rev):
-        return validate_element(term.inner, elem)
-    if isinstance(term, SumList):
-        if not (isinstance(elem, tuple) and len(elem) == 2):
-            return False
-        k, inner = elem
-        return (isinstance(k, int) and 0 <= k < len(term.children)
-                and validate_element(term.children[k], inner))
-    if isinstance(term, Scaled):
-        if not (isinstance(elem, tuple) and len(elem) == 2):
-            return False
-        ie, inner = elem
-        return validate_element(term.index, ie) and validate_element(term.inner, inner)
-    if isinstance(term, Shuffle):
-        if not isinstance(elem, tuple):
-            return False
-        bound = term.alphabet.key
-        return all(isinstance(x, CnfOrdinal) and x.key < bound for x in elem)
-    if isinstance(term, FinSupp):
-        if not isinstance(elem, FinSuppElem):
-            return False
-        bound = term.length.key
-        for position, value in elem.entries:
-            if position.key >= bound:
-                return False
-            if not validate_element(term.inner, value):
-                return False
-            if value == term.zero:
-                return False
-        return True
-    raise TermError(f"not an OrderTerm: {term!r}")
+    return term.validate(elem)
 
-
-# -- comparators -----------------------------------------------------------------
 
 def compare_shuffle(alphabet, s: Sequence, t: Sequence) -> int:
     """Parity order on finite sequences below alphabet.
@@ -364,73 +575,28 @@ def _cmp_shuffle(s: Sequence[CnfOrdinal], t: Sequence[CnfOrdinal]) -> int:
     return -1 if s[d].key < t[d].key else 1
 
 
-def _cmp(term: OrderTerm, x: Any, y: Any) -> int:
-    if isinstance(term, Fin):
-        return (x > y) - (x < y)
-    if isinstance(term, Ord):
-        x, y = x.key, y.key
-        return (x > y) - (x < y)
-    if isinstance(term, Rev):
-        return -_cmp(term.inner, x, y)
-    if isinstance(term, SumList):
-        if x[0] != y[0]:
-            return -1 if x[0] < y[0] else 1
-        return _cmp(term.children[x[0]], x[1], y[1])
-    if isinstance(term, Scaled):
-        c = _cmp(term.index, x[0], y[0])
-        if c != 0:
-            return c
-        return _cmp(term.inner, x[1], y[1])
-    if isinstance(term, Shuffle):
-        return _cmp_shuffle(x, y)
-    if isinstance(term, FinSupp):
-        disagreement = x.first_disagreement(y, term.zero)
-        if disagreement is None:
-            return 0
-        return _cmp(term.inner, disagreement[1], disagreement[2])
-    raise TermError(f"not an OrderTerm: {term!r}")
-
-
 def compare_elements(term: OrderTerm, x: Any, y: Any) -> int:
     """Strict total order on the valid elements of term: -1, 0 or 1."""
-    if not validate_element(term, x):
-        raise InvalidElement(f"{x!r} is not an element of {format_term(term)}")
-    if not validate_element(term, y):
-        raise InvalidElement(f"{y!r} is not an element of {format_term(term)}")
-    return _cmp(term, x, y)
+    if not term.validate(x):
+        raise InvalidElement(f"{x!r} is not an element of {term.format()}")
+    if not term.validate(y):
+        raise InvalidElement(f"{y!r} is not an element of {term.format()}")
+    return term.cmp(x, y)
 
 
 def sort_elements(term: OrderTerm, elems: Sequence[Any]) -> List[Any]:
-    return sorted(elems, key=functools.cmp_to_key(lambda a, b: _cmp(term, a, b)))
+    return sorted(elems, key=functools.cmp_to_key(term.cmp))
 
 
 def reverse_term(term: OrderTerm) -> OrderTerm:
     """Order-reversal; peeling a top-level Rev keeps reverse an involution."""
-    if isinstance(term, Rev):
-        return term.inner
-    return Rev(term)
+    return term.reverse()
 
 
 # -- text form --------------------------------------------------------------------
 
 def format_term(term: OrderTerm) -> str:
-    if isinstance(term, Fin):
-        return f"fin({term.size})"
-    if isinstance(term, Ord):
-        return f"ord({format_ordinal(term.ordinal)})"
-    if isinstance(term, Rev):
-        return f"rev({format_term(term.inner)})"
-    if isinstance(term, SumList):
-        return "sum[" + ", ".join(format_term(c) for c in term.children) + "]"
-    if isinstance(term, Scaled):
-        return f"scaled({format_term(term.inner)}, {format_term(term.index)})"
-    if isinstance(term, Shuffle):
-        return f"shuffle({format_ordinal(term.alphabet)})"
-    if isinstance(term, FinSupp):
-        zero = json.dumps(encode_element(term.inner, term.zero),
-                          sort_keys=True, separators=(",", ":"))
-        return f"finsupp({format_ordinal(term.length)}, {format_term(term.inner)}, {zero})"
-    raise TermError(f"not an OrderTerm: {term!r}")
+    return term.format()
 
 
 class _TermParser(_OrdinalParser):
@@ -456,60 +622,39 @@ class _TermParser(_OrdinalParser):
         self.pos = end
         return value
 
+    # constructor name -> (builder, brackets, readers of its arguments)
+    grammar = {
+        "fin": (Fin, "()", ("natural",)),
+        "ord": (Ord, "()", ("literal",)),
+        "rev": (Rev, "()", ("term",)),
+        "sum": (SumList, "[]", ("terms",)),
+        "scaled": (Scaled, "()", ("term", "term")),
+        "shuffle": (Shuffle, "()", ("literal",)),
+        "finsupp": (lambda length, inner, raw: FinSupp(length, inner, inner.decode(raw)),
+                    "()", ("literal", "term", "json_value")),
+        "pow": (pow_term, "()", ("term", "natural")),
+    }
+
+    def terms(self) -> Tuple[OrderTerm, ...]:
+        children = [self.term()]
+        while self.peek() == ",":
+            self.take(",")
+            children.append(self.term())
+        return tuple(children)
+
     def term(self) -> OrderTerm:
         name = self.identifier()
-        if name == "fin":
-            self.open("(")
-            size = self.natural()
-            self.close(")")
-            return Fin(size)
-        if name == "ord":
-            self.open("(")
-            ordinal = self.literal()
-            self.close(")")
-            return Ord(ordinal)
-        if name == "rev":
-            self.open("(")
-            inner = self.term()
-            self.close(")")
-            return Rev(inner)
-        if name == "sum":
-            self.open("[")
-            children = [self.term()]
-            while self.peek() == ",":
+        if name not in self.grammar:
+            raise self.error(f"unknown constructor {name!r}")
+        build, brackets, readers = self.grammar[name]
+        self.open(brackets[0])
+        args = []
+        for i, reader in enumerate(readers):
+            if i:
                 self.take(",")
-                children.append(self.term())
-            self.close("]")
-            return SumList(tuple(children))
-        if name == "scaled":
-            self.open("(")
-            inner = self.term()
-            self.take(",")
-            index = self.term()
-            self.close(")")
-            return Scaled(inner, index)
-        if name == "shuffle":
-            self.open("(")
-            alphabet = self.literal()
-            self.close(")")
-            return Shuffle(alphabet)
-        if name == "finsupp":
-            self.open("(")
-            length = self.literal()
-            self.take(",")
-            inner = self.term()
-            self.take(",")
-            raw = self.json_value()
-            self.close(")")
-            return FinSupp(length, inner, decode_element(inner, raw))
-        if name == "pow":
-            self.open("(")
-            base = self.term()
-            self.take(",")
-            n = self.natural()
-            self.close(")")
-            return pow_term(base, n)
-        raise self.error(f"unknown constructor {name!r}")
+            args.append(getattr(self, reader)())
+        self.close(brackets[1])
+        return build(*args)
 
 
 def parse_term(text: str) -> OrderTerm:
@@ -524,116 +669,20 @@ def parse_term(text: str) -> OrderTerm:
 # -- stable element encoding (JSON) --------------------------------------------------
 
 def encode_element(term: OrderTerm, elem: Any) -> Any:
-    if isinstance(term, Fin):
-        return elem
-    if isinstance(term, Ord):
-        return format_ordinal(elem)
-    if isinstance(term, Rev):
-        return encode_element(term.inner, elem)
-    if isinstance(term, SumList):
-        return {"i": elem[0], "e": encode_element(term.children[elem[0]], elem[1])}
-    if isinstance(term, Scaled):
-        return {"i": encode_element(term.index, elem[0]),
-                "e": encode_element(term.inner, elem[1])}
-    if isinstance(term, Shuffle):
-        return [format_ordinal(x) for x in elem]
-    if isinstance(term, FinSupp):
-        return {"supp": [{"pos": format_ordinal(p), "e": encode_element(term.inner, v)}
-                         for p, v in elem.entries]}
-    raise TermError(f"not an OrderTerm: {term!r}")
+    return term.encode(elem)
 
 
 def decode_element(term: OrderTerm, data: Any) -> Any:
-    def bad(reason: str) -> InvalidElement:
-        return InvalidElement(f"cannot decode {data!r} for {format_term(term)}: {reason}")
-
-    if isinstance(term, Fin):
-        if not isinstance(data, int):
-            raise bad("expected an integer")
-        elem = data
-    elif isinstance(term, Ord):
-        if isinstance(data, int):
-            elem = from_int(data)
-        elif isinstance(data, str):
-            try:
-                elem = parse_ordinal(data)
-            except ScatterCalcError as exc:
-                raise bad(str(exc)) from exc
-        else:
-            raise bad("expected an ordinal string")
-    elif isinstance(term, Rev):
-        return decode_element(term.inner, data)
-    elif isinstance(term, SumList):
-        if not (isinstance(data, dict) and set(data) == {"i", "e"}):
-            raise bad('expected {"i": k, "e": ...}')
-        k = data["i"]
-        if not (isinstance(k, int) and 0 <= k < len(term.children)):
-            raise bad("child index out of range")
-        elem = (k, decode_element(term.children[k], data["e"]))
-    elif isinstance(term, Scaled):
-        if not (isinstance(data, dict) and set(data) == {"i", "e"}):
-            raise bad('expected {"i": idx, "e": ...}')
-        elem = (decode_element(term.index, data["i"]),
-                decode_element(term.inner, data["e"]))
-    elif isinstance(term, Shuffle):
-        if not isinstance(data, list):
-            raise bad("expected a list of ordinal strings")
-        elem = tuple(decode_element(Ord(term.alphabet), x) for x in data)
-    elif isinstance(term, FinSupp):
-        if not (isinstance(data, dict) and set(data) == {"supp"}):
-            raise bad('expected {"supp": [...]}')
-        entries = []
-        for item in data["supp"]:
-            if not (isinstance(item, dict) and set(item) == {"pos", "e"}):
-                raise bad('support items must be {"pos": ..., "e": ...}')
-            pos = decode_element(Ord(term.length), item["pos"]) if not isinstance(item["pos"], int) \
-                else from_int(item["pos"])
-            entries.append((pos, decode_element(term.inner, item["e"])))
-        elem = FinSuppElem(tuple(entries))
-    else:
-        raise TermError(f"not an OrderTerm: {term!r}")
-    if not validate_element(term, elem):
-        raise bad("decoded value is not a valid element")
-    return elem
+    return term.decode(data)
 
 
 def element_key(term: OrderTerm, elem: Any) -> str:
-    return json.dumps(encode_element(term, elem), sort_keys=True, separators=(",", ":"))
+    return json.dumps(term.encode(elem), sort_keys=True, separators=(",", ":"))
 
-
-# -- finite materialization ------------------------------------------------------------
 
 def materialize(term: OrderTerm) -> List[Any]:
     """All elements of a finite-denotation term, ascending, built structurally."""
-    size = finite_size(term)
-    if size is None:
-        raise PatternNotFinite(f"{format_term(term)} does not denote a finite order")
-    if isinstance(term, Fin):
-        return list(range(term.size))
-    if isinstance(term, Ord):
-        return [from_int(i) for i in range(size)]
-    if isinstance(term, Rev):
-        return list(reversed(materialize(term.inner)))
-    if isinstance(term, SumList):
-        out = []
-        for k, child in enumerate(term.children):
-            out.extend((k, e) for e in materialize(child))
-        return out
-    if isinstance(term, Scaled):
-        inner = materialize(term.inner)
-        return [(ie, e) for ie in materialize(term.index) for e in inner]
-    if isinstance(term, FinSupp):
-        inner = materialize(term.inner)
-        if len(inner) <= 1 or term.length.is_zero():
-            return [FinSuppElem()]
-        positions = [from_int(i) for i in range(term.length.as_int())]
-        positions.reverse()  # most significant first
-        out = [()]
-        for position in positions:
-            out = [prefix + ((position, v),) for prefix in out for v in inner]
-        return [FinSuppElem(tuple(p for p in entry if p[1] != term.zero))
-                for entry in out]
-    raise TermError(f"not an OrderTerm: {term!r}")
+    return term.materialize()
 
 
 # -- sampling ---------------------------------------------------------------------------
@@ -671,12 +720,9 @@ def _random_ordinal_below(a: CnfOrdinal, rng: random.Random, depth: int = 0) -> 
 
 
 def _canonical_ordinals(a: CnfOrdinal, want: int) -> List[CnfOrdinal]:
-    out = []
-    for i in range(3):
-        out.append(from_int(i))
+    out = [from_int(i) for i in range(3)]
     if a.is_limit():
-        for i in range(3):
-            out.append(fundamental_sequence(a, i))
+        out += [fundamental_sequence(a, i) for i in range(3)]
     running = ZERO
     for exponent, coefficient in a.terms:
         coeffs = sorted({c for c in (0, 1, coefficient // 2, coefficient - 1)
@@ -686,88 +732,8 @@ def _canonical_ordinals(a: CnfOrdinal, want: int) -> List[CnfOrdinal]:
             out.append(base)
             out.append(ord_add(base, 1))
         running = ord_add(running, omega_power(exponent, coefficient))
-    uniq = []
-    seen = set()
-    for x in out:
-        if x.key < a.key and x not in seen:
-            seen.add(x)
-            uniq.append(x)
+    uniq = list(dict.fromkeys(x for x in out if x.key < a.key))
     return uniq[: max(want, 1)]
-
-
-def _canonical_elements(term: OrderTerm, want: int) -> List[Any]:
-    size = finite_size(term)
-    if size is not None and size <= max(want, 8):
-        return materialize(term)
-    if isinstance(term, Fin):
-        return list(range(min(term.size, want)))
-    if isinstance(term, Ord):
-        return _canonical_ordinals(term.ordinal, want)
-    if isinstance(term, Rev):
-        return _canonical_elements(term.inner, want)
-    if isinstance(term, SumList):
-        per = max(1, want // len(term.children))
-        out = []
-        for k, child in enumerate(term.children):
-            out.extend((k, e) for e in _canonical_elements(child, per))
-        return out
-    if isinstance(term, Scaled):
-        half = max(2, int(want ** 0.5) + 1)
-        inner = _canonical_elements(term.inner, half)
-        return [(ie, e) for ie in _canonical_elements(term.index, half) for e in inner]
-    if isinstance(term, Shuffle):
-        letters = [x for x in (ZERO, ONE) if x.key < term.alphabet.key]
-        out = [()]
-        for length in (1, 2, 3):
-            out.extend(tuple(p) for p in itertools.product(letters, repeat=length))
-        return out
-    if isinstance(term, FinSupp):
-        inner = _canonical_elements(term.inner, 4)
-        nonzero = [v for v in inner if v != term.zero][:2]
-        positions = _canonical_ordinals(term.length, 3) if not term.length.is_zero() else []
-        out = [FinSuppElem()]
-        for p in positions:
-            for v in nonzero:
-                out.append(finsupp_elem({p: v}))
-        if len(positions) >= 2 and nonzero:
-            out.append(finsupp_elem({positions[0]: nonzero[0], positions[1]: nonzero[0]}))
-        return out
-    raise TermError(f"not an OrderTerm: {term!r}")
-
-
-def _random_element(term: OrderTerm, rng: random.Random) -> Any:
-    if isinstance(term, Fin):
-        if term.size == 0:
-            raise TermError("fin(0) has no elements")
-        return rng.randrange(term.size)
-    if isinstance(term, Ord):
-        return _random_ordinal_below(term.ordinal, rng)
-    if isinstance(term, Rev):
-        return _random_element(term.inner, rng)
-    if isinstance(term, SumList):
-        k = rng.randrange(len(term.children))
-        return (k, _random_element(term.children[k], rng))
-    if isinstance(term, Scaled):
-        return (_random_element(term.index, rng), _random_element(term.inner, rng))
-    if isinstance(term, Shuffle):
-        length = rng.randrange(0, 8)
-        menu = [x for x in _SMALL_ORDINAL_MENU if x.key < term.alphabet.key]
-        return tuple(rng.choice(menu) for _ in range(length))
-    if isinstance(term, FinSupp):
-        if term.length.is_zero():
-            return FinSuppElem()
-        values = []
-        for _ in range(8):
-            v = _random_element(term.inner, rng)
-            if v != term.zero:
-                values.append(v)
-        if not values:
-            return FinSuppElem()
-        mapping = {}
-        for _ in range(rng.randrange(0, 4)):
-            mapping[_random_ordinal_below(term.length, rng)] = rng.choice(values)
-        return finsupp_elem(mapping)
-    raise TermError(f"not an OrderTerm: {term!r}")
 
 
 def sample_elements(term: OrderTerm, budget: int, seed: int = 0) -> List[Any]:
@@ -778,19 +744,19 @@ def sample_elements(term: OrderTerm, budget: int, seed: int = 0) -> List[Any]:
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    size = finite_size(term)
+    size = term.finite_size
     if size == 0:
         return []
     rng = random.Random(seed)
     pool = {}
-    for elem in _canonical_elements(term, budget):
+    for elem in term.canonical(budget):
         pool.setdefault(element_key(term, elem), elem)
     # a pool holding every element of a finite term cannot grow
     target = 3 * budget if size is None else min(3 * budget, size)
     attempts = 0
     while len(pool) < target and attempts < 12 * budget:
         attempts += 1
-        elem = _random_element(term, rng)
+        elem = term.random_element(rng)
         pool.setdefault(element_key(term, elem), elem)
     ordered = sort_elements(term, pool.values())
     if len(ordered) <= budget:
@@ -815,23 +781,16 @@ def search_embedding(pattern, target: Sequence[Any],
     None is exhaustive for the given sample.
     """
     if isinstance(pattern, int):
-        size = pattern
-        elems = None
-    elif isinstance(pattern, (list, tuple)):
-        size = len(pattern)
-        elems = list(pattern)
-    else:
-        size = finite_size(pattern)
+        pattern = range(pattern)
+    if isinstance(pattern, OrderTerm):
+        size = pattern.finite_size
         if size is None:
-            raise PatternNotFinite(f"{format_term(pattern)} is not a finite pattern")
-        elems = None
+            raise PatternNotFinite(f"{pattern.format()} is not a finite pattern")
+    else:
+        size = len(pattern)
     if size > len(target):
         return None
-    if elems is None:
-        if isinstance(pattern, int):
-            elems = list(range(size))
-        else:
-            elems = materialize(pattern)
+    elems = pattern.materialize() if isinstance(pattern, OrderTerm) else list(pattern)
     mapping = list(zip(elems, list(target)[:size]))
     if target_cmp is not None:
         for (_, u), (_, v) in zip(mapping, mapping[1:]):

@@ -4,8 +4,10 @@ These deliberately avoid the library's comparator code paths: finite orders
 are materialized directly from the textbook construction rules, so that
 sorting with the library comparator can be checked against them.  The
 reference comparators walk the Cantor normal form recursively and never
-read an ordinal's canonical key, hash or ``==``.  The grid-graph checkers
-sort a plain set of edges themselves and never read a ``GridGraph``.
+read an ordinal's canonical key, hash or ``==``.  The structural facts of
+a term (size, depth, well-ordered flags) are recomputed by walking it as a
+tree, never read off its nodes.  The grid-graph checkers sort a plain set
+of edges themselves and never read a ``GridGraph``.
 """
 
 import functools
@@ -91,6 +93,79 @@ def reference_cmp(term, x, y):
         found = reference_disagreement(term.inner, term.zero, x, y)
         return 0 if found is None else reference_cmp(term.inner, found[1], found[2])
     raise AssertionError(f"not an OrderTerm: {term}")
+
+
+def reference_depth(term):
+    """Constructor nesting depth, walking the term as a tree; fin, ord and
+    shuffle count 1."""
+    if isinstance(term, (Rev, FinSupp)):
+        return 1 + reference_depth(term.inner)
+    if isinstance(term, SumList):
+        return 1 + max(map(reference_depth, term.children))
+    if isinstance(term, Scaled):
+        return 1 + max(reference_depth(term.inner), reference_depth(term.index))
+    return 1
+
+
+def reference_finite_size(term):
+    """Number of elements when the denotation is finite, else None."""
+    if isinstance(term, Fin):
+        return term.size
+    if isinstance(term, Ord):
+        return term.ordinal.as_int() if term.ordinal.is_finite() else None
+    if isinstance(term, Rev):
+        return reference_finite_size(term.inner)
+    if isinstance(term, SumList):
+        sizes = [reference_finite_size(c) for c in term.children]
+        return None if None in sizes else sum(sizes)
+    if isinstance(term, Scaled):
+        a, b = reference_finite_size(term.inner), reference_finite_size(term.index)
+        return None if a is None or b is None else a * b
+    if isinstance(term, Shuffle):
+        return None
+    if isinstance(term, FinSupp):
+        inner = reference_finite_size(term.inner)
+        if inner is None:
+            return None
+        if inner <= 1:
+            return 1
+        if not term.length.is_finite():
+            return None
+        return inner ** term.length.as_int()
+    raise AssertionError(f"not a term: {term}")
+
+
+def reference_well_ordered(term):
+    if isinstance(term, (Fin, Ord)):
+        return True
+    if isinstance(term, Rev):
+        return reference_anti_well_ordered(term.inner)
+    if isinstance(term, SumList):
+        return all(reference_well_ordered(c) for c in term.children)
+    if isinstance(term, Scaled):
+        return reference_well_ordered(term.inner) and reference_well_ordered(term.index)
+    return reference_finite_size(term) is not None
+
+
+def reference_anti_well_ordered(term):
+    if isinstance(term, Fin):
+        return True
+    if isinstance(term, Ord):
+        return term.ordinal.is_finite()
+    if isinstance(term, Rev):
+        return reference_well_ordered(term.inner)
+    if isinstance(term, SumList):
+        return all(reference_anti_well_ordered(c) for c in term.children)
+    if isinstance(term, Scaled):
+        return (reference_anti_well_ordered(term.inner)
+                and reference_anti_well_ordered(term.index))
+    return reference_finite_size(term) is not None
+
+
+def reference_admissible_index(term):
+    """Admissible index of a scaled sum: finite, well- or anti-well-ordered."""
+    return (reference_finite_size(term) is not None or reference_well_ordered(term)
+            or reference_anti_well_ordered(term))
 
 
 def textbook_materialize(term):

@@ -62,6 +62,17 @@ def test_compare_command():
     assert res.returncode == 0
 
 
+def test_compare_rejects_booleans():
+    for term, a, b in [("ord(w)", "true", "1"), ("fin(3)", "1", "false"),
+                       ("sum[fin(2), fin(2)]", '{"i": true, "e": 0}', '{"i": 1, "e": 0}'),
+                       ("finsupp(w, fin(2), 0)", '{"supp": [{"pos": true, "e": 1}]}',
+                        '{"supp": []}')]:
+        res = run("compare", "--term", term, "--a", a, "--b", b)
+        assert_one_error_line(res)
+        assert "InvalidElement" in res.stderr
+    assert_one_error_line(run("parse", "--term", "finsupp(w, fin(2), true)"))
+
+
 def test_sample_matches_library(tmp_path):
     res = run("sample", "--term", "ord(w^2)", "--budget", "6", "--seed", "3")
     data = payload(res)
@@ -209,6 +220,13 @@ def test_neg_graph_check_rejects_malformed_graphs():
         res = run("neg-graph", "check", "-", stdin=json.dumps(data))
         assert_one_error_line(res)
         assert "InvalidGraph" in res.stderr
+
+
+def test_neg_graph_check_rejects_self_loops():
+    data = {"k": 2, "l": 3, "edges": [[[0, 1], [0, 1]]], "csets": []}
+    res = run("neg-graph", "check", "-", stdin=json.dumps(data))
+    assert_one_error_line(res)
+    assert "InvalidGraph: invalid edges: [[0, 1], [0, 1]] is a self-loop" in res.stderr
 
 
 def test_neg_graph_build_rejects_malformed_params():

@@ -48,8 +48,13 @@ def small_params() -> NegGraphParams:
         d={2: frozenset({0, 1}), 3: frozenset({1, 2}), 4: frozenset({0, 3}),
            5: frozenset({2, 4})},
         u={r: (1, 3) for r in range(6)},
-        g={2: (0, 1), 3: (0, 2), 4: (1, 3), 5: (2, 4)},
+        g={2: (0, 1), 3: (2, 0), 4: (3, 2), 5: (4, 3)},
     )
+
+
+def test_small_params_graph_has_edges():
+    graph = build_neg_graph(small_params())
+    assert graph.edges == (((0, 4), (1, 0)), ((0, 5), (1, 0)), ((0, 5), (1, 1)))
 
 
 def random_corpus():
@@ -153,9 +158,15 @@ def test_corner_detector_sanity():
 
 def test_checkers_match_sorted_edge_references():
     rng = random.Random(11)
-    triangles = corner_failures = clean = 0
+    triangles = corner_failures = clean = self_loops = 0
     for _ in range(3000):
         data = random_json_graph(rng)
+        if any(a == b for a, b in data["edges"]):
+            # a same-column edge may join a vertex to itself
+            with pytest.raises(InvalidGraph, match="self-loop"):
+                GridGraph.from_json(data)
+            self_loops += 1
+            continue
         k, l = data["k"], data["l"]
         edges = {(tuple(a), tuple(b)) for a, b in data["edges"]}
         csets = {(c["row"], c["col"]): tuple(c["entries"]) for c in data["csets"]}
@@ -171,7 +182,7 @@ def test_checkers_match_sorted_edge_references():
         reordered = dict(data, edges=data["edges"][::-1] + data["edges"][:1])
         assert GridGraph.from_json(reordered).to_json() == graph.to_json()
     # both checkers fail on some graphs and pass on others
-    assert triangles > 300 and corner_failures > 300 and clean > 300
+    assert triangles > 300 and corner_failures > 300 and clean > 300 and self_loops > 10
 
 
 @pytest.mark.parametrize("bad", [
@@ -186,6 +197,14 @@ def test_from_json_names_the_first_bad_edge(bad):
         GridGraph.from_json({"k": 2, "l": 3, "edges": edges})
     assert err.value.field_name == "edges"
     assert str(err.value) == f"invalid edges: {bad!r} is not a pair of vertices of the 2 x 3 grid"
+
+
+def test_from_json_rejects_self_loops():
+    edges = [[[0, 2], [1, 1]], [[0, 1], [0, 1]]]
+    with pytest.raises(InvalidGraph) as err:
+        GridGraph.from_json({"k": 2, "l": 3, "edges": edges})
+    assert err.value.field_name == "edges"
+    assert str(err.value) == "invalid edges: [[0, 1], [0, 1]] is a self-loop"
 
 
 def test_random_corpus_invariants():

@@ -1,20 +1,34 @@
 """Unit tests for the order-term algebra, parser and comparators."""
 
+import copy
 import itertools
+import pickle
 import random
+import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from corpus import corpus_terms
-from oracles import reference_cmp, textbook_materialize
+from corpus import COMPOSITE_TEXT, CORPUS_TEXT, corpus_terms
+from oracles import (
+    reference_admissible_index,
+    reference_anti_well_ordered,
+    reference_cmp,
+    reference_depth,
+    reference_finite_size,
+    reference_well_ordered,
+    textbook_materialize,
+)
 
 from scatter_calc import (
     Fin,
+    FinSupp,
     FinSuppElem,
     Ord,
     Rev,
     Scaled,
     Shuffle,
+    SumList,
     compare_elements,
     compare_shuffle,
     decode_element,
@@ -30,17 +44,16 @@ from scatter_calc import (
     search_embedding,
     validate_element,
 )
-from scatter_calc.ordinal import TERM_DEPTH_LIMIT, OMEGA, from_int, ord_pow
+from scatter_calc.ordinal import TERM_DEPTH_LIMIT, OMEGA, OrdinalError, from_int, ord_pow
 from scatter_calc.terms import (
     EntryOutOfRange,
     InvalidElement,
     InvalidIndexTerm,
     PatternNotFinite,
+    TermError,
     TermSyntaxError,
     TermTooDeep,
-    _cmp,
     element_key,
-    is_bl_index,
     sort_elements,
 )
 
@@ -95,7 +108,88 @@ def test_finite_powers_are_admissible_indices():
     # finite order types count as admissible indices regardless of shape
     pattern = pow_term(parse_term("scaled(fin(2), rev(fin(2)))"), 3)
     assert finite_size(pattern) == 64
-    assert is_bl_index(parse_term("scaled(fin(2), rev(fin(2)))"))
+    index = parse_term("scaled(fin(2), rev(fin(2)))")
+    assert index.well_ordered and index.anti_well_ordered
+
+
+# -- interned nodes and their facts ------------------------------------------------
+
+SMALL_ORDINALS = [from_int(n) for n in range(4)] + [W, W + 1, W * 2, ord_pow(W, 2)]
+
+
+@st.composite
+def order_terms(draw, depth=3):
+    """Terms of every constructor, pow() included, so subterms are shared."""
+    kinds = ["fin", "ord", "shuffle"]
+    if depth > 0:
+        kinds += ["rev", "sum", "scaled", "finsupp", "pow"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "fin":
+        return Fin(draw(st.integers(0, 3)))
+    if kind == "ord":
+        return Ord(draw(st.sampled_from(SMALL_ORDINALS)))
+    if kind == "shuffle":
+        return Shuffle(draw(st.sampled_from(SMALL_ORDINALS[2:])))
+    sub = order_terms(depth - 1)
+    if kind == "rev":
+        return Rev(draw(sub))
+    if kind == "sum":
+        return SumList(tuple(draw(st.lists(sub, min_size=1, max_size=3))))
+    if kind == "scaled":
+        return Scaled(draw(sub), draw(sub.filter(reference_admissible_index)))
+    if kind == "pow":
+        return pow_term(draw(sub.filter(reference_admissible_index)), draw(st.integers(0, 3)))
+    inner = draw(sub)
+    zeros = inner.canonical(4)
+    assume(zeros)
+    return FinSupp(draw(st.sampled_from(SMALL_ORDINALS)), inner, draw(st.sampled_from(zeros)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(order_terms())
+def test_node_facts_match_tree_walks(term):
+    size = reference_finite_size(term)
+    assert term.finite_size == size and finite_size(term) == size
+    assert term.finite == (size is not None)
+    assert term.depth == reference_depth(term)
+    assert term.well_ordered == reference_well_ordered(term)
+    assert term.anti_well_ordered == reference_anti_well_ordered(term)
+    twin = parse_term(format_term(term))
+    assert twin is term and hash(twin) == hash(term)
+
+
+@settings(max_examples=200, deadline=None)
+@given(order_terms(2), order_terms(2))
+def test_scaled_admits_exactly_the_reference_indices(inner, index):
+    if reference_admissible_index(index):
+        assert Scaled(inner, index).index is index
+    else:
+        with pytest.raises(InvalidIndexTerm):
+            Scaled(inner, index)
+
+
+def test_separately_parsed_equal_terms_are_one_object():
+    for text in CORPUS_TEXT + COMPOSITE_TEXT:
+        a, b = parse_term(text), parse_term(text)
+        assert a is b and hash(a) == hash(b)
+        assert copy.deepcopy(a) is a and pickle.loads(pickle.dumps(a)) is a
+    assert Fin(3) is Fin(3) and Fin(3) != Fin(4) and Fin(2) != Ord(from_int(2))
+    assert parse_term("sum[fin(2), ord(w)]").children[0] is Fin(2)
+    assert parse_term("finsupp(w, fin(2), 0)") is not parse_term("finsupp(w, fin(2), 1)")
+    with pytest.raises(AttributeError):
+        Fin(3).size = 4
+
+
+def test_deep_pow_nest_is_linear_to_parse():
+    # 120 nested squarings share every subterm; walked as a tree they would
+    # take 2^120 steps, and the finite size has 2^120 bits
+    text = "pow(" * 120 + "fin(2)" + ", 2)" * 120
+    start = time.perf_counter()
+    term = parse_term(text)
+    elapsed = time.perf_counter() - start
+    assert parse_term(text) is term
+    assert term.depth == 121 and term.finite and term.well_ordered
+    assert elapsed < 0.05
 
 
 # -- validation ----------------------------------------------------------------------
@@ -168,7 +262,7 @@ def test_cmp_matches_reference_on_corpus_pools():
         pool = sample_elements(term, 48, 2000 + t_index)
         for x in pool:
             for y in pool:
-                assert _cmp(term, x, y) == reference_cmp(term, x, y), (format_term(term), x, y)
+                assert term.cmp(x, y) == reference_cmp(term, x, y), (format_term(term), x, y)
 
 
 def test_shuffle_examples():
@@ -260,15 +354,16 @@ def test_sample_examples():
 
 
 def test_sample_of_a_complete_finite_pool_makes_no_draws(monkeypatch):
-    from scatter_calc import terms
-    draw = terms._random_element
     calls = []
 
-    def counted(term, rng):
-        calls.append(term)
-        return draw(term, rng)
+    def counting(draw):
+        def counted(term, rng):
+            calls.append(term)
+            return draw(term, rng)
+        return counted
 
-    monkeypatch.setattr(terms, "_random_element", counted)
+    for cls in (Fin, FinSupp, Ord, Rev, Scaled, Shuffle, SumList):
+        monkeypatch.setattr(cls, "random_element", counting(cls.random_element))
     assert sample_elements(Fin(3), 48, 0) == [0, 1, 2]
     host = parse_term("finsupp(3, fin(2), 0)")
     assert sample_elements(host, 48, 0) == textbook_materialize(host)
@@ -303,6 +398,31 @@ def test_decode_rejects_bad_shapes():
         decode_element(Fin(3), 7)
     with pytest.raises(InvalidElement):
         decode_element(parse_term("finsupp(w, fin(2), 0)"), {"supp": [{"pos": "0", "e": 0}]})
+
+
+def test_decode_rejects_booleans():
+    cases = [
+        (Fin(3), True),
+        (Ord(W), True),
+        (Ord(W), False),
+        (parse_term("sum[fin(2), fin(2)]"), {"i": True, "e": 0}),
+        (Shuffle(W), ["1", True]),
+        (parse_term("finsupp(w, fin(2), 0)"), {"supp": [{"pos": True, "e": 1}]}),
+    ]
+    for term, data in cases:
+        with pytest.raises(InvalidElement):
+            decode_element(term, data)
+    assert not validate_element(Fin(3), True)
+    assert not validate_element(parse_term("sum[fin(2), fin(2)]"), (True, 0))
+    with pytest.raises(InvalidElement):
+        parse_term("finsupp(w, fin(2), true)")
+    for bad in (True, False, 1.0):
+        with pytest.raises(OrdinalError):
+            from_int(bad)
+        with pytest.raises(TermError):
+            Fin(bad)
+    with pytest.raises(OrdinalError):
+        finsupp_elem({True: 1})
 
 
 # -- pattern search ----------------------------------------------------------------------
