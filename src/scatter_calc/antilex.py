@@ -9,7 +9,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import ScatterCalcError
+from .errors import InvalidInput, ScatterCalcError
 from .ordinal import (
     CnfOrdinal,
     ensure_ordinal,
@@ -181,9 +181,19 @@ class AlphaTree:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "AlphaTree":
+    def from_json(cls, data: Any) -> "AlphaTree":
+        """Inverse of ``to_json`` that checks the shape of outside input."""
+        if not (isinstance(data, dict) and isinstance(data.get("alpha"), str)):
+            raise InvalidInput("tree", 'expected {"alpha": ordinal string, "entries": [...]}')
+        if not isinstance(data.get("entries"), list):
+            raise InvalidInput("entries", "expected a list")
         entries = {}
         for item in data["entries"]:
+            if not (isinstance(item, dict) and isinstance(item.get("seq"), list)
+                    and all(isinstance(s, str) for s in item["seq"])
+                    and isinstance(item.get("val"), str)):
+                raise InvalidInput("entries", f'{item!r} is not {{"seq": [ordinal strings], '
+                                              f'"val": ordinal string}}')
             seq = dec_seq([parse_ordinal(s) for s in item["seq"]])
             entries[seq] = parse_ordinal(item["val"])
         return cls(parse_ordinal(data["alpha"]), entries)

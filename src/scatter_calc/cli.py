@@ -9,17 +9,17 @@ was found.  A lone ``-`` means stdin or stdout.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
-import random
 import sys
 from typing import Optional
 
-from .errors import ScatterCalcError
+from .errors import InvalidInput, ScatterCalcError
 from . import antilex, milner_rado, neg_graph, partition, terms
 from .ordinal import FUNDAMENTAL_SEQUENCE_ID, format_ordinal, parse_ordinal
 
-SCHEMA = "scatter-calc.v2"
+SCHEMA = "scatter-calc.v3"
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -126,6 +126,8 @@ def cmd_embed_search(args) -> int:
 
 def cmd_sierpinski(args) -> int:
     tags = json.loads(args.tags)
+    if not (isinstance(tags, list) and all(type(t) is int for t in tags)):
+        raise InvalidInput("tags", f"expected a JSON list of integers, got {args.tags}")
     colouring = partition.sierpinski_coloring(list(range(len(tags))), tags)
     payload = _header("sierpinski", None)
     payload["coloring"] = colouring.to_json()
@@ -135,13 +137,25 @@ def cmd_sierpinski(args) -> int:
 
 def cmd_extract_unary(args) -> int:
     request = json.loads(_read(args.input))
+    if not isinstance(request, dict):
+        raise InvalidInput("request", 'expected {"p": ..., "nu": ..., "F": [...]}')
+    for name in ("p", "nu"):
+        if type(request.get(name)) is not int:
+            raise InvalidInput(name, f"expected an integer, got {request.get(name)!r}")
+    if not isinstance(request.get("F"), list):
+        raise InvalidInput("F", "expected a list")
+    for item in request["F"]:
+        if not (isinstance(item, dict) and isinstance(item.get("g"), list)
+                and all(type(x) is int for x in item["g"])):
+            raise InvalidInput("F", f'{item!r} is not {{"g": [integers], "c": colour}}')
     p, nu = request["p"], request["nu"]
+    partition.check_lex_power(p, nu)
     table = {tuple(item["g"]): item["c"] for item in request["F"]}
 
     def F(g):
         return table[g]
 
-    witness, colour = partition.extract_unary(list(range(p)), nu, F)
+    witness, colour = partition.extract_unary(range(p), nu, F)
     payload = _header("extract-unary", None)
     payload["witness"] = [list(g) for g in witness]
     payload["colour"] = colour
@@ -149,27 +163,26 @@ def cmd_extract_unary(args) -> int:
     return 0
 
 
+def _step_up_colour(seed: int, x, y) -> int:
+    """Colour of the pair {x, y} of P x R in the ``step-up`` verb: the low bit
+    of the one-byte BLAKE2b digest of ``json.dumps([seed, low, high])``,
+    where low < high in the lexicographic order of P x R."""
+    low, high = (x, y) if x < y else (y, x)
+    digest = hashlib.blake2b(json.dumps([seed, low, high]).encode(), digest_size=1)
+    return digest.digest()[0] & 1
+
+
 def cmd_step_up(args) -> int:
     seed = _default_seed(args.seed)
     p, n = args.p, args.n
-    nu = p - 1
+    if p < 1:
+        raise partition.PartitionError(f"step-up needs --p of at least 1, got {p}")
+    partition.check_lex_power(p, p - 1)
     P = list(range(p))
-    R = partition.lex_power_domain(P, nu)
-    rng = random.Random(seed)
-    pairs = [(a, b) for a in P for b in R]
-    colour_table = {}
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            colour_table[(pairs[i], pairs[j])] = rng.randrange(2)
-
-    def colour(x, y):
-        if (x, y) in colour_table:
-            return colour_table[(x, y)]
-        return colour_table[(y, x)]
-
+    R = partition.lex_power_domain(P, p - 1)
     result = partition.step_up_extract(
-        P, R, n, colour,
-        partition.make_unary_realizer(P, nu),
+        P, R, n, lambda x, y: _step_up_colour(seed, x, y),
+        partition.make_unary_realizer(P, p - 1),
         partition.trivial_pair_realizer(p))
     payload = _header("step-up", seed)
     payload["side"] = result.side
@@ -265,6 +278,9 @@ def cmd_ks(args) -> int:
         _emit(payload, args.out)
         return 0
     if args.action == "embed":
+        for name in ("source_host", "target_host", "f"):
+            if getattr(args, name) is None:
+                raise InvalidInput("--" + name.replace("_", "-"), "required by ks embed")
         tree = antilex.AlphaTree.from_json(json.loads(_read(args.tree)))
         source = terms.parse_term(args.source_host)
         target = terms.parse_term(args.target_host)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .errors import ScatterCalcError
+from .errors import InvalidInput, ScatterCalcError
 from .partition import Labeling, PairColoring
 
 Vertex = Tuple[int, int]            # (column, row)
@@ -24,10 +24,8 @@ class NegGraphError(ScatterCalcError):
     pass
 
 
-class InvalidParams(NegGraphError):
-    def __init__(self, field_name: str, detail: str):
-        super().__init__(f"invalid {field_name}: {detail}")
-        self.field_name = field_name
+class InvalidParams(NegGraphError, InvalidInput):
+    """Grid-graph parameters from outside the program are malformed."""
 
 
 class InvalidGraph(InvalidParams):

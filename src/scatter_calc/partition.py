@@ -31,6 +31,14 @@ class RealizerContractViolation(PartitionError):
     pass
 
 
+# Work limit for lexicographic powers, counted in tuple entries (tuples times
+# their length).  The step-up verb builds its p^(p-1) domain twice and
+# extract_unary may visit every tuple of its power, at roughly 100 bytes a
+# tuple.  2^20 entries admit step-up p = 7 (7^6 tuples of 6, 705,894 entries)
+# and refuse p = 8 (8^7 tuples of 7, 14.7M entries, several hundred MB).
+LEX_POWER_LIMIT = 2 ** 20
+
+
 @dataclass
 class PairColoring:
     """Total colouring of the 2-subsets of a finite sorted domain.
@@ -213,9 +221,20 @@ def extract_unary(P: Sequence[Any], nu: int, F: Callable[[tuple], int]
         "internal: selector recursion completed, contradicting its own stages")
 
 
+def check_lex_power(base_size: int, nu: int) -> None:
+    """Refuse a lexicographic power past LEX_POWER_LIMIT before building any of it."""
+    # for a base of two or more points an exponent past the limit's bit
+    # length already exceeds it, so the power is never computed in full
+    if nu > 0 and base_size ** min(nu, LEX_POWER_LIMIT.bit_length()) * nu > LEX_POWER_LIMIT:
+        raise PartitionError(
+            f"{base_size}^{nu} tuples of length {nu} exceed the limit of "
+            f"{LEX_POWER_LIMIT} entries")
+
+
 def lex_power_domain(T: Sequence[Any], nu: int) -> List[tuple]:
     """All nu-tuples over the sorted base, ascending in the first-major order."""
-    return [tuple(g) for g in itertools.product(list(T), repeat=nu)]
+    check_lex_power(len(T), nu)
+    return [tuple(g) for g in itertools.product(T, repeat=nu)]
 
 
 def make_unary_realizer(T: Sequence[Any], nu: int):
@@ -269,28 +288,13 @@ class StepUpResult:
     witness: List[Tuple[Any, Any]]
 
 
-def _pair_colour_fn(colour, P: Sequence[Any], R: Sequence[Any]):
-    if isinstance(colour, PairColoring):
-        pos = {}
-        for idx, elem in enumerate(colour.elements):
-            pos[elem] = idx
-        expected = [(a, b) for a in P for b in R]
-        if len(colour.elements) != len(expected):
-            raise BadColouringDomain("colouring domain must be the product P x R")
-
-        def fn(x, y):
-            return colour.colour(pos[x], pos[y])
-
-        return fn
-    if callable(colour):
-        return colour
-    raise BadColouringDomain("colouring must be a PairColoring or a callable")
-
-
 def step_up_extract(P: Sequence[Any], R: Sequence[Any], n: int, colour,
                     unary_extract, pair_extract) -> StepUpResult:
     """Extract from a 2-colouring of the product P x R (lexicographic order)
     either a 0-homogeneous copy of P or a 1-homogeneous (n+1)-set.
+
+    ``colour(x, y)`` gives 0 or 1 for two points (a, b) of P x R; it is
+    called only on the pairs the recursion inspects.
 
     Greedily grows {(a_z, b_z)} taking the least admissible b each step;
     when blocked, colours R by the first failure index, applies the unary
@@ -298,12 +302,13 @@ def step_up_extract(P: Sequence[Any], R: Sequence[Any], n: int, colour,
     """
     if n < 2:
         raise ValueError("n must be >= 2")
+    if not callable(colour):
+        raise BadColouringDomain("pair colouring must be a callable")
     points = list(P)
     pool = list(R)
-    col = _pair_colour_fn(colour, points, pool)
 
     def check_01(x, y) -> int:
-        c = col(x, y)
+        c = colour(x, y)
         if c not in (0, 1):
             raise BadColouringDomain(f"pair colour {c!r} is not 0 or 1")
         return c

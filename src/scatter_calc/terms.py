@@ -406,7 +406,8 @@ class FinSupp(OrderTerm):
                          for p, v in elem.entries]}
 
     def _decode(self, data):
-        if not (isinstance(data, dict) and set(data) == {"supp"}):
+        if not (isinstance(data, dict) and set(data) == {"supp"}
+                and isinstance(data["supp"], list)):
             raise self._undecodable(data, 'expected {"supp": [...]}')
         entries = []
         for item in data["supp"]:

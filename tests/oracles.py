@@ -7,10 +7,12 @@ reference comparators walk the Cantor normal form recursively and never
 read an ordinal's canonical key, hash or ``==``.  The structural facts of
 a term (size, depth, well-ordered flags) are recomputed by walking it as a
 tree, never read off its nodes.  The grid-graph checkers sort a plain set
-of edges themselves and never read a ``GridGraph``.
+of edges themselves and never read a ``GridGraph``.  The step-up colour is
+rebuilt from the README's formula with no library code at all.
 """
 
 import functools
+import hashlib
 
 from scatter_calc import Fin, FinSupp, FinSuppElem, Ord, Rev, Scaled, Shuffle, SumList
 from scatter_calc.ordinal import from_int
@@ -235,3 +237,18 @@ def reference_corner_invariant(edges, csets):
         if overfull is None and count > len(csets.get((ra, b), ())):
             overfull = first
     return overfull
+
+
+def reference_step_up_colour(seed, x, y):
+    """The ``step-up`` verb's colour of the pair {x, y} of P x R, written from
+    the README: the low bit of the one-byte BLAKE2b digest of the UTF-8 text
+    ``[seed, [a, [b1, ..., bk]], [a', [b'1, ..., b'k]]]``, comma-space
+    separated, with (a, b) before (a', b') in the lexicographic order."""
+    low, high = sorted([(x[0], tuple(x[1])), (y[0], tuple(y[1]))])
+
+    def text(point):
+        a, b = point
+        return f"[{a}, [{', '.join(str(v) for v in b)}]]"
+
+    data = f"[{seed}, {text(low)}, {text(high)}]".encode("utf-8")
+    return hashlib.blake2b(data, digest_size=1).digest()[0] & 1

@@ -1,5 +1,7 @@
 """Command-line interface tests: wiring, exit codes, certificates."""
 
+import contextlib
+import io
 import itertools
 import json
 import subprocess
@@ -7,8 +9,10 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from scatter_calc import decode_element, parse_term
+from oracles import reference_step_up_colour
+from scatter_calc import cli, decode_element, encode_element, parse_term, sample_elements
 from scatter_calc.milner_rado import LabelTooLarge, mr_label_term
 
 PY = [sys.executable, "-m", "scatter_calc"]
@@ -29,7 +33,7 @@ def test_parse_ok():
     assert res.returncode == 0
     data = json.loads(res.stdout)
     assert data["term"] == "scaled(ord(w), fin(2))"
-    assert data["schema"] == "scatter-calc.v2"
+    assert data["schema"] == "scatter-calc.v3"
     assert data["fundamental_sequence"] == "wainer-cnf"
 
 
@@ -109,6 +113,101 @@ def test_step_up_command_deterministic():
     a = run("step-up", "--p", "4", "--n", "2", "--seed", "9")
     b = run("step-up", "--p", "4", "--n", "2", "--seed", "9")
     assert a.returncode == 0 and a.stdout == b.stdout
+
+
+def main_in_process(argv, stdin=""):
+    """(exit code, stdout, stderr) of one ``cli.main`` call in this process."""
+    out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def step_up_problems(cert, p, colour):
+    """What is wrong with one step-up certificate under colour(seed, x, y)."""
+    side, points = cert["side"], [(a, tuple(b)) for a, b in cert["witness"]]
+    problems = []
+    if len(points) != {"zero": p, "one": 3}.get(side):
+        problems.append("size")
+    if points != sorted(set(points)):
+        problems.append("order")
+    if not all(0 <= a < p and len(b) == p - 1 and all(0 <= v < p for v in b)
+               for a, b in points):
+        problems.append("domain")
+    want = 0 if side == "zero" else 1
+    if any(colour(cert["seed"], x, y) != want for x, y in itertools.combinations(points, 2)):
+        problems.append("colour")
+    return problems
+
+
+def test_step_up_witnesses_recheck_against_the_reference_colour():
+    def flipped(seed, x, y):
+        return 1 - reference_step_up_colour(seed, x, y)
+
+    assert cli.SCHEMA == "scatter-calc.v3"   # the colour below is v3's
+    sides_at_3 = set()
+    for p in range(3, 8):
+        for seed in range(60 if p == 3 else 10):
+            code, out, _ = main_in_process(["step-up", "--p", str(p), "--seed", str(seed)])
+            cert = json.loads(out)
+            assert code == 0 and cert["seed"] == seed
+            assert step_up_problems(cert, p, reference_step_up_colour) == [], (p, seed)
+            assert "colour" in step_up_problems(cert, p, flipped), (p, seed)
+            if p == 3:
+                sides_at_3.add(cert["side"])
+    assert sides_at_3 == {"zero", "one"}
+
+
+def test_step_up_p7_runs_in_a_fresh_process_within_two_seconds():
+    assert cli.SCHEMA == "scatter-calc.v3"   # v2 tabulated every pair: 10^11 at p = 7
+    start = time.perf_counter()
+    res = run("step-up", "--p", "7", "--seed", "1", timeout=60)
+    assert res.returncode == 0 and time.perf_counter() - start < 2.0
+    assert step_up_problems(json.loads(res.stdout), 7, reference_step_up_colour) == []
+
+
+def test_step_up_refuses_large_p_at_once():
+    limit = cli.partition.LEX_POWER_LIMIT
+    for p in ("10" * 20, "1000000", "8"):
+        start = time.perf_counter()
+        res = run("step-up", "--p", p, timeout=3)
+        assert time.perf_counter() - start < 2.0
+        assert_one_error_line(res)
+        assert f"exceed the limit of {limit} entries" in res.stderr
+    for p in ("0", "-3"):
+        res = run("step-up", "--p", p)
+        assert_one_error_line(res)
+        assert f"step-up needs --p of at least 1, got {p}" in res.stderr
+
+
+TREE = '{"alpha": "1", "entries": [{"seq": ["0"], "val": "4"}]}'
+EMBED = ["ks", "embed", "--tree", "-", "--target-host", "finsupp(6, fin(3), 0)"]
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["sierpinski", "--tags", '[1, "a"]'], None),
+    (["sierpinski", "--tags", "[[1],[2]]"], None),
+    (["sierpinski", "--tags", "5"], None),
+    (["extract-unary"], "[1]"),
+    (["extract-unary"], '{"p": 2, "nu": 2, "F": [{"g": 5, "c": 0}]}'),
+    (["extract-unary"], '{"p": "2", "nu": 2, "F": []}'),
+    (["extract-unary"], '{"p": 2, "nu": 2, "F": [{"g": [[0], 0], "c": 0}]}'),
+    (["ks", "verify", "--tree", "-"], '{"alpha": "2", "entries": 5}'),
+    (["ks", "verify", "--tree", "-"], "[]"),
+    (["ks", "verify", "--tree", "-"], '{"alpha": "2", "entries": [{"seq": 5, "val": "1"}]}'),
+    (["ks", "verify", "--tree", "-"], '{"alpha": "2", "entries": [{"seq": [5], "val": "1"}]}'),
+    (["ks", "verify", "--tree", "-"], '{"alpha": "2", "entries": [{"seq": ["1"], "val": 1}]}'),
+    (EMBED + ["--source-host", "finsupp(1, fin(3), 0)"], TREE),
+    (EMBED + ["--f", '{"supp": []}'], TREE),
+    (["compare", "--term", "finsupp(3, fin(2), 0)", "--a", '{"supp": 3}', "--b",
+      '{"supp": []}'], None),
+])
+def test_malformed_json_is_one_error_line(argv, stdin):
+    assert_one_error_line(run(*argv, stdin=stdin))
 
 
 def test_mr_label_and_bound():
@@ -283,3 +382,79 @@ def test_ks_embed_command(tmp_path):
               "--f", '{"supp": [{"pos": "0", "e": 2}]}')
     data = payload(res)
     assert data["image"] == {"supp": [{"pos": "9", "e": 2}]}
+
+
+# -- fuzzing the JSON-reading arguments ----------------------------------------------
+
+FUZZ_TERMS = ["fin(3)", "ord(w^2)", "rev(ord(w))", "sum[fin(2), ord(w)]",
+              "scaled(ord(w), fin(2))", "shuffle(w)", "finsupp(w, fin(3), 0)"]
+# encodings of elements of each fuzzed term, so that some runs succeed
+VALID_ELEMENTS = {t: [encode_element(parse_term(t), e)
+                      for e in sample_elements(parse_term(t), 6, 0)] for t in FUZZ_TERMS}
+ordinal_texts = st.sampled_from(["0", "1", "3", "w", "w + 1", "w^2", "-1", "x"])
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6) | ordinal_texts
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(
+        st.sampled_from(["i", "e", "supp", "pos", "p", "nu", "F", "g", "c", "alpha",
+                         "entries", "seq", "val"]) | st.text(max_size=3), kids, max_size=4),
+    max_leaves=10)
+elements = json_values | st.fixed_dictionaries(
+    {"i": json_values, "e": json_values}) | st.fixed_dictionaries(
+    {"supp": json_values | st.lists(st.fixed_dictionaries(
+        {"pos": json_values, "e": json_values}), max_size=3)})
+small_ints = st.integers(-1, 3)
+
+
+@st.composite
+def full_tables(draw):
+    """An extract-unary request colouring every tuple of a small power."""
+    p, nu = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cells = itertools.product(range(p), repeat=nu)
+    return {"p": p, "nu": nu,
+            "F": [{"g": list(g), "c": draw(st.integers(0, nu - 1))} for g in cells]}
+
+
+unary_requests = json_values | full_tables() | st.fixed_dictionaries({
+    "p": small_ints | json_values, "nu": small_ints | json_values,
+    "F": json_values | st.lists(st.fixed_dictionaries(
+        {"g": json_values | st.lists(small_ints | json_values, max_size=3),
+         "c": small_ints | json_values}), max_size=8)})
+trees = json_values | st.just(json.loads(TREE)) | st.fixed_dictionaries({
+    "alpha": ordinal_texts | json_values,
+    "entries": json_values | st.lists(st.fixed_dictionaries(
+        {"seq": json_values | st.lists(ordinal_texts | json_values, max_size=3),
+         "val": ordinal_texts | json_values}), max_size=3)})
+
+
+def term_and_elements(count):
+    """A fuzzed term and ``count`` JSON values, each often one of its elements."""
+    return st.sampled_from(FUZZ_TERMS).flatmap(lambda t: st.tuples(
+        st.just(t), *[elements | st.sampled_from(VALID_ELEMENTS[t])] * count))
+
+
+FUZZ_CASES = st.one_of(
+    st.builds(lambda tags: (["sierpinski", "--tags=" + json.dumps(tags)], ""),
+              json_values | st.lists(st.integers(-3, 50), max_size=6)),
+    st.builds(lambda req: (["extract-unary"], json.dumps(req)), unary_requests),
+    st.builds(lambda tree, oracle: (["ks", "verify", "--tree", "-", "--oracle", oracle],
+                                    json.dumps(tree)),
+              trees, st.sampled_from(["const", "length", "parity"])),
+    st.builds(lambda tree, f: (["ks", "embed", "--source-host", "finsupp(1, fin(3), 0)",
+                                "--target-host", "finsupp(6, fin(3), 0)",
+                                "--f=" + json.dumps(f)], json.dumps(tree)),
+              trees, elements),
+    term_and_elements(2).map(lambda c: (["compare", "--term", c[0], "--a=" + json.dumps(c[1]),
+                                         "--b=" + json.dumps(c[2])], "")),
+    term_and_elements(1).map(lambda c: (["mr-label", "--term", c[0],
+                                         "--elem=" + json.dumps(c[1])], "")),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(FUZZ_CASES)
+def test_json_arguments_end_in_an_exit_code_or_one_error_line(case):
+    argv, stdin = case
+    code, _, err = main_in_process(argv, stdin)
+    assert code in (0, 2) or (code == 1 and err.startswith("error: ")
+                              and err.count("\n") == 1), (code, err)

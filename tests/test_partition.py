@@ -10,7 +10,9 @@ from scatter_calc.partition import (
     Labeling,
     NonInjectiveTag,
     PairColoring,
+    PartitionError,
     RealizerContractViolation,
+    check_lex_power,
     extract_unary,
     find_homogeneous,
     lex_power_domain,
@@ -169,6 +171,25 @@ def test_step_up_seeded_random_runs():
             assert len(res.witness) == len(P)
         else:
             assert len(res.witness) == 3
+
+
+def test_step_up_takes_only_a_callable_colour():
+    P, R, unary, pair = setup_step_up(p=2)
+    table = PairColoring.from_function([(a, b) for a in P for b in R], 2, lambda i, j: 0)
+    for colour in (table, {}, 0):
+        with pytest.raises(BadColouringDomain):
+            step_up_extract(P, R, 2, colour, unary, pair)
+
+
+def test_lex_power_limit_admits_p7_and_refuses_p8_before_building():
+    assert len(lex_power_domain(range(7), 6)) == 7 ** 6
+    with pytest.raises(PartitionError):
+        lex_power_domain(range(8), 7)
+    # one tuple of a billion entries, and a power far too large to compute
+    for base_size, nu in [(1, 10 ** 9), (10 ** 30, 10 ** 30)]:
+        with pytest.raises(PartitionError):
+            check_lex_power(base_size, nu)
+    check_lex_power(10 ** 9, 0)
 
 
 def test_step_up_surfaces_realizer_violations():
