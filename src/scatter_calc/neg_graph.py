@@ -10,8 +10,10 @@ choice; the checkers verify this exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import chain
+from operator import ne
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvalidInput, ScatterCalcError
 from .partition import Labeling, PairColoring
@@ -135,32 +137,44 @@ def _below(value: Any, bound: int) -> bool:
     return type(value) is int and 0 <= value < bound
 
 
-@dataclass
 class GridGraph:
     """Corner-shaped edges on the k-by-l grid and the C-sets of the
-    recursion; for a built graph the edges are exactly
-    ((iota, rho), (nu, xi)) with xi in C[rho, nu] and iota < nu.
+    recursion.
 
-    ``edges`` is stored sorted and without duplicates, the order in which
-    ``to_json`` prints them and the checkers scan them."""
+    A graph built by ``build_neg_graph``, or read from JSON whose edge list
+    is exactly its C-set edge list, is its C-sets: ``csets`` maps (row, col)
+    to a sorted tuple of distinct entries, and ``edges`` is derived from it,
+    the edges ((iota, rho), (nu, xi)) with xi in C[rho, nu] and iota < nu.
+    Any other graph keeps the edges it is given, sorted and without
+    duplicates.  Either way ``edges`` is a sorted, duplicate-free tuple, the
+    order in which ``to_json`` prints them and the checkers scan them."""
 
-    k: int
-    l: int
-    edges: Tuple[Edge, ...]
-    csets: Dict[Tuple[int, int], Tuple[int, ...]] = field(default_factory=dict)
+    def __init__(self, k: int, l: int, edges: Optional[Iterable[Edge]] = None,
+                 csets: Optional[Dict[Tuple[int, int], Tuple[int, ...]]] = None) -> None:
+        self.k, self.l = k, l
+        self.csets = {} if csets is None else csets
+        # None for a graph that is its C-sets
+        self._edges = None if edges is None else tuple(dict.fromkeys(sorted(edges)))
 
-    def __post_init__(self) -> None:
-        # Timsort takes one linear pass over input that is already sorted
-        self.edges = tuple(dict.fromkeys(sorted(self.edges)))
+    @property
+    def edges(self) -> Tuple[Edge, ...]:
+        if self._edges is None:
+            return tuple(((i, r), (n, x)) for i, r, n, xs in _edge_groups(self.k, self.csets)
+                         for x in xs)
+        return self._edges
 
     def vertices(self) -> List[Vertex]:
         return [(c, r) for c in range(self.k) for r in range(self.l)]
 
     def to_json(self) -> dict:
+        if self._edges is None:
+            edges = _json_edges(self.k, self.l, self.csets)
+        else:
+            edges = [[list(a), list(b)] for a, b in self._edges]
         return {
             "k": self.k,
             "l": self.l,
-            "edges": [[list(a), list(b)] for a, b in self.edges],
+            "edges": edges,
             "csets": [
                 {"row": row, "col": col, "entries": list(entries)}
                 for (row, col), entries in sorted(self.csets.items())
@@ -180,6 +194,10 @@ class GridGraph:
         edges = data.get("edges")
         if not isinstance(edges, list):
             raise InvalidGraph("edges", "expected a list of vertex pairs")
+        csets = data.get("csets", [])
+        graph = _cset_graph(k, l, edges, csets)
+        if graph is not None:
+            return graph
         pairs = []
         for e in edges:
             if isinstance(e, list) and len(e) == 2:
@@ -193,69 +211,155 @@ class GridGraph:
                         pairs.append(((ca, ra), (cb, rb)))
                         continue
             raise InvalidGraph("edges", f"{e!r} is not a pair of vertices of the {k} x {l} grid")
-        csets = data.get("csets", [])
         if not isinstance(csets, list):
             raise InvalidGraph("csets", "expected a list of C-sets")
         for c in csets:
-            if not (isinstance(c, dict) and _below(c.get("row"), l) and _below(c.get("col"), k)
-                    and isinstance(c.get("entries"), list)
-                    and all(_below(x, l) for x in c["entries"])):
+            if not _is_cset(c, k, l):
                 raise InvalidGraph("csets", f"{c!r} is not a C-set of the {k} x {l} grid")
         return cls(k, l, pairs, {(c["row"], c["col"]): tuple(c["entries"]) for c in csets})
 
 
+def _is_cset(c: Any, k: int, l: int) -> bool:
+    return (isinstance(c, dict) and _below(c.get("row"), l) and _below(c.get("col"), k)
+            and isinstance(c.get("entries"), list) and all(_below(x, l) for x in c["entries"]))
+
+
+def _edge_groups(k: int, csets: Dict[Tuple[int, int], Tuple[int, ...]]):
+    """(iota, rho, nu, C[rho, nu]) for iota < nu, ordered so that the edges
+    ((iota, rho), (nu, xi)) for xi in C[rho, nu] come out sorted."""
+    rows: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
+    for (rho, nu), xs in sorted(csets.items()):
+        rows.setdefault(rho, []).append((nu, xs))
+    for iota in range(k):
+        for rho, cols in rows.items():
+            for nu, xs in cols:
+                if nu > iota:
+                    yield iota, rho, nu, xs
+
+
+def _json_edges(k: int, l: int, csets: Dict[Tuple[int, int], Tuple[int, ...]]) -> List[list]:
+    """The edges in JSON form; edges share their vertex lists, one list per vertex."""
+    vertex = [[[c, r] for r in range(l)] for c in range(k)]
+    return [[vertex[i][r], vertex[n][x]] for i, r, n, xs in _edge_groups(k, csets) for x in xs]
+
+
+def _cset_graph(k: int, l: int, edges: list, csets: Any) -> Optional[GridGraph]:
+    """The C-set graph of JSON input whose C-sets are valid and canonical
+    (keys and entries strictly increasing) and whose edge list is, in order,
+    exactly their edge list; None for any other input."""
+    if not isinstance(csets, list):
+        return None
+    table: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+    last = (-1, -1)
+    for c in csets:
+        if not _is_cset(c, k, l):
+            return None
+        key, entries = (c["row"], c["col"]), c["entries"]
+        if key <= last or any(a >= b for a, b in zip(entries, entries[1:])):
+            return None
+        table[key] = tuple(entries)
+        last = key
+    derived = ([[i, r], [n, x]] for i, r, n, xs in _edge_groups(k, table) for x in xs)
+    if (len(edges) != sum(col * len(xs) for (row, col), xs in table.items())
+            or any(map(ne, edges, derived))):
+        return None
+    # == lets true and 1.0 stand for 1, which the edge loop rejects
+    if set(map(type, chain.from_iterable(chain.from_iterable(edges)))) - {int}:
+        return None
+    return GridGraph(k, l, csets=table)
+
+
 def build_neg_graph(params: NegGraphParams) -> GridGraph:
-    """Run the row recursion and read the edges off the resulting C-sets.
+    """Run the row recursion; the graph is the resulting C-sets.
 
     For each row rho and column zeta, every pair (iota < zeta, mu below
     u_rho(zeta)) contributes the minimum of the guess set reached through the
     composed injections, after subtracting the C-sets of rows already used at
     this column; undefined lookups and empty differences contribute nothing.
+    Sets are int bitsets, so subtracting is an OR and the minimum is the
+    lowest set bit.
     """
     params.validate()
     k, l = params.k, params.l
-    C: Dict[Tuple[int, int], FrozenSet[int]] = {}
+    guesses = {row: sum(1 << x for x in dset) for row, dset in params.d.items() if dset}
+    csets: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+    bits: List[Dict[int, int]] = [{} for _ in range(k)]   # bits[zeta][rho] is C[rho, zeta]
     for rho in range(l):
+        grho = params.g.get(rho)
+        if grho is None:
+            continue
         urow = params.u[rho]
-        for zeta in range(k):
-            subtract = set()
-            for nu in range(zeta):
-                for theta in C[(rho, nu)]:
-                    subtract |= C.get((theta, zeta), frozenset())
+        used = set()   # the rows in C[rho, nu] for nu < zeta
+        for zeta in range(1, k):
+            used.update(csets.get((rho, zeta - 1), ()))
+            width = min(urow[zeta], k)
+            reached = set()
+            for iota in range(zeta):
+                ginner = params.g.get(grho[iota])
+                if ginner is not None:
+                    reached.update(ginner[:width])
+            column = bits[zeta]
+            keep = 0
+            for theta in used:
+                keep |= column.get(theta, 0)
+            keep = ~keep
             entries = set()
-            grho = params.g.get(rho)
-            if grho is not None:
-                for iota in range(zeta):
-                    gamma1 = grho[iota]
-                    ginner = params.g.get(gamma1)
-                    if ginner is None:
-                        continue
-                    for mu in range(min(urow[zeta], k)):
-                        dset = params.d.get(ginner[mu])
-                        if dset is None:
-                            continue
-                        candidates = dset - subtract
-                        if candidates:
-                            entries.add(min(candidates))
-            C[(rho, zeta)] = frozenset(entries)
-    csets = {key: tuple(sorted(v)) for key, v in C.items() if v}
-    edges = [((iota, rho), (nu, xi)) for iota in range(k) for rho in range(l)
-             for nu in range(iota + 1, k) for xi in csets.get((rho, nu), ())]
-    return GridGraph(k, l, edges, csets)
+            for row in reached:
+                candidates = guesses.get(row, 0) & keep
+                if candidates:
+                    entries.add((candidates & -candidates).bit_length() - 1)
+            if entries:
+                csets[(rho, zeta)] = tuple(sorted(entries))
+                column[rho] = sum(1 << x for x in entries)
+    return GridGraph(k, l, csets=csets)
+
+
+def _cset_triangle(graph: GridGraph) -> bool:
+    """Whether a graph that is its C-sets has a triangle: some rho,
+    1 <= b < c and r in C[rho, b] with C[r, c] and C[rho, c] meeting.  Row
+    by row, the r of C[rho, b] for 1 <= b < c form the bitset ``below``, and
+    x in C[rho, c] completes a triangle iff some r in ``below`` has x in
+    C[r, c]."""
+    holders: List[Dict[int, int]] = [{} for _ in range(graph.k)]   # [c][x]: r with x in C[r, c]
+    for (r, c), xs in graph.csets.items():
+        column, bit = holders[c], 1 << r
+        for x in xs:
+            column[x] = column.get(x, 0) | bit
+    row, below = -1, 0
+    for (rho, c), xs in sorted(graph.csets.items()):
+        if rho != row:
+            row, below = rho, 0
+        if below and any(holders[c][x] & below for x in xs):
+            return True
+        if c >= 1:
+            below |= sum(1 << x for x in xs)
+    return False
+
+
+def _cset_corners(graph: GridGraph) -> bool:
+    """Whether a graph that is its C-sets keeps the corner invariant.  It
+    has len(C[rho, nu]) edges from each (iota, rho) into column nu, so it
+    does iff every entry of a C-set past the first column is below its row."""
+    return all(not xs or xs[-1] < rho for (rho, col), xs in graph.csets.items() if col >= 1)
 
 
 def check_triangle_free(graph: GridGraph) -> Optional[Tuple[Vertex, Vertex, Vertex]]:
     """Exhaustive triangle scan: None when triangle-free, otherwise the
     least witness, the first edge that lies on a triangle completed by the
-    least common neighbour of its ends, as a sorted triple.  Vertex (c, r)
-    is bit c*l + r of the adjacency masks, so bit order is vertex order."""
+    least common neighbour of its ends, as a sorted triple.  A graph that is
+    its C-sets is first tested on them, and scanned only when the test
+    finds a triangle.  Vertex (c, r) is bit c*l + r of the adjacency masks,
+    so bit order is vertex order."""
+    if graph._edges is None and not _cset_triangle(graph):
+        return None
     l = graph.l
+    edges = graph.edges
     masks = [0] * (graph.k * l)
-    for (a, ra), (b, rb) in graph.edges:
+    for (a, ra), (b, rb) in edges:
         ia, ib = a * l + ra, b * l + rb
         masks[ia] |= 1 << ib
         masks[ib] |= 1 << ia
-    for (a, ra), (b, rb) in graph.edges:
+    for (a, ra), (b, rb) in edges:
         common = masks[a * l + ra] & masks[b * l + rb]
         if common:
             c = divmod((common & -common).bit_length() - 1, l)
@@ -267,7 +371,11 @@ def check_corner_invariant(graph: GridGraph) -> Optional[Edge]:
     """Every edge must join a smaller column at a higher row to a larger
     column at a lower row, and per-column down-degrees must stay within the
     recorded C-set sizes.  Returns a witness edge on failure: the least
-    misshapen edge, else the least edge of the first over-full column."""
+    misshapen edge, else the least edge of the first over-full column.  A
+    graph that is its C-sets is first tested on them, and scanned only when
+    the test fails."""
+    if graph._edges is None and _cset_corners(graph):
+        return None
     overfull = None
     key = None
     for edge in graph.edges:

@@ -32,11 +32,16 @@ class RealizerContractViolation(PartitionError):
 
 
 # Work limit for lexicographic powers, counted in tuple entries (tuples times
-# their length).  The step-up verb builds its p^(p-1) domain twice and
+# their length).  The step-up verb builds its p^(p-1) domain once and
 # extract_unary may visit every tuple of its power, at roughly 100 bytes a
 # tuple.  2^20 entries admit step-up p = 7 (7^6 tuples of 6, 705,894 entries)
 # and refuse p = 8 (8^7 tuples of 7, 14.7M entries, several hundred MB).
 LEX_POWER_LIMIT = 2 ** 20
+
+# Work limit for Sierpinski colourings, counted in tags.  Every pair of tags
+# is tabulated: 256 tags are 32,640 pairs (about 0.5 s and 55 MB for the
+# sierpinski verb), while 1000 tags took 4.8 s and 571 MB.
+SIERPINSKI_TAG_LIMIT = 256
 
 
 @dataclass
@@ -127,6 +132,9 @@ def sierpinski_color(tags: Sequence[int], i: int, j: int) -> int:
 
 
 def sierpinski_coloring(elements: Sequence[Any], tags: Sequence[int]) -> PairColoring:
+    if len(tags) > SIERPINSKI_TAG_LIMIT:
+        raise PartitionError(
+            f"{len(tags)} tags exceed the limit of {SIERPINSKI_TAG_LIMIT} tags")
     if len(set(tags)) != len(tags):
         raise NonInjectiveTag("tags must be injective")
     if len(tags) != len(elements):
@@ -245,10 +253,13 @@ def make_unary_realizer(T: Sequence[Any], nu: int):
     order-isomorphic to T on which g is constant.
     """
     base = list(T)
-    expected = lex_power_domain(base, nu)
+    check_lex_power(len(base), nu)
 
     def realize(R: Sequence[Any], num_colours: int, g: Callable[[Any], int]):
-        if list(R) != expected:
+        # compared tuple by tuple, so the power is never held a second time
+        end = object()
+        if any(r != t for r, t in itertools.zip_longest(
+                R, itertools.product(base, repeat=nu), fillvalue=end)):
             raise RealizerContractViolation(
                 "unary realizer needs the ascending lexicographic power domain")
         if num_colours > nu:

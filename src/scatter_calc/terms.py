@@ -82,12 +82,14 @@ class OrderTerm:
     ``depth`` (constructor nesting; fin, ord and shuffle count 1) and the
     ``well_ordered`` and ``anti_well_ordered`` flags.  A new node stores them
     with its hash.  The exact ``finite_size`` is counted once, on first use:
-    fin(2) inside d nested pow(..., 2) has 2^(2^d) elements.  Every subclass
-    implements the element model: validate, cmp, encode, _decode, format,
-    _materialize, _canonical and random_element.
+    fin(2) inside d nested pow(..., 2) has 2^(2^d) elements.  Callers that
+    only compare the size with a bound ask ``capped_size``, which stops
+    counting past it.  Every subclass implements the element model:
+    validate, cmp, encode, _decode, format, _materialize, _canonical and
+    random_element.
     """
 
-    __slots__ = _FACTS + ("_size", "_hash", "__weakref__")
+    __slots__ = _FACTS + ("_size", "_over", "_hash", "__weakref__")
     fields: Tuple[str, ...] = ()
     _table: "weakref.WeakValueDictionary[tuple, OrderTerm]" = weakref.WeakValueDictionary()
 
@@ -117,11 +119,27 @@ class OrderTerm:
     @property
     def finite_size(self) -> Optional[int]:
         """Number of elements when the denotation is finite, else None."""
+        return self.capped_size(None)
+
+    def capped_size(self, cap: Optional[int]) -> Optional[int]:
+        """``finite_size`` if it is at most ``cap``, else ``cap + 1``; None
+        when infinite.  Counting stops once the size passes ``cap``, and
+        ``cap=None`` counts exactly.  An exact size is kept, and so is the
+        largest cap the size is known to pass (``_over``)."""
         try:
-            return self._size
+            size = self._size
         except AttributeError:   # not counted yet
-            object.__setattr__(self, "_size", self._count() if self.finite else None)
-            return self._size
+            if not self.finite:
+                size = None
+            elif cap is not None and getattr(self, "_over", -1) >= cap:
+                return cap + 1
+            else:
+                size = self._count(cap)
+                if cap is not None and size > cap:
+                    object.__setattr__(self, "_over", cap)
+                    return cap + 1
+            object.__setattr__(self, "_size", size)
+        return size if cap is None or size is None else min(size, cap + 1)
 
     def __repr__(self):
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.fields)
@@ -147,7 +165,7 @@ class OrderTerm:
 
     def canonical(self, want: int) -> List[Any]:
         """Small witnesses of the order: all of it when it is small and finite."""
-        size = self.finite_size
+        size = self.capped_size(max(want, 8))
         if size is not None and size <= max(want, 8):
             return self.materialize()
         return self._canonical(want)
@@ -162,7 +180,7 @@ class Fin(OrderTerm):
             raise TermError(f"fin() needs a natural number, got {size!r}")
         return True, 1, True, True
 
-    def _count(self): return self.size
+    def _count(self, cap): return self.size
     def validate(self, elem): return type(elem) is int and 0 <= elem < self.size
     def cmp(self, x, y): return (x > y) - (x < y)
     def encode(self, elem): return elem
@@ -190,7 +208,7 @@ class Ord(OrderTerm):
             raise TermError("ord() needs a CnfOrdinal")
         return ordinal.is_finite(), 1, True, ordinal.is_finite()
 
-    def _count(self): return self.ordinal.as_int()
+    def _count(self, cap): return self.ordinal.as_int()
     def validate(self, elem): return isinstance(elem, CnfOrdinal) and elem.key < self.ordinal.key
     def cmp(self, x, y): return (x.key > y.key) - (x.key < y.key)
     def encode(self, elem): return format_ordinal(elem)
@@ -217,7 +235,7 @@ class Rev(OrderTerm):
     def _facts(inner):
         return inner.finite, inner.depth + 1, inner.anti_well_ordered, inner.well_ordered
 
-    def _count(self): return self.inner.finite_size
+    def _count(self, cap): return self.inner.capped_size(cap)
     def validate(self, elem): return self.inner.validate(elem)
     def cmp(self, x, y): return -self.inner.cmp(x, y)
     def encode(self, elem): return self.inner.encode(elem)
@@ -244,7 +262,7 @@ class SumList(OrderTerm):
                 all(c.well_ordered for c in children),
                 all(c.anti_well_ordered for c in children))
 
-    def _count(self): return sum(c.finite_size for c in self.children)
+    def _count(self, cap): return sum(c.capped_size(cap) for c in self.children)
     def encode(self, elem): return {"i": elem[0], "e": self.children[elem[0]].encode(elem[1])}
     def format(self): return "sum[" + ", ".join(c.format() for c in self.children) + "]"
 
@@ -297,7 +315,7 @@ class Scaled(OrderTerm):
                 inner.well_ordered and index.well_ordered,
                 inner.anti_well_ordered and index.anti_well_ordered)
 
-    def _count(self): return self.inner.finite_size * self.index.finite_size
+    def _count(self, cap): return self.inner.capped_size(cap) * self.index.capped_size(cap)
     def cmp(self, x, y): return self.index.cmp(x[0], y[0]) or self.inner.cmp(x[1], y[1])
     def format(self): return f"scaled({self.inner.format()}, {self.index.format()})"
 
@@ -379,12 +397,17 @@ class FinSupp(OrderTerm):
             raise InvalidElement(
                 f"designated zero {zero!r} is not an element of {inner.format()}")
         # a one-point inner gives one point at any length
-        finite = inner.finite and (length.is_finite() or inner.finite_size == 1)
+        finite = inner.finite and (length.is_finite() or inner.capped_size(1) == 1)
         return finite, inner.depth + 1, finite, finite
 
-    def _count(self):
-        size = self.inner.finite_size
-        return 1 if size == 1 else size ** self.length.as_int()
+    def _count(self, cap):
+        size = self.inner.capped_size(cap)
+        if size == 1:   # the length may be infinite
+            return 1
+        length = self.length.as_int()
+        if cap is not None and length > cap.bit_length():   # size^length >= 2^length > cap
+            return cap + 1
+        return size ** length
 
     def validate(self, elem):
         if not isinstance(elem, FinSuppElem):
@@ -745,7 +768,7 @@ def sample_elements(term: OrderTerm, budget: int, seed: int = 0) -> List[Any]:
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    size = term.finite_size
+    size = term.capped_size(3 * budget)
     if size == 0:
         return []
     rng = random.Random(seed)
@@ -784,7 +807,7 @@ def search_embedding(pattern, target: Sequence[Any],
     if isinstance(pattern, int):
         pattern = range(pattern)
     if isinstance(pattern, OrderTerm):
-        size = pattern.finite_size
+        size = pattern.capped_size(len(target))
         if size is None:
             raise PatternNotFinite(f"{pattern.format()} is not a finite pattern")
     else:

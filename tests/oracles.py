@@ -7,8 +7,9 @@ reference comparators walk the Cantor normal form recursively and never
 read an ordinal's canonical key, hash or ``==``.  The structural facts of
 a term (size, depth, well-ordered flags) are recomputed by walking it as a
 tree, never read off its nodes.  The grid-graph checkers sort a plain set
-of edges themselves and never read a ``GridGraph``.  The step-up colour is
-rebuilt from the README's formula with no library code at all.
+of edges themselves and never read a ``GridGraph``, and the C-sets are
+rebuilt with plain sets.  The step-up colour is rebuilt from the README's
+formula with no library code at all.
 """
 
 import functools
@@ -237,6 +238,37 @@ def reference_corner_invariant(edges, csets):
         if overfull is None and count > len(csets.get((ra, b), ())):
             overfull = first
     return overfull
+
+
+def reference_csets(params, subtract=True):
+    """The C-sets of the grid recursion with plain sets, written from the
+    ``build_neg_graph`` docstring, as a dict from (row, col) to a sorted
+    tuple.  ``subtract=False`` switches the subtraction off, which is what
+    keeps the graph triangle-free, so these mutant C-sets have triangles."""
+    k, l = params.k, params.l
+    C = {}
+    for rho in range(l):
+        for zeta in range(k):
+            used = set()
+            for nu in range(zeta if subtract else 0):
+                for theta in C.get((rho, nu), ()):
+                    used |= C.get((theta, zeta), set())
+            entries = set()
+            grho = params.g.get(rho)
+            for iota in range(zeta if grho else 0):
+                ginner = params.g.get(grho[iota])
+                for mu in range(min(params.u[rho][zeta], k) if ginner else 0):
+                    candidates = params.d.get(ginner[mu], frozenset()) - used
+                    if candidates:
+                        entries.add(min(candidates))
+            if entries:
+                C[(rho, zeta)] = entries
+    return {key: tuple(sorted(v)) for key, v in C.items()}
+
+
+def reference_cset_edges(csets):
+    """The set of edges ((iota, rho), (nu, xi)) for xi in C[rho, nu], iota < nu."""
+    return {((i, r), (n, x)) for (r, n), xs in csets.items() for x in xs for i in range(n)}
 
 
 def reference_step_up_colour(seed, x, y):

@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -184,6 +185,18 @@ def test_step_up_refuses_large_p_at_once():
         assert f"step-up needs --p of at least 1, got {p}" in res.stderr
 
 
+def test_sierpinski_refuses_too_many_tags_at_once():
+    limit = cli.partition.SIERPINSKI_TAG_LIMIT
+    # 10,000 tags are 5e7 pairs, minutes and tens of GB if tabulated
+    res = run("sierpinski", "--tags", json.dumps(list(range(10_000))), timeout=3)
+    assert_one_error_line(res)
+    assert f"10000 tags exceed the limit of {limit} tags" in res.stderr
+    tags = list(range(limit))[::-1]
+    ok = run("sierpinski", "--tags", json.dumps(tags), timeout=60)
+    assert ok.returncode == 0
+    assert len(json.loads(ok.stdout)["coloring"]["pairs"]) == limit * (limit - 1) // 2
+
+
 TREE = '{"alpha": "1", "entries": [{"seq": ["0"], "val": "4"}]}'
 EMBED = ["ks", "embed", "--tree", "-", "--target-host", "finsupp(6, fin(3), 0)"]
 
@@ -260,6 +273,16 @@ def test_neg_graph_pipeline(tmp_path):
     assert check.returncode == 0
     data = json.loads(check.stdout)
     assert data["triangle_free"] is True and data["corner_ok"] is True
+
+
+def test_neg_graph_pipeline_on_the_committed_params():
+    # the packaging smoke test in CI pipes the same file through the installed script
+    params = str(Path(__file__).with_name("grid_params.json"))
+    build = run("neg-graph", "build", "--params", params)
+    assert build.returncode == 0 and len(json.loads(build.stdout)["graph"]["edges"]) == 94
+    check = run("neg-graph", "check", "-", stdin=build.stdout)
+    assert check.returncode == 0
+    assert json.loads(check.stdout)["triangle_free"] is True
 
 
 def test_neg_graph_check_witness_exit_2(tmp_path):

@@ -1,10 +1,17 @@
 """Unit tests for the grid-graph recursion and its checkers."""
 
+import json
 import random
+import time
 
 import pytest
 
-from oracles import reference_corner_invariant, reference_triangle_free
+from oracles import (
+    reference_cset_edges,
+    reference_csets,
+    reference_corner_invariant,
+    reference_triangle_free,
+)
 from scatter_calc.neg_graph import (
     DomainMismatch,
     GridGraph,
@@ -12,6 +19,8 @@ from scatter_calc.neg_graph import (
     InvalidParams,
     NegGraphParams,
     NotABijection,
+    _cset_corners,
+    _cset_triangle,
     build_neg_graph,
     check_corner_invariant,
     check_triangle_free,
@@ -23,7 +32,10 @@ from scatter_calc.partition import Labeling, find_homogeneous
 
 def random_params(rng: random.Random, max_k=5, max_l=40) -> NegGraphParams:
     k = rng.randint(1, max_k)
-    l = rng.randint(k, max_l)
+    return grid_params(rng, k, rng.randint(k, max_l))
+
+
+def grid_params(rng: random.Random, k: int, l: int) -> NegGraphParams:
     d = {}
     g = {}
     for rho in range(k, l):
@@ -275,3 +287,157 @@ def test_from_json_rejects_malformed_graphs(data, field_name):
     with pytest.raises(InvalidGraph) as err:
         GridGraph.from_json(data)
     assert err.value.field_name == field_name
+
+
+# -- graphs that are their C-sets -------------------------------------------------
+
+
+def is_cset_graph(graph: GridGraph) -> bool:
+    return graph._edges is None
+
+
+def random_csets(rng: random.Random, k: int, l: int, density: float, high=0.0) -> dict:
+    """Random C-sets, sorted tuples keyed by (row, col); with probability
+    ``high`` a C-set also gets an entry at or above its row."""
+    csets = {}
+    for r in range(l):
+        for n in range(k):
+            if rng.random() < density:
+                entries = set(rng.sample(range(r), min(r, rng.randint(1, 3))))
+                if rng.random() < high:
+                    entries.add(rng.randrange(r, l))
+                if entries:
+                    csets[(r, n)] = tuple(sorted(entries))
+    return csets
+
+
+def assert_matches_references(k, l, csets):
+    """A graph made of the C-sets agrees with the edge-list graph of the same
+    edges and with the reference checkers; returns the two verdicts."""
+    edges = reference_cset_edges(csets)
+    graph = GridGraph(k, l, csets=csets)
+    listed = GridGraph(k, l, edges, csets)
+    assert graph.edges == listed.edges == tuple(sorted(edges))
+    assert json.dumps(graph.to_json()) == json.dumps(listed.to_json())
+    witness, corner = check_triangle_free(graph), check_corner_invariant(graph)
+    assert witness == check_triangle_free(listed) == reference_triangle_free(k, l, edges)
+    assert corner == check_corner_invariant(listed) == reference_corner_invariant(edges, csets)
+    # the C-set tests alone, which decide whether the edges are scanned
+    assert _cset_triangle(graph) == (witness is not None)
+    assert _cset_corners(graph) == (corner is None)
+    again = GridGraph.from_json(json.loads(json.dumps(graph.to_json())))
+    assert is_cset_graph(again)
+    assert again.csets == csets and again.edges == graph.edges
+    assert (check_triangle_free(again), check_corner_invariant(again)) == (witness, corner)
+    return witness, corner
+
+
+def test_build_matches_the_plain_set_recursion():
+    rng = random.Random(3)
+    for _ in range(150):
+        params = random_params(rng, max_k=6, max_l=50)
+        graph = build_neg_graph(params)
+        assert is_cset_graph(graph)
+        assert graph.csets == reference_csets(params)
+
+
+def test_random_csets_match_the_edge_checkers():
+    rng = random.Random(5)
+    triangles = corner_failures = clean = 0
+    for _ in range(600):
+        k, l = rng.randint(1, 5), rng.randint(1, 12)
+        witness, corner = assert_matches_references(
+            k, l, random_csets(rng, k, l, rng.choice((0.1, 0.3, 0.6)), high=0.05))
+        triangles += witness is not None
+        corner_failures += corner is not None
+        clean += witness is None and corner is None
+    assert triangles > 100 and corner_failures > 50 and clean > 100
+
+
+def test_mutant_csets_without_subtraction_have_triangles():
+    rng = random.Random(9)
+    triangles = 0
+    for _ in range(300):
+        params = random_params(rng, max_k=6, max_l=50)
+        mutant = reference_csets(params, subtract=False)
+        witness, corner = assert_matches_references(params.k, params.l, mutant)
+        assert corner is None
+        triangles += witness is not None
+        # the subtraction is what keeps the built graph triangle-free
+        assert assert_matches_references(params.k, params.l, reference_csets(params)) \
+            == (None, None)
+    assert triangles > 30
+
+
+def test_from_json_takes_the_cset_path_only_for_canonical_input():
+    rng = random.Random(13)
+    for _ in range(200):
+        params = random_params(rng, max_k=5, max_l=30)
+        graph = build_neg_graph(params)
+        text = json.dumps(graph.to_json())
+        assert is_cset_graph(GridGraph.from_json(json.loads(text)))
+        variants = []
+        data = json.loads(text)
+        if len(data["edges"]) > 1:
+            data["edges"].reverse()
+            variants.append(data)
+        data = json.loads(text)
+        if data["edges"]:
+            data["edges"].append(data["edges"][0])
+            variants.append(data)
+        data = json.loads(text)
+        if len(data["csets"]) > 1:
+            data["csets"].reverse()
+            variants.append(data)
+        data = json.loads(text)
+        if data["csets"]:
+            data["csets"].append(dict(data["csets"][0]))   # a duplicate key
+            variants.append(data)
+        for data in variants:
+            again = GridGraph.from_json(data)
+            assert not is_cset_graph(again)
+            assert again.edges == graph.edges and again.csets == graph.csets
+            assert check_triangle_free(again) is None and check_corner_invariant(again) is None
+
+
+@pytest.mark.parametrize("fake", [True, 1.0])
+def test_from_json_rejects_numbers_that_only_equal_an_edge_entry(fake):
+    graph = build_neg_graph(small_params())
+    data = graph.to_json()
+    bad = [[0, 5], [1, fake]]   # the last edge is [[0, 5], [1, 1]]
+    assert data["edges"][-1] == bad
+    data["edges"][-1] = bad
+    with pytest.raises(InvalidGraph) as err:
+        GridGraph.from_json(data)
+    assert str(err.value) == f"invalid edges: {bad!r} is not a pair of vertices of the 2 x 6 grid"
+    data = graph.to_json()
+    assert data["csets"][-1]["entries"] == [0, 1]
+    data["csets"][-1]["entries"] = [0, fake]
+    with pytest.raises(InvalidGraph) as err:
+        GridGraph.from_json(data)
+    assert err.value.field_name == "csets"
+
+
+def test_cset_entries_at_or_above_their_row_fail_the_corner_check():
+    graph = build_neg_graph(small_params())
+    csets = dict(graph.csets)
+    csets[(2, 1)] = (2,)       # an edge ((0, 2), (1, 2)): same row
+    edges = reference_cset_edges(csets)
+    data = GridGraph(graph.k, graph.l, csets=csets).to_json()
+    again = GridGraph.from_json(data)
+    assert is_cset_graph(again)
+    assert check_corner_invariant(again) == ((0, 2), (1, 2))
+    assert check_corner_invariant(again) == reference_corner_invariant(edges, csets)
+    # an entry above its row in the first column has no edges and breaks nothing
+    assert check_corner_invariant(GridGraph(graph.k, graph.l, csets={(1, 0): (4,)})) is None
+
+
+def test_large_grid_builds_and_checks_quickly():
+    params = grid_params(random.Random(0), 12, 1000)
+    start = time.perf_counter()
+    graph = build_neg_graph(params)
+    assert check_triangle_free(graph) is None
+    assert check_corner_invariant(graph) is None
+    elapsed = time.perf_counter() - start
+    assert sum(map(len, graph.csets.values())) > 100_000
+    assert elapsed < 5.0, f"k=12, l=1000 took {elapsed:.2f} s"

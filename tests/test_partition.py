@@ -131,6 +131,19 @@ def setup_step_up(p=4, n=2):
     return P, R, make_unary_realizer(P, p - 1), trivial_pair_realizer(p)
 
 
+def test_unary_realizer_needs_exactly_the_ascending_power():
+    P, R, unary, _ = setup_step_up(p=3)
+    colour = lambda t: 0
+    witness, c = unary(R, 1, colour)
+    assert c == 0 and witness
+    assert unary(iter(R), 1, colour) == (witness, c)
+    for bad in [R[:-1], R + [R[0]], R[::-1], [list(t) for t in R], [], R[:4] + [None] + R[5:]]:
+        with pytest.raises(RealizerContractViolation, match="lexicographic power domain"):
+            unary(bad, 1, colour)
+    with pytest.raises(RealizerContractViolation, match="at most 2 colours"):
+        unary(R, 3, colour)
+
+
 def test_step_up_constant_zero():
     P, R, unary, pair = setup_step_up()
     res = step_up_extract(P, R, 2, lambda x, y: 0, unary, pair)

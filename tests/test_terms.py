@@ -158,6 +158,28 @@ def test_node_facts_match_tree_walks(term):
     assert twin is term and hash(twin) == hash(term)
 
 
+@settings(max_examples=300, deadline=None)
+@given(order_terms(), st.integers(0, 40))
+def test_capped_size_is_the_size_clamped_to_the_cap(term, cap):
+    size = reference_finite_size(term)
+    assert term.capped_size(cap) == (None if size is None else min(size, cap + 1))
+    assert term.finite_size == size
+
+
+def test_sampling_a_huge_finite_support_power_stops_counting():
+    # 3^10000000 has 4.8M digits; counting it exactly takes seconds
+    start = time.perf_counter()
+    term = parse_term("finsupp(10000000, fin(3), 0)")
+    sample = sample_elements(term, 5)
+    wide = parse_term('finsupp(w, finsupp(10000000, fin(3), 0), {"supp": []})')
+    elapsed = time.perf_counter() - start
+    assert len(sample) == 5
+    assert all(compare_elements(term, x, y) < 0 for x, y in zip(sample, sample[1:]))
+    assert not wide.finite and term.capped_size(100) == 101
+    assert elapsed < 1.0, f"took {elapsed:.2f} s"
+    assert finite_size(parse_term("finsupp(40, fin(3), 0)")) == 3 ** 40
+
+
 @settings(max_examples=200, deadline=None)
 @given(order_terms(2), order_terms(2))
 def test_scaled_admits_exactly_the_reference_indices(inner, index):
