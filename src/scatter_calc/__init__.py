@@ -47,16 +47,12 @@ from .partition import (
     PairColoring,
     extract_unary,
     find_homogeneous,
-    lex_power_domain,
-    make_unary_realizer,
     sierpinski_color,
     sierpinski_coloring,
     step_up_extract,
-    trivial_pair_realizer,
 )
 from .milner_rado import (
-    CANTOR1,
-    PairingFn,
+    cantor1,
     ks_omega_check,
     mr_class_type_bound,
     mr_label_ordinal,

@@ -21,6 +21,11 @@ from .ordinal import FUNDAMENTAL_SEQUENCE_ID, format_ordinal, parse_ordinal
 
 SCHEMA = "scatter-calc.v3"
 
+# The largest finite size ``parse`` prints: Python writes integers of at most
+# 4300 digits as text by default, and counting stops past this cap.
+PARSE_SIZE_DIGITS = 4300
+PARSE_SIZE_LIMIT = 10 ** PARSE_SIZE_DIGITS - 1
+
 
 class _CliParser(argparse.ArgumentParser):
     def error(self, message):
@@ -76,7 +81,10 @@ def cmd_parse(args) -> int:
     term = terms.parse_term(args.term)
     payload = _header("parse", None)
     payload["term"] = terms.format_term(term)
-    payload["finite_size"] = terms.finite_size(term)
+    size = term.capped_size(PARSE_SIZE_LIMIT)
+    if size is not None and size > PARSE_SIZE_LIMIT:
+        raise terms.TermError(f"finite size has more than {PARSE_SIZE_DIGITS} digits")
+    payload["finite_size"] = size
     _emit(payload, args.out)
     return 0
 
@@ -177,13 +185,8 @@ def cmd_step_up(args) -> int:
     p, n = args.p, args.n
     if p < 1:
         raise partition.PartitionError(f"step-up needs --p of at least 1, got {p}")
-    partition.check_lex_power(p, p - 1)
-    P = list(range(p))
-    R = partition.lex_power_domain(P, p - 1)
-    result = partition.step_up_extract(
-        P, R, n, lambda x, y: _step_up_colour(seed, x, y),
-        partition.make_unary_realizer(P, p - 1),
-        partition.trivial_pair_realizer(p))
+    partition.check_lex_power(p, p - 1)   # refuse a huge p before listing range(p)
+    result = partition.step_up_extract(range(p), n, lambda x, y: _step_up_colour(seed, x, y))
     payload = _header("step-up", seed)
     payload["side"] = result.side
     payload["witness"] = [[a, list(b)] for a, b in result.witness]
@@ -194,10 +197,8 @@ def cmd_step_up(args) -> int:
 def cmd_mr_label(args) -> int:
     term = terms.parse_term(args.term)
     elem = _element(term, args.elem)
-    pi = milner_rado.PAIRINGS[args.pi]
-    label, trace = milner_rado.mr_label_term_trace(term, elem, pi)
+    label, trace = milner_rado.mr_label_term_trace(term, elem)
     payload = _header("mr-label", None)
-    payload["pi"] = pi.name
     payload["term"] = terms.format_term(term)
     payload["label"] = label
     payload["chain"] = [{"m": m, "n": n, "value": v} for m, n, v in trace]
@@ -365,7 +366,6 @@ def build_parser() -> _CliParser:
     p = add("mr-label", cmd_mr_label, help="decomposition label of a term element")
     p.add_argument("--term", required=True)
     p.add_argument("--elem", required=True, help="JSON element encoding")
-    p.add_argument("--pi", default="cantor1", choices=sorted(milner_rado.PAIRINGS))
 
     p = add("mr-bound", cmd_mr_bound, help="symbolic class-size bound")
     p.add_argument("--alpha", required=True)

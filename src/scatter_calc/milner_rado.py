@@ -7,7 +7,6 @@ through an injective pairing of the index and summand labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
 from .errors import ScatterCalcError
@@ -61,27 +60,14 @@ class LabelTooLarge(MilnerRadoError):
 LABEL_BIT_LIMIT = 4096
 
 
-@dataclass(frozen=True)
-class PairingFn:
-    """Injective pairing of naturals with pi(m, n) >= m + n + 1."""
-
-    name: str
-    fn: Callable[[int, int], int]
-
-    def __call__(self, m: int, n: int) -> int:
-        return self.fn(m, n)
-
-
-def _cantor_shifted(m: int, n: int) -> int:
+def cantor1(m: int, n: int) -> int:
+    """The pairing of index and summand labels, named ``cantor1`` in every
+    certificate header: the Cantor pairing shifted up by one, injective and
+    at least m + n + 1."""
     return (m + n) * (m + n + 1) // 2 + n + 1
 
 
-CANTOR1 = PairingFn("cantor1", _cantor_shifted)
-
-PAIRINGS = {"cantor1": CANTOR1}
-
-
-def check_pairing(pi: PairingFn, bound: int) -> bool:
+def check_pairing(pi: Callable[[int, int], int], bound: int) -> bool:
     """Pointwise check of injectivity and the m+n+1 lower bound on [0, bound)^2."""
     seen = {}
     for m in range(bound):
@@ -169,7 +155,7 @@ def mr_class_type_bound(alpha, n: int) -> CnfOrdinal:
 
 # -- term labelling ---------------------------------------------------------------
 
-def _term_label(term: OrderTerm, elem: Any, pi: PairingFn,
+def _term_label(term: OrderTerm, elem: Any,
                 trace: Optional[List[Tuple[int, int, int]]]) -> int:
     if isinstance(term, Fin):
         return 0
@@ -184,18 +170,17 @@ def _term_label(term: OrderTerm, elem: Any, pi: PairingFn,
             "reversal is only labelled over ordinal and finite bases")
     if isinstance(term, SumList):
         k, inner_elem = elem
-        return _pair(pi, 0, _term_label(term.children[k], inner_elem, pi, trace), trace)
+        return _pair(0, _term_label(term.children[k], inner_elem, trace), trace)
     if isinstance(term, Scaled):
         index_elem, inner_elem = elem
-        m = _term_label(term.index, index_elem, pi, None)
-        return _pair(pi, m, _term_label(term.inner, inner_elem, pi, trace), trace)
+        m = _term_label(term.index, index_elem, None)
+        return _pair(m, _term_label(term.inner, inner_elem, trace), trace)
     raise UnsupportedConstructor(
         f"{type(term).__name__} terms are outside the labelled fragment")
 
 
-def _pair(pi: PairingFn, m: int, n: int,
-          trace: Optional[List[Tuple[int, int, int]]]) -> int:
-    value = pi(m, n)
+def _pair(m: int, n: int, trace: Optional[List[Tuple[int, int, int]]]) -> int:
+    value = cantor1(m, n)
     if value.bit_length() > LABEL_BIT_LIMIT:
         raise LabelTooLarge(f"label exceeds {LABEL_BIT_LIMIT} bits")
     if trace is not None:
@@ -203,27 +188,27 @@ def _pair(pi: PairingFn, m: int, n: int,
     return value
 
 
-def mr_label_term(term: OrderTerm, elem: Any, pi: PairingFn = CANTOR1) -> int:
+def mr_label_term(term: OrderTerm, elem: Any) -> int:
     """Label of a term element: base blocks via mr_label_ordinal, composite
-    constructors via pi(index label, inner label)."""
+    constructors via cantor1(index label, inner label)."""
     if not validate_element(term, elem):
         raise ElementOutOfRange(f"{elem!r} is not an element of {terms.format_term(term)}")
-    return _term_label(term, elem, pi, None)
+    return _term_label(term, elem, None)
 
 
-def mr_label_term_trace(term: OrderTerm, elem: Any, pi: PairingFn = CANTOR1
+def mr_label_term_trace(term: OrderTerm, elem: Any
                         ) -> Tuple[int, List[Tuple[int, int, int]]]:
-    """Label plus the (m, n, pi(m, n)) combination executed at each level,
+    """Label plus the (m, n, cantor1(m, n)) combination executed at each level,
     innermost first."""
     if not validate_element(term, elem):
         raise ElementOutOfRange(f"{elem!r} is not an element of {terms.format_term(term)}")
     trace: List[Tuple[int, int, int]] = []
-    label = _term_label(term, elem, pi, trace)
+    label = _term_label(term, elem, trace)
     return label, trace
 
 
-def mr_labeling(term: OrderTerm, elements, pi: PairingFn = CANTOR1) -> Labeling:
-    labeling = Labeling(list(elements), [mr_label_term(term, e, pi) for e in elements])
+def mr_labeling(term: OrderTerm, elements) -> Labeling:
+    labeling = Labeling(list(elements), [mr_label_term(term, e) for e in elements])
     labeling.validate()
     return labeling
 

@@ -27,15 +27,11 @@ class BadColouringDomain(PartitionError):
     pass
 
 
-class RealizerContractViolation(PartitionError):
-    pass
-
-
 # Work limit for lexicographic powers, counted in tuple entries (tuples times
-# their length).  The step-up verb builds its p^(p-1) domain once and
-# extract_unary may visit every tuple of its power, at roughly 100 bytes a
-# tuple.  2^20 entries admit step-up p = 7 (7^6 tuples of 6, 705,894 entries)
-# and refuse p = 8 (8^7 tuples of 7, 14.7M entries, several hundred MB).
+# their length).  No power is built: extract_unary and the greedy stages of
+# step_up_extract walk one tuple at a time, but may visit every tuple of it,
+# so the limit bounds their work.  2^20 entries admit step-up p = 7 (7^6
+# tuples of 6, 705,894 entries) and refuse p = 8 (8^7 tuples of 7, 14.7M).
 LEX_POWER_LIMIT = 2 ** 20
 
 # Work limit for Sierpinski colourings, counted in tags.  Every pair of tags
@@ -239,57 +235,6 @@ def check_lex_power(base_size: int, nu: int) -> None:
             f"{LEX_POWER_LIMIT} entries")
 
 
-def lex_power_domain(T: Sequence[Any], nu: int) -> List[tuple]:
-    """All nu-tuples over the sorted base, ascending in the first-major order."""
-    check_lex_power(len(T), nu)
-    return [tuple(g) for g in itertools.product(T, repeat=nu)]
-
-
-def make_unary_realizer(T: Sequence[Any], nu: int):
-    """Realizer for point colourings of the lexicographic power of T.
-
-    The returned callback accepts (R, num_colours, g) where R must be the
-    ascending enumeration of the nu-fold power of T, and yields a subset of R
-    order-isomorphic to T on which g is constant.
-    """
-    base = list(T)
-    check_lex_power(len(base), nu)
-
-    def realize(R: Sequence[Any], num_colours: int, g: Callable[[Any], int]):
-        # compared tuple by tuple, so the power is never held a second time
-        end = object()
-        if any(r != t for r, t in itertools.zip_longest(
-                R, itertools.product(base, repeat=nu), fillvalue=end)):
-            raise RealizerContractViolation(
-                "unary realizer needs the ascending lexicographic power domain")
-        if num_colours > nu:
-            raise RealizerContractViolation(
-                f"realizer supports at most {nu} colours, got {num_colours}")
-        witness, colour = extract_unary(base, nu, lambda t: g(t))
-        return witness, colour
-
-    return realize
-
-
-def trivial_pair_realizer(target_size: int):
-    """Realizer of the 2-case pair relation: any 1-pair, else a chain copy."""
-
-    def realize(B: Sequence[Any], colour: Callable[[Any, Any], int], n: int):
-        if n != 2:
-            raise RealizerContractViolation("trivial realizer only handles n = 2")
-        points = list(B)
-        for i in range(len(points)):
-            for j in range(i + 1, len(points)):
-                if colour(points[i], points[j]) == 1:
-                    return "one", [points[i], points[j]]
-        if len(points) < target_size:
-            raise RealizerContractViolation(
-                f"need {target_size} points for a chain copy, have {len(points)}")
-        return "zero", points[:target_size]
-
-    return realize
-
-
 # -- pair extraction through the greedy product recursion ---------------------------
 
 
@@ -299,24 +244,31 @@ class StepUpResult:
     witness: List[Tuple[Any, Any]]
 
 
-def step_up_extract(P: Sequence[Any], R: Sequence[Any], n: int, colour,
-                    unary_extract, pair_extract) -> StepUpResult:
-    """Extract from a 2-colouring of the product P x R (lexicographic order)
-    either a 0-homogeneous copy of P or a 1-homogeneous (n+1)-set.
+def step_up_extract(P: Sequence[Any], n: int, colour) -> StepUpResult:
+    """Extract from a 2-colouring of P x R, where R is the (|P|-1)-fold
+    lexicographic power of P and P x R is ordered lexicographically, either
+    a 0-homogeneous copy of P or a 1-homogeneous (n+1)-set.
 
     ``colour(x, y)`` gives 0 or 1 for two points (a, b) of P x R; it is
     called only on the pairs the recursion inspects.
 
-    Greedily grows {(a_z, b_z)} taking the least admissible b each step;
-    when blocked, colours R by the first failure index, applies the unary
-    realizer, then the pair realizer on the resulting fibre.
+    Greedily grows {(a_z, b_z)} taking the least admissible b each step,
+    walking R in order without building it.  When stage z is blocked, R is
+    coloured by the first failure index and ``extract_unary`` gives a copy B
+    of P inside R on which that index is some constant x.  For n = 2 the
+    fibre {a_z} x B then holds either a 1-pair, which closes a 1-homogeneous
+    triangle with (a_x, b_x), or none, and then it is a 0-homogeneous copy of
+    P.  The returned witness is re-checked on its own before it is returned.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if not callable(colour):
         raise BadColouringDomain("pair colouring must be a callable")
     points = list(P)
-    pool = list(R)
+    if not points:
+        raise ValueError("P must be nonempty")
+    nu = len(points) - 1
+    check_lex_power(len(points), nu)
 
     def check_01(x, y) -> int:
         c = colour(x, y)
@@ -326,14 +278,15 @@ def step_up_extract(P: Sequence[Any], R: Sequence[Any], n: int, colour,
 
     chosen: List[Any] = []
     for zi, a in enumerate(points):
-        admissible = None
-        for b in pool:
-            if all(check_01((points[xi], chosen[xi]), (a, b)) == 0 for xi in range(zi)):
-                admissible = b
-                break
+        admissible = next(
+            (b for b in itertools.product(points, repeat=nu)
+             if all(check_01((points[xi], chosen[xi]), (a, b)) == 0 for xi in range(zi))),
+            None)
         if admissible is not None:
             chosen.append(admissible)
             continue
+        if n != 2:
+            raise PartitionError(f"the fibre step only handles n = 2, got n = {n}")
 
         def first_failure(b) -> int:
             for xi in range(zi):
@@ -341,44 +294,36 @@ def step_up_extract(P: Sequence[Any], R: Sequence[Any], n: int, colour,
                     return xi
             raise PartitionError("internal: blocked stage has an admissible point")
 
-        B, xi = unary_extract(pool, zi, first_failure)
-        B = list(B)
-        if not B or not (0 <= xi < zi):
-            raise RealizerContractViolation("unary realizer returned a bad colour or empty set")
-        pool_pos = {b: i for i, b in enumerate(pool)}
-        try:
-            order = [pool_pos[b] for b in B]
-        except KeyError:
-            raise RealizerContractViolation("unary realizer left the ground set") from None
-        if any(p >= q for p, q in zip(order, order[1:])):
-            raise RealizerContractViolation("unary realizer output is not ascending")
-        if any(first_failure(b) != xi for b in B):
-            raise RealizerContractViolation("unary realizer returned a non-homogeneous set")
-
-        side, sub = pair_extract(B, lambda x, y: check_01((a, x), (a, y)), n)
-        sub = list(sub)
-        if side == "zero":
-            if len(sub) != len(points):
-                raise RealizerContractViolation(
-                    f"pair realizer chain copy has size {len(sub)}, needs {len(points)}")
-            witness = [(a, b) for b in sub]
-            _verify_homogeneous(check_01, witness, 0)
-            return StepUpResult("zero", witness)
-        if side == "one":
-            if len(sub) != n:
-                raise RealizerContractViolation(
-                    f"pair realizer 1-set has size {len(sub)}, needs {n}")
-            witness = [(points[xi], chosen[xi])] + [(a, b) for b in sub]
-            _verify_homogeneous(check_01, witness, 1)
-            return StepUpResult("one", witness)
-        raise RealizerContractViolation(f"pair realizer returned unknown side {side!r}")
-
-    witness = list(zip(points, chosen))
-    _verify_homogeneous(check_01, witness, 0)
-    return StepUpResult("zero", witness)
+        B, xi = extract_unary(points, nu, first_failure)
+        pair = next((xy for xy in itertools.combinations(B, 2)
+                     if check_01((a, xy[0]), (a, xy[1])) == 1), None)
+        if pair is None:
+            result = StepUpResult("zero", [(a, b) for b in B])
+        else:
+            result = StepUpResult("one", [(points[xi], chosen[xi])] + [(a, b) for b in pair])
+        break
+    else:
+        result = StepUpResult("zero", list(zip(points, chosen)))
+    _verify_witness(points, n, check_01, result)
+    return result
 
 
-def _verify_homogeneous(col, witness: List[Tuple[Any, Any]], colour: int) -> None:
-    for x, y in itertools.combinations(witness, 2):
-        if col(x, y) != colour:
-            raise PartitionError("internal: witness failed its homogeneity re-check")
+def _verify_witness(points: List[Any], n: int, col, result: StepUpResult) -> None:
+    """The witness has its side's size, ascends strictly in P x R and is
+    homogeneous in its side's colour."""
+    size, want = (len(points), 0) if result.side == "zero" else (n + 1, 1)
+    if len(result.witness) != size:
+        raise PartitionError(
+            f"{result.side} witness has {len(result.witness)} points, needs {size}")
+    rank = {a: i for i, a in enumerate(points)}
+    keys = []
+    for a, b in result.witness:
+        key = [rank.get(c) for c in (a,) + tuple(b)]
+        if None in key or len(key) != len(points):
+            raise PartitionError(f"witness point {(a, b)!r} is not in P x R")
+        keys.append(key)
+    if any(k >= l for k, l in zip(keys, keys[1:])):
+        raise PartitionError("witness is not strictly ascending in P x R")
+    for x, y in itertools.combinations(result.witness, 2):
+        if col(x, y) != want:
+            raise PartitionError("witness failed its homogeneity re-check")

@@ -67,6 +67,13 @@ class PatternNotFinite(TermError):
     pass
 
 
+# Work limit for term text, in characters.  The text writes a shared subterm
+# once per occurrence, so fin(2) inside d nested pow(..., 2) prints 2^d copies
+# of fin(2): 268M characters at d = 24.  2^20 characters hold the text of any
+# term typed on a command line without pow.
+TERM_TEXT_LIMIT = 2 ** 20
+
+
 # -- term constructors --------------------------------------------------------
 
 _FACTS = ("finite", "depth", "well_ordered", "anti_well_ordered")
@@ -85,8 +92,8 @@ class OrderTerm:
     fin(2) inside d nested pow(..., 2) has 2^(2^d) elements.  Callers that
     only compare the size with a bound ask ``capped_size``, which stops
     counting past it.  Every subclass implements the element model:
-    validate, cmp, encode, _decode, format, _materialize, _canonical and
-    random_element.
+    validate, cmp, encode, _decode, _format (its text, given a function that
+    writes each child), _materialize, _canonical and random_element.
     """
 
     __slots__ = _FACTS + ("_size", "_over", "_hash", "__weakref__")
@@ -141,6 +148,26 @@ class OrderTerm:
             object.__setattr__(self, "_size", size)
         return size if cap is None or size is None else min(size, cap + 1)
 
+    def format(self) -> str:
+        """The term's text.  Its length is counted first, once per distinct
+        subterm, and a text longer than TERM_TEXT_LIMIT is refused unbuilt."""
+        lengths = {}
+
+        def length(term):
+            if term not in lengths:
+                children = []
+                shell = term._format(lambda child: children.append(child) or "")
+                lengths[term] = len(shell) + sum(length(c) for c in children)
+            return lengths[term]
+
+        if length(self) > TERM_TEXT_LIMIT:
+            raise TermError(f"term text of {length(self)} characters exceeds the limit "
+                            f"of {TERM_TEXT_LIMIT}")
+        return self._text()
+
+    def _text(self) -> str:
+        return self._format(OrderTerm._text)
+
     def __repr__(self):
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.fields)
         return f"{type(self).__name__}({args})"
@@ -184,7 +211,7 @@ class Fin(OrderTerm):
     def validate(self, elem): return type(elem) is int and 0 <= elem < self.size
     def cmp(self, x, y): return (x > y) - (x < y)
     def encode(self, elem): return elem
-    def format(self): return f"fin({self.size})"
+    def _format(self, text): return f"fin({self.size})"
     def _materialize(self): return list(range(self.size))
     def _canonical(self, want): return list(range(min(self.size, want)))
 
@@ -212,7 +239,7 @@ class Ord(OrderTerm):
     def validate(self, elem): return isinstance(elem, CnfOrdinal) and elem.key < self.ordinal.key
     def cmp(self, x, y): return (x.key > y.key) - (x.key < y.key)
     def encode(self, elem): return format_ordinal(elem)
-    def format(self): return f"ord({format_ordinal(self.ordinal)})"
+    def _format(self, text): return f"ord({format_ordinal(self.ordinal)})"
     def _materialize(self): return [from_int(i) for i in range(self.finite_size)]
     def _canonical(self, want): return _canonical_ordinals(self.ordinal, want)
     def random_element(self, rng): return _random_ordinal_below(self.ordinal, rng)
@@ -240,7 +267,7 @@ class Rev(OrderTerm):
     def cmp(self, x, y): return -self.inner.cmp(x, y)
     def encode(self, elem): return self.inner.encode(elem)
     def decode(self, data): return self.inner.decode(data)
-    def format(self): return f"rev({self.inner.format()})"
+    def _format(self, text): return f"rev({text(self.inner)})"
     def _materialize(self): return list(reversed(self.inner.materialize()))
     def _canonical(self, want): return self.inner.canonical(want)
     def random_element(self, rng): return self.inner.random_element(rng)
@@ -262,9 +289,16 @@ class SumList(OrderTerm):
                 all(c.well_ordered for c in children),
                 all(c.anti_well_ordered for c in children))
 
-    def _count(self, cap): return sum(c.capped_size(cap) for c in self.children)
     def encode(self, elem): return {"i": elem[0], "e": self.children[elem[0]].encode(elem[1])}
-    def format(self): return "sum[" + ", ".join(c.format() for c in self.children) + "]"
+    def _format(self, text): return "sum[" + ", ".join(text(c) for c in self.children) + "]"
+
+    def _count(self, cap):
+        total = 0
+        for child in self.children:
+            total += child.capped_size(cap)
+            if cap is not None and total > cap:
+                break
+        return total
 
     def validate(self, elem):
         if not (isinstance(elem, tuple) and len(elem) == 2):
@@ -317,7 +351,7 @@ class Scaled(OrderTerm):
 
     def _count(self, cap): return self.inner.capped_size(cap) * self.index.capped_size(cap)
     def cmp(self, x, y): return self.index.cmp(x[0], y[0]) or self.inner.cmp(x[1], y[1])
-    def format(self): return f"scaled({self.inner.format()}, {self.index.format()})"
+    def _format(self, text): return f"scaled({text(self.inner)}, {text(self.index)})"
 
     def validate(self, elem):
         if not (isinstance(elem, tuple) and len(elem) == 2):
@@ -356,7 +390,7 @@ class Shuffle(OrderTerm):
 
     def cmp(self, x, y): return _cmp_shuffle(x, y)
     def encode(self, elem): return [format_ordinal(x) for x in elem]
-    def format(self): return f"shuffle({format_ordinal(self.alphabet)})"
+    def _format(self, text): return f"shuffle({format_ordinal(self.alphabet)})"
 
     def validate(self, elem):
         if not isinstance(elem, tuple):
@@ -405,7 +439,9 @@ class FinSupp(OrderTerm):
         if size == 1:   # the length may be infinite
             return 1
         length = self.length.as_int()
-        if cap is not None and length > cap.bit_length():   # size^length >= 2^length > cap
+        # size^length >= 2^((bits(size) - 1) * length), so past cap's bit length
+        # the power passes cap; short of it the power has at most twice its bits
+        if cap is not None and (size.bit_length() - 1) * length >= cap.bit_length():
             return cap + 1
         return size ** length
 
@@ -441,9 +477,9 @@ class FinSupp(OrderTerm):
             entries.append((pos, self.inner.decode(item["e"])))
         return FinSuppElem(tuple(entries))
 
-    def format(self):
+    def _format(self, text):
         zero = json.dumps(self.inner.encode(self.zero), sort_keys=True, separators=(",", ":"))
-        return f"finsupp({format_ordinal(self.length)}, {self.inner.format()}, {zero})"
+        return f"finsupp({format_ordinal(self.length)}, {text(self.inner)}, {zero})"
 
     def _materialize(self):
         inner = self.inner.materialize()

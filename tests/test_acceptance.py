@@ -31,8 +31,6 @@ from scatter_calc import (
     find_homogeneous,
     finite_size,
     format_term,
-    lex_power_domain,
-    make_unary_realizer,
     materialize,
     parse_term,
     pow_term,
@@ -40,7 +38,6 @@ from scatter_calc import (
     search_embedding,
     sierpinski_coloring,
     step_up_extract,
-    trivial_pair_realizer,
 )
 from scatter_calc.antilex import (
     FinSuppFn,
@@ -231,7 +228,7 @@ def test_criterion_6_extractors():
     for p in (1, 2, 3):
         for nu in (1, 2, 3):
             P = list(range(p))
-            domain = lex_power_domain(P, nu)
+            domain = list(itertools.product(P, repeat=nu))
             cells = len(domain)
             space = 1 if nu == 1 else 2 ** cells
             if space > 512:
@@ -244,7 +241,7 @@ def test_criterion_6_extractors():
                     ok = False
     # the 3^3 domain: seeded sweep of 20000 colourings (2^27 is out of budget)
     P = [0, 1, 2]
-    domain = lex_power_domain(P, 3)
+    domain = list(itertools.product(P, repeat=3))
     rng = random.Random(606)
     for _ in range(20_000):
         bits = rng.getrandbits(len(domain))
@@ -259,9 +256,7 @@ def test_criterion_6_extractors():
 def test_criterion_6_step_up():
     p, n = 4, 2
     P = list(range(p))
-    R = lex_power_domain(P, p - 1)
-    unary = make_unary_realizer(P, p - 1)
-    pair = trivial_pair_realizer(p)
+    R = list(itertools.product(P, repeat=p - 1))
     flat = {(a, b): a * len(R) + bi for a in P for bi, b in enumerate(R)}
     total = p * len(R)
     ok = True
@@ -278,7 +273,7 @@ def test_criterion_6_step_up():
                 i, j = j, i
             return int(matrix[i, j])
 
-        result = step_up_extract(P, R, n, colour, unary, pair)
+        result = step_up_extract(P, n, colour)
         expected = 0 if result.side == "zero" else 1
         if result.side == "zero":
             zero_count += 1

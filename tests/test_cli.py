@@ -55,6 +55,35 @@ def test_deep_terms_are_input_errors():
         assert_one_error_line(run("parse", "--term", term))
 
 
+def pow_nest(depth, base="fin(2)"):
+    return "pow(" * depth + base + ", 2)" * depth
+
+
+def test_parse_refuses_sizes_past_4300_digits_at_once():
+    nines = "9" * 4000
+    # 3^(10^8) and (10^4000)^14000 are never computed in full
+    for term in ["finsupp(100000000, fin(3), 0)", f"finsupp(14000, fin({nines}), 0)",
+                 f"sum[fin({'9' * 4300}), fin(1)]", pow_nest(14)]:
+        start = time.perf_counter()
+        res = run("parse", "--term", term, timeout=3)
+        assert time.perf_counter() - start < 2.0
+        assert_one_error_line(res)
+        assert "finite size has more than 4300 digits" in res.stderr
+    for term, size in [(f"fin({'9' * 4300})", 10 ** 4300 - 1), (pow_nest(13), 2 ** 2 ** 13)]:
+        assert payload(run("parse", "--term", term))["finite_size"] == size
+
+
+def test_term_text_past_the_limit_is_refused_unbuilt():
+    limit = cli.terms.TERM_TEXT_LIMIT
+    res = run("parse", "--term", pow_nest(26), timeout=3)
+    assert_one_error_line(res)
+    assert f"exceeds the limit of {limit}" in res.stderr
+    # 16 nested pows print 2^16 copies of the base, just within the limit
+    data = payload(run("parse", "--term", pow_nest(16, "ord(w)")))
+    assert data["finite_size"] is None
+    assert len(data["term"]) <= limit and data["term"].count("ord(w)") == 2 ** 16
+
+
 def test_unknown_flag_is_usage_error():
     res = run("parse", "--term", "fin(2)", "--bogus")
     assert res.returncode == 1
@@ -231,6 +260,10 @@ def test_mr_label_and_bound():
     assert data["chain"] == [{"m": 0, "n": 1, "value": 3}]
     res = run("mr-bound", "--alpha", "w", "--n", "1")
     assert payload(res)["bound"] == "w"
+    # the pairing is fixed: the header names it and there is no flag for it
+    assert data["pi"] == "cantor1"
+    res = run("mr-label", "--term", "fin(2)", "--elem", "0", "--pi", "cantor1")
+    assert res.returncode == 1 and "unrecognized arguments: --pi" in res.stderr
 
 
 def test_mr_label_on_deep_sums_is_bounded():

@@ -6,9 +6,9 @@ from corpus import composite_terms
 
 from scatter_calc import parse_term, sample_elements
 from scatter_calc.milner_rado import (
-    CANTOR1,
     ElementOutOfRange,
     UnsupportedConstructor,
+    cantor1,
     check_pairing,
     down_up_block_power,
     ks_omega_check,
@@ -40,10 +40,12 @@ def o(text):
 
 
 def test_pairing_contract():
-    assert check_pairing(CANTOR1, 12)
-    assert CANTOR1(0, 1) == 3
-    assert CANTOR1(1, 1) == 5
-    assert CANTOR1(0, 0) == 1
+    assert check_pairing(cantor1, 12)
+    assert not check_pairing(lambda m, n: m + n + 1, 12)        # not injective
+    assert not check_pairing(lambda m, n: cantor1(m, n) - 1, 12)  # pi(0, 0) = 0
+    assert cantor1(0, 1) == 3
+    assert cantor1(1, 1) == 5
+    assert cantor1(0, 0) == 1
 
 
 # -- ordinal labels -----------------------------------------------------------
@@ -135,7 +137,7 @@ def test_term_label_compositionality():
     for ie, pe in sample_elements(t, 20, 7):
         m = mr_label_ordinal(ord_pow(W, 3), ie)
         n = mr_label_ordinal(ord_pow(W, 2), pe)
-        assert mr_label_term(t, (ie, pe)) == CANTOR1(m, n)
+        assert mr_label_term(t, (ie, pe)) == cantor1(m, n)
 
 
 def test_term_label_trace():

@@ -5,22 +5,19 @@ import random
 
 import pytest
 
+from scatter_calc import partition
 from scatter_calc.partition import (
     BadColouringDomain,
     Labeling,
     NonInjectiveTag,
     PairColoring,
     PartitionError,
-    RealizerContractViolation,
     check_lex_power,
     extract_unary,
     find_homogeneous,
-    lex_power_domain,
-    make_unary_realizer,
     sierpinski_color,
     sierpinski_coloring,
     step_up_extract,
-    trivial_pair_realizer,
 )
 
 
@@ -108,7 +105,7 @@ def test_extract_unary_first_coordinate():
 
 def test_extract_unary_exhaustive_3_2():
     P = [0, 1, 2]
-    domain = lex_power_domain(P, 2)
+    domain = list(itertools.product(P, repeat=2))
     for bits in range(2 ** 9):
         table = {g: (bits >> i) & 1 for i, g in enumerate(domain)}
         F = table.__getitem__
@@ -125,41 +122,27 @@ def test_extract_unary_rejects_partial_colouring():
 
 # -- step_up_extract ----------------------------------------------------------------------
 
-def setup_step_up(p=4, n=2):
+def setup_step_up(p=4):
     P = list(range(p))
-    R = lex_power_domain(P, p - 1)
-    return P, R, make_unary_realizer(P, p - 1), trivial_pair_realizer(p)
-
-
-def test_unary_realizer_needs_exactly_the_ascending_power():
-    P, R, unary, _ = setup_step_up(p=3)
-    colour = lambda t: 0
-    witness, c = unary(R, 1, colour)
-    assert c == 0 and witness
-    assert unary(iter(R), 1, colour) == (witness, c)
-    for bad in [R[:-1], R + [R[0]], R[::-1], [list(t) for t in R], [], R[:4] + [None] + R[5:]]:
-        with pytest.raises(RealizerContractViolation, match="lexicographic power domain"):
-            unary(bad, 1, colour)
-    with pytest.raises(RealizerContractViolation, match="at most 2 colours"):
-        unary(R, 3, colour)
+    return P, list(itertools.product(P, repeat=p - 1))
 
 
 def test_step_up_constant_zero():
-    P, R, unary, pair = setup_step_up()
-    res = step_up_extract(P, R, 2, lambda x, y: 0, unary, pair)
+    P, _ = setup_step_up()
+    res = step_up_extract(P, 2, lambda x, y: 0)
     assert res.side == "zero" and len(res.witness) == len(P)
     firsts = [a for a, _ in res.witness]
     assert firsts == P
 
 
 def test_step_up_constant_one():
-    P, R, unary, pair = setup_step_up()
-    res = step_up_extract(P, R, 2, lambda x, y: 1, unary, pair)
+    P, _ = setup_step_up()
+    res = step_up_extract(P, 2, lambda x, y: 1)
     assert res.side == "one" and len(res.witness) == 3
 
 
 def test_step_up_seeded_random_runs():
-    P, R, unary, pair = setup_step_up()
+    P, R = setup_step_up()
     pair_index = {}
     for a in P:
         for b in R:
@@ -176,7 +159,7 @@ def test_step_up_seeded_random_runs():
                 cache[key] = random.Random(f"{seed}:{key}").randrange(2)
             return cache[key]
 
-        res = step_up_extract(P, R, 2, colour, unary, pair)
+        res = step_up_extract(P, 2, colour)
         expected = 0 if res.side == "zero" else 1
         for x, y in itertools.combinations(res.witness, 2):
             assert colour(x, y) == expected
@@ -187,17 +170,19 @@ def test_step_up_seeded_random_runs():
 
 
 def test_step_up_takes_only_a_callable_colour():
-    P, R, unary, pair = setup_step_up(p=2)
+    P, R = setup_step_up(p=2)
     table = PairColoring.from_function([(a, b) for a in P for b in R], 2, lambda i, j: 0)
     for colour in (table, {}, 0):
         with pytest.raises(BadColouringDomain):
-            step_up_extract(P, R, 2, colour, unary, pair)
+            step_up_extract(P, 2, colour)
 
 
 def test_lex_power_limit_admits_p7_and_refuses_p8_before_building():
-    assert len(lex_power_domain(range(7), 6)) == 7 ** 6
+    check_lex_power(7, 6)
+    with pytest.raises(PartitionError, match="8\\^7 tuples of length 7 exceed the limit"):
+        check_lex_power(8, 7)
     with pytest.raises(PartitionError):
-        lex_power_domain(range(8), 7)
+        step_up_extract(range(8), 2, lambda x, y: 0)
     # one tuple of a billion entries, and a power far too large to compute
     for base_size, nu in [(1, 10 ** 9), (10 ** 30, 10 ** 30)]:
         with pytest.raises(PartitionError):
@@ -205,17 +190,64 @@ def test_lex_power_limit_admits_p7_and_refuses_p8_before_building():
     check_lex_power(10 ** 9, 0)
 
 
-def test_step_up_surfaces_realizer_violations():
-    P, R, unary, pair = setup_step_up()
+def test_step_up_n_and_p_bounds():
+    for n in (-1, 0, 1):
+        with pytest.raises(ValueError):
+            step_up_extract(range(3), n, lambda x, y: 0)
+    with pytest.raises(ValueError):
+        step_up_extract([], 2, lambda x, y: 0)
+    assert step_up_extract([7], 2, lambda x, y: 1).witness == [(7, ())]
+    # n other than 2 fails only once a stage blocks
+    assert step_up_extract(range(3), 3, lambda x, y: 0).side == "zero"
+    with pytest.raises(PartitionError, match="only handles n = 2"):
+        step_up_extract(range(3), 3, lambda x, y: 1)
 
-    def broken_unary(pool, colours, g):
-        return [pool[1], pool[0]], 0   # descending: violates the order contract
 
-    def always_one(x, y):
+def blocked_at_stage_two(x, y):
+    """Stage 2 of P = [0, 1, 2] is blocked; R gets first failure index 0 at
+    (0, 0) and 1 elsewhere, so extract_unary returns B = [(1, 0), (1, 1),
+    (1, 2)] with index 1, and the fibre over 2 is all 1s.  The point (2,
+    (0, 0)) has colour 0 with the stage-1 point (1, (0, 0))."""
+    x, y = sorted((x, y))
+    if y[0] < 2:
+        return 0
+    if x[0] == 2:
         return 1
+    return int((x[0] == 0) == (y[1] == (0, 0)))
 
-    with pytest.raises(RealizerContractViolation):
-        step_up_extract(P, R, 2, always_one, broken_unary, pair)
+
+def test_step_up_witness_check_catches_a_broken_unary_step(monkeypatch):
+    res = step_up_extract(range(3), 2, blocked_at_stage_two)
+    assert (res.side, res.witness) == ("one", [(1, (0, 0)), (2, (1, 0)), (2, (1, 1))])
+    real = partition.extract_unary
+
+    def descending(P, nu, F):
+        witness, colour = real(P, nu, F)
+        return witness[::-1], colour
+
+    def non_homogeneous(P, nu, F):
+        witness, colour = real(P, nu, F)
+        return [(0, 0)] + witness[1:], colour   # F((0, 0)) is 0, not 1
+
+    def outside(P, nu, F):
+        return [(1, 0, 0), (1, 1), (1, 2)], 1
+
+    def short(P, nu, F):
+        witness, colour = real(P, nu, F)
+        return witness[:2], colour
+
+    def fibre_zero(x, y):
+        return 0 if x[0] == y[0] else blocked_at_stage_two(x, y)
+
+    res = step_up_extract(range(3), 2, fibre_zero)
+    assert (res.side, res.witness) == ("zero", [(2, (1, 0)), (2, (1, 1)), (2, (1, 2))])
+    for broken, colour, problem in [(descending, blocked_at_stage_two, "not strictly ascending"),
+                                    (non_homogeneous, blocked_at_stage_two, "homogeneity"),
+                                    (outside, blocked_at_stage_two, "not in P x R"),
+                                    (short, fibre_zero, "zero witness has 2 points, needs 3")]:
+        monkeypatch.setattr(partition, "extract_unary", broken)
+        with pytest.raises(PartitionError, match=problem):
+            step_up_extract(range(3), 2, colour)
 
 
 def test_labeling_classes():
