@@ -43,8 +43,6 @@ from .terms import (
     validate_element,
 )
 from .partition import (
-    Labeling,
-    PairColoring,
     extract_unary,
     find_homogeneous,
     sierpinski_color,

@@ -6,6 +6,7 @@ embedding that collapses point colourings to few colours.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -265,17 +266,27 @@ def induced_seq_coloring(H: Callable[[FinSuppFn], Any], host: FinSupp,
     return out
 
 
-def freeze_pattern(pattern: Dict[tuple, Any]) -> tuple:
-    """Canonical hashable form of an induced colouring pattern."""
-    return tuple(sorted(pattern.items(), key=lambda kv: repr(kv[0])))
-
-
 # -- exhaustive tree search ------------------------------------------------------------
 
 
+# Work limit for search_alpha_tree, counted in tree nodes (decreasing
+# sequences).  The search assigns the nodes by one recursion level each, so
+# the limit also bounds its stack; 512 admits delta = level_bound = 9 (511
+# nodes) and refuses delta = level_bound = 10 (1023 nodes).
+ALPHA_TREE_NODE_LIMIT = 512
+
+
 def _universe(delta: int, level_bound: int) -> List[Tuple[int, ...]]:
+    lengths = range(1, min(delta, level_bound) + 1)
+    count = 0
+    for length in lengths:
+        count += math.comb(delta, length)
+        if count > ALPHA_TREE_NODE_LIMIT:
+            raise AntilexError(
+                f"delta {delta} and level bound {level_bound} give more than "
+                f"{ALPHA_TREE_NODE_LIMIT} tree nodes")
     nodes = []
-    for length in range(1, level_bound + 1):
+    for length in lengths:
         for combo in itertools.combinations(range(delta), length):
             nodes.append(tuple(sorted(combo, reverse=True)))
     nodes.sort(key=lambda s: (len(s), s))
@@ -352,10 +363,11 @@ def universal_sum_catalogue(max_size: int) -> List[Tuple[Fin, int]]:
 
 
 def verify_color_collapse(H: Callable[[FinSuppFn], Any], tree: AlphaTree,
-                          colours: Dict[int, Any], sample: Sequence[FinSuppFn],
+                          colours: Dict[int, Dict[tuple, Any]], sample: Sequence[FinSuppFn],
                           target_host: FinSupp) -> Tuple[bool, Set[Any]]:
     """Check H(embedded f) against the level pattern for each sampled f and
-    collect the realized colour set."""
+    collect the realized colour set.  A level pattern is the dict from
+    value tuples to colours that ``induced_seq_coloring`` returns."""
     ok = True
     realized: Set[Any] = set()
     for f in sample:
@@ -368,19 +380,10 @@ def verify_color_collapse(H: Callable[[FinSuppFn], Any], tree: AlphaTree,
         level = len(support) - 1
         if level not in colours:
             raise TreeDomainMiss(f"no level pattern for support size {len(support)}")
-        raw = colours[level]
-        if isinstance(raw, tuple) and all(
-                isinstance(kv, tuple) and len(kv) == 2 for kv in raw):
-            pattern = dict(raw)
-        else:
-            pattern = raw
         key = tuple(v for _, v in support)
-        if isinstance(pattern, dict):
-            expected = pattern.get(key)
-            if expected is None:
-                raise FragmentIncomplete(f"pattern lacks value tuple {key!r}")
-        else:
-            expected = pattern
+        expected = colours[level].get(key)
+        if expected is None:
+            raise FragmentIncomplete(f"pattern lacks value tuple {key!r}")
         if got != expected:
             ok = False
     return ok, realized

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -136,9 +137,14 @@ def cmd_sierpinski(args) -> int:
     tags = json.loads(args.tags)
     if not (isinstance(tags, list) and all(type(t) is int for t in tags)):
         raise InvalidInput("tags", f"expected a JSON list of integers, got {args.tags}")
-    colouring = partition.sierpinski_coloring(list(range(len(tags))), tags)
+    colour = partition.sierpinski_coloring(tags)
     payload = _header("sierpinski", None)
-    payload["coloring"] = colouring.to_json()
+    payload["coloring"] = {
+        "elements": list(range(len(tags))),
+        "colour_count": 2,
+        "pairs": [{"a": i, "b": j, "c": colour(i, j)}
+                  for i, j in itertools.combinations(range(len(tags)), 2)],
+    }
     _emit(payload, args.out)
     return 0
 
@@ -182,11 +188,11 @@ def _step_up_colour(seed: int, x, y) -> int:
 
 def cmd_step_up(args) -> int:
     seed = _default_seed(args.seed)
-    p, n = args.p, args.n
+    p = args.p
     if p < 1:
         raise partition.PartitionError(f"step-up needs --p of at least 1, got {p}")
     partition.check_lex_power(p, p - 1)   # refuse a huge p before listing range(p)
-    result = partition.step_up_extract(range(p), n, lambda x, y: _step_up_colour(seed, x, y))
+    result = partition.step_up_extract(range(p), lambda x, y: _step_up_colour(seed, x, y))
     payload = _header("step-up", seed)
     payload["side"] = result.side
     payload["witness"] = [[a, list(b)] for a, b in result.witness]
@@ -221,8 +227,8 @@ def cmd_ks_check(args) -> int:
     seed = _default_seed(args.seed)
     term = terms.parse_term(args.term)
     sample = terms.sample_elements(term, args.budget, seed)
-    labeling = milner_rado.mr_labeling(term, sample)
-    ok = milner_rado.ks_omega_check(labeling, args.n)
+    classes = milner_rado.mr_labeling(term, sample)
+    ok = milner_rado.ks_omega_check(classes, args.n)
     payload = _header("ks-check", seed)
     payload["term"] = terms.format_term(term)
     payload["n"] = args.n
@@ -360,7 +366,8 @@ def build_parser() -> _CliParser:
     p = add("step-up", cmd_step_up,
             help="run the pair extraction on a seeded random colouring")
     p.add_argument("--p", type=int, default=4)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, default=2, choices=(2,),
+                   help="the one-side witness has n + 1 points; only 2 is supported")
     p.add_argument("--seed", type=int, default=None)
 
     p = add("mr-label", cmd_mr_label, help="decomposition label of a term element")

@@ -7,7 +7,7 @@ through an injective pairing of the index and summand labels.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .errors import ScatterCalcError
 from .ordinal import (
@@ -34,7 +34,6 @@ from .terms import (
     search_embedding,
     validate_element,
 )
-from .partition import Labeling
 
 
 class MilnerRadoError(ScatterCalcError):
@@ -207,10 +206,13 @@ def mr_label_term_trace(term: OrderTerm, elem: Any
     return label, trace
 
 
-def mr_labeling(term: OrderTerm, elements) -> Labeling:
-    labeling = Labeling(list(elements), [mr_label_term(term, e) for e in elements])
-    labeling.validate()
-    return labeling
+def mr_labeling(term: OrderTerm, elements) -> Dict[int, List[Any]]:
+    """The label classes of the elements: each label maps to the elements
+    carrying it, in input order."""
+    classes: Dict[int, List[Any]] = {}
+    for e in elements:
+        classes.setdefault(mr_label_term(term, e), []).append(e)
+    return classes
 
 
 # -- verification-only subset check -------------------------------------------------
@@ -223,12 +225,11 @@ def down_up_block_power(n: int, block: int = 2) -> OrderTerm:
     return pow_term(base, n)
 
 
-def ks_omega_check(labeling: Labeling, n: int, block: int = 2) -> bool:
+def ks_omega_check(classes: Dict[int, List[Any]], n: int, block: int = 2) -> bool:
     """True iff the size-4^n down-up approximant does not embed into class n.
 
     A sound necessary check only: the sample is finite, so failure to embed
     here never certifies the infinite avoidance statement.
     """
-    cls = [labeling.elements[i] for i in labeling.class_indices(n)]
     pattern = down_up_block_power(n, block)
-    return search_embedding(pattern, cls) is None
+    return search_embedding(pattern, classes.get(n, [])) is None

@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import ne
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvalidInput, ScatterCalcError
-from .partition import Labeling, PairColoring
 
 Vertex = Tuple[int, int]            # (column, row)
 Edge = Tuple[Vertex, Vertex]        # canonical: smaller column first
@@ -405,12 +404,10 @@ def column_lift(graph: GridGraph, row_map) -> GridGraph:
     return GridGraph(graph.k, graph.l, edges, csets)
 
 
-def compose_negative_coloring(labeling: Labeling, graph: GridGraph,
-                              correspondence: Sequence[Vertex]) -> PairColoring:
-    """Pair colouring on the labelled domain: colour 1 exactly on graph edges."""
-    labeling.validate()
-    if len(correspondence) != len(labeling.elements):
-        raise DomainMismatch("correspondence must cover the labelled domain")
+def compose_negative_coloring(graph: GridGraph, correspondence: Sequence[Vertex]
+                              ) -> Callable[[int, int], int]:
+    """The colour of a pair of distinct indices of the correspondence: 1
+    exactly when their grid vertices are joined by an edge."""
     vertices = set(graph.vertices())
     edges = set(graph.edges)
     corr = [tuple(v) for v in correspondence]
@@ -423,4 +420,4 @@ def compose_negative_coloring(labeling: Labeling, graph: GridGraph,
         a, b = corr[i], corr[j]
         return 1 if (a, b) in edges or (b, a) in edges else 0
 
-    return PairColoring.from_function(labeling.elements, 2, colour)
+    return colour

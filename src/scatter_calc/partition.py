@@ -1,16 +1,18 @@
-"""Explicit pair colourings and constructive homogeneous-set extraction.
+"""Pair colourings and constructive homogeneous-set extraction.
 
-Everything here works on finite sorted domains.  The two extractors follow
-their defining recursions step by step and re-verify every witness before
-returning it; ``find_homogeneous`` is the exhaustive brute-force oracle the
-rest of the package checks itself against.
+Everything here works on finite sorted domains.  A pair colouring is a
+function of two points, or of two index positions, asked only for the pairs
+a computation needs.  The two extractors follow their defining recursions
+step by step and re-verify every witness before returning it;
+``find_homogeneous`` is the exhaustive brute-force oracle the rest of the
+package checks itself against.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .errors import ScatterCalcError
 
@@ -34,86 +36,10 @@ class BadColouringDomain(PartitionError):
 # tuples of 6, 705,894 entries) and refuse p = 8 (8^7 tuples of 7, 14.7M).
 LEX_POWER_LIMIT = 2 ** 20
 
-# Work limit for Sierpinski colourings, counted in tags.  Every pair of tags
-# is tabulated: 256 tags are 32,640 pairs (about 0.5 s and 55 MB for the
-# sierpinski verb), while 1000 tags took 4.8 s and 571 MB.
+# Work limit for Sierpinski colourings, counted in tags.  The colouring
+# tabulates nothing, but the sierpinski verb lists every pair of tags in its
+# certificate: 256 tags are 32,640 pairs.
 SIERPINSKI_TAG_LIMIT = 256
-
-
-@dataclass
-class PairColoring:
-    """Total colouring of the 2-subsets of a finite sorted domain.
-
-    ``table`` maps index pairs (i, j) with i < j to colours below
-    ``colour_count``; indices refer to positions in ``elements``.
-    """
-
-    elements: List[Any]
-    colour_count: int
-    table: Dict[Tuple[int, int], int] = field(default_factory=dict)
-
-    def validate(self) -> None:
-        n = len(self.elements)
-        expected = n * (n - 1) // 2
-        if len(self.table) != expected:
-            raise BadColouringDomain(
-                f"colouring has {len(self.table)} pairs, needs {expected}")
-        for (i, j), colour in self.table.items():
-            if not (0 <= i < j < n):
-                raise BadColouringDomain(f"bad index pair ({i}, {j})")
-            if not (0 <= colour < self.colour_count):
-                raise BadColouringDomain(f"colour {colour} out of range")
-
-    def colour(self, i: int, j: int) -> int:
-        if i == j:
-            raise BadColouringDomain("pairs need two distinct points")
-        if i > j:
-            i, j = j, i
-        return self.table[(i, j)]
-
-    @classmethod
-    def from_function(cls, elements: Sequence[Any], colour_count: int,
-                      fn: Callable[[int, int], int]) -> "PairColoring":
-        elements = list(elements)
-        table = {(i, j): fn(i, j)
-                 for i in range(len(elements)) for j in range(i + 1, len(elements))}
-        colouring = cls(elements, colour_count, table)
-        colouring.validate()
-        return colouring
-
-    def to_json(self) -> dict:
-        return {
-            "elements": list(self.elements),
-            "colour_count": self.colour_count,
-            "pairs": [{"a": i, "b": j, "c": c}
-                      for (i, j), c in sorted(self.table.items())],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PairColoring":
-        table = {(p["a"], p["b"]): p["c"] for p in data["pairs"]}
-        count = data.get("colour_count", max(table.values(), default=0) + 1)
-        colouring = cls(list(data["elements"]), count, table)
-        colouring.validate()
-        return colouring
-
-
-@dataclass
-class Labeling:
-    """Total point labelling of a finite sorted domain."""
-
-    elements: List[Any]
-    labels: List[int]
-
-    def validate(self) -> None:
-        if len(self.elements) != len(self.labels):
-            raise BadColouringDomain("labels must cover the whole domain")
-
-    def class_indices(self, label: int) -> List[int]:
-        return [i for i, l in enumerate(self.labels) if l == label]
-
-    def realized_labels(self) -> List[int]:
-        return sorted(set(self.labels))
 
 
 # -- the folklore blocking colouring -------------------------------------------
@@ -127,24 +53,22 @@ def sierpinski_color(tags: Sequence[int], i: int, j: int) -> int:
     return 0 if tags[i] < tags[j] else 1
 
 
-def sierpinski_coloring(elements: Sequence[Any], tags: Sequence[int]) -> PairColoring:
+def sierpinski_coloring(tags: Sequence[int]) -> Callable[[int, int], int]:
+    """The colour of a pair of distinct positions of an injective tag list."""
     if len(tags) > SIERPINSKI_TAG_LIMIT:
         raise PartitionError(
             f"{len(tags)} tags exceed the limit of {SIERPINSKI_TAG_LIMIT} tags")
     if len(set(tags)) != len(tags):
         raise NonInjectiveTag("tags must be injective")
-    if len(tags) != len(elements):
-        raise NonInjectiveTag("one tag per element required")
-    return PairColoring.from_function(
-        elements, 2, lambda i, j: sierpinski_color(tags, i, j))
+    return lambda i, j: sierpinski_color(tags, i, j)
 
 
 # -- exhaustive homogeneous search ------------------------------------------------
 
-def find_homogeneous(coloring: PairColoring, k: int, colour: int
-                     ) -> Optional[Tuple[int, ...]]:
-    """Lexicographically least colour-homogeneous k-subset (indices), or None."""
-    n = len(coloring.elements)
+def find_homogeneous(n: int, pair_colour: Callable[[int, int], int], k: int,
+                     colour: int) -> Optional[Tuple[int, ...]]:
+    """Lexicographically least colour-homogeneous k-subset of range(n), or
+    None; ``pair_colour(i, j)`` is asked once for each i < j."""
     if k > n:
         raise ValueError(f"pattern size {k} exceeds domain size {n}")
     if k <= 0:
@@ -152,8 +76,8 @@ def find_homogeneous(coloring: PairColoring, k: int, colour: int
     if k == 1:
         return (0,)
     masks = [0] * n
-    for (i, j), c in coloring.table.items():
-        if c == colour:
+    for i, j in itertools.combinations(range(n), 2):
+        if pair_colour(i, j) == colour:
             masks[i] |= 1 << j
             masks[j] |= 1 << i
     def extend(chosen: List[int], candidates: int) -> Optional[Tuple[int, ...]]:
@@ -244,10 +168,10 @@ class StepUpResult:
     witness: List[Tuple[Any, Any]]
 
 
-def step_up_extract(P: Sequence[Any], n: int, colour) -> StepUpResult:
+def step_up_extract(P: Sequence[Any], colour: Callable[[Any, Any], int]) -> StepUpResult:
     """Extract from a 2-colouring of P x R, where R is the (|P|-1)-fold
     lexicographic power of P and P x R is ordered lexicographically, either
-    a 0-homogeneous copy of P or a 1-homogeneous (n+1)-set.
+    a 0-homogeneous copy of P or a 1-homogeneous triangle.
 
     ``colour(x, y)`` gives 0 or 1 for two points (a, b) of P x R; it is
     called only on the pairs the recursion inspects.
@@ -255,15 +179,11 @@ def step_up_extract(P: Sequence[Any], n: int, colour) -> StepUpResult:
     Greedily grows {(a_z, b_z)} taking the least admissible b each step,
     walking R in order without building it.  When stage z is blocked, R is
     coloured by the first failure index and ``extract_unary`` gives a copy B
-    of P inside R on which that index is some constant x.  For n = 2 the
-    fibre {a_z} x B then holds either a 1-pair, which closes a 1-homogeneous
+    of P inside R on which that index is some constant x.  The fibre
+    {a_z} x B then holds either a 1-pair, which closes a 1-homogeneous
     triangle with (a_x, b_x), or none, and then it is a 0-homogeneous copy of
     P.  The returned witness is re-checked on its own before it is returned.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not callable(colour):
-        raise BadColouringDomain("pair colouring must be a callable")
     points = list(P)
     if not points:
         raise ValueError("P must be nonempty")
@@ -285,8 +205,6 @@ def step_up_extract(P: Sequence[Any], n: int, colour) -> StepUpResult:
         if admissible is not None:
             chosen.append(admissible)
             continue
-        if n != 2:
-            raise PartitionError(f"the fibre step only handles n = 2, got n = {n}")
 
         def first_failure(b) -> int:
             for xi in range(zi):
@@ -304,14 +222,14 @@ def step_up_extract(P: Sequence[Any], n: int, colour) -> StepUpResult:
         break
     else:
         result = StepUpResult("zero", list(zip(points, chosen)))
-    _verify_witness(points, n, check_01, result)
+    _verify_witness(points, check_01, result)
     return result
 
 
-def _verify_witness(points: List[Any], n: int, col, result: StepUpResult) -> None:
+def _verify_witness(points: List[Any], col, result: StepUpResult) -> None:
     """The witness has its side's size, ascends strictly in P x R and is
     homogeneous in its side's colour."""
-    size, want = (len(points), 0) if result.side == "zero" else (n + 1, 1)
+    size, want = (len(points), 0) if result.side == "zero" else (3, 1)
     if len(result.witness) != size:
         raise PartitionError(
             f"{result.side} witness has {len(result.witness)} points, needs {size}")

@@ -20,8 +20,6 @@ from oracles import textbook_materialize
 from scatter_calc import (
     Fin,
     FinSupp,
-    Labeling,
-    PairColoring,
     build_neg_graph,
     check_corner_invariant,
     check_triangle_free,
@@ -44,7 +42,6 @@ from scatter_calc.antilex import (
     check_antilex_lemma,
     compare_antilex,
     dec_seq,
-    freeze_pattern,
     induced_seq_coloring,
     ks_embed,
     search_alpha_tree,
@@ -130,10 +127,10 @@ def test_criterion_3_sierpinski_blocking():
     for n in range(1, 8):
         for _ in range(3):
             tags = rng.sample(range(100), n)
-            colouring = sierpinski_coloring(list(range(n)), tags)
+            colouring = sierpinski_coloring(tags)
             for size in range(2, n + 1):
                 for combo in itertools.combinations(range(n), size):
-                    colours = {colouring.colour(i, j)
+                    colours = {colouring(i, j)
                                for i, j in itertools.combinations(combo, 2)}
                     if colours == {0} and any(
                             tags[a] > tags[b]
@@ -254,7 +251,7 @@ def test_criterion_6_extractors():
 
 
 def test_criterion_6_step_up():
-    p, n = 4, 2
+    p = 4
     P = list(range(p))
     R = list(itertools.product(P, repeat=p - 1))
     flat = {(a, b): a * len(R) + bi for a in P for bi, b in enumerate(R)}
@@ -273,7 +270,7 @@ def test_criterion_6_step_up():
                 i, j = j, i
             return int(matrix[i, j])
 
-        result = step_up_extract(P, n, colour)
+        result = step_up_extract(P, colour)
         expected = 0 if result.side == "zero" else 1
         if result.side == "zero":
             zero_count += 1
@@ -281,13 +278,12 @@ def test_criterion_6_step_up():
                 ok = False
         else:
             one_count += 1
-            if len(result.witness) != n + 1:
+            if len(result.witness) != 3:
                 ok = False
         # find_homogeneous re-verification on the witness domain
         witness = result.witness
-        colouring = PairColoring.from_function(
-            witness, 2, lambda i, j: colour(witness[i], witness[j]))
-        if find_homogeneous(colouring, len(witness), expected) != tuple(range(len(witness))):
+        if find_homogeneous(len(witness), lambda i, j: colour(witness[i], witness[j]),
+                            len(witness), expected) != tuple(range(len(witness))):
             ok = False
     ok = ok and zero_count > 0 and one_count > 0
     report(6, f"pair extraction verified on 10^3 seeded colourings "
@@ -332,9 +328,8 @@ def test_criterion_7_negative_graph():
         if check_corner_invariant(graph) is not None:
             ok = False
         verts = graph.vertices()
-        labeling = Labeling(list(range(len(verts))), [0] * len(verts))
-        colouring = compose_negative_coloring(labeling, graph, verts)
-        if len(verts) >= 3 and find_homogeneous(colouring, 3, 1) is not None:
+        colouring = compose_negative_coloring(graph, verts)
+        if len(verts) >= 3 and find_homogeneous(len(verts), colouring, 3, 1) is not None:
             ok = False
     ok = ok and built >= 100 and edge_total > 0
     report(7, f"{built} seeded parameter sets: triangle-free, corner invariant, "
@@ -384,8 +379,8 @@ def test_criterion_8_antilex_suite():
 
                     def F(chain, H=H, big=big, cache=cache):
                         if chain not in cache:
-                            cache[chain] = freeze_pattern(induced_seq_coloring(
-                                H, big, dec_seq(chain), alphabet))
+                            cache[chain] = induced_seq_coloring(
+                                H, big, dec_seq(chain), alphabet)
                         return cache[chain]
 
                     found = search_alpha_tree(F, delta, mu_range, level_bound)

@@ -18,7 +18,6 @@ from scatter_calc.antilex import (
     compare_antilex,
     dec_seq,
     delta_prime,
-    freeze_pattern,
     induced_seq_coloring,
     ks_embed,
     marker_embed,
@@ -265,8 +264,7 @@ def test_verify_color_collapse_and_negative_control():
     cache = {}
     def F(chain):
         if chain not in cache:
-            cache[chain] = freeze_pattern(
-                induced_seq_coloring(H, big, dec_seq(chain), alphabet))
+            cache[chain] = induced_seq_coloring(H, big, dec_seq(chain), alphabet)
         return cache[chain]
 
     found = search_alpha_tree(F, delta, mu, delta)
@@ -282,7 +280,7 @@ def test_verify_color_collapse_and_negative_control():
     assert ok is True
     assert realized <= {0, 1}
     # corrupt the level pattern: verification must fail
-    corrupted = {level: freeze_pattern({k: (v + 1) % 2 for k, v in dict(p).items()})
+    corrupted = {level: {k: (v + 1) % 2 for k, v in p.items()}
                  for level, p in colours.items()}
     ok2, _ = verify_color_collapse(H, tree, corrupted, sample, big)
     assert ok2 is False

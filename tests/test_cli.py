@@ -1,9 +1,11 @@
 """Command-line interface tests: wiring, exit codes, certificates."""
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
+import random
 import subprocess
 import sys
 import time
@@ -151,7 +153,10 @@ def main_in_process(argv, stdin=""):
     sys.stdin = io.StringIO(stdin)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:   # argparse refusals
+                code = exc.code
     finally:
         sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
@@ -192,12 +197,57 @@ def test_step_up_witnesses_recheck_against_the_reference_colour():
     assert sides_at_3 == {"zero", "one"}
 
 
+def test_step_up_n_accepts_only_2():
+    for p in range(1, 8):
+        for seed in range(60 if p == 3 else 10):
+            argv = ["step-up", "--p", str(p), "--seed", str(seed)]
+            assert main_in_process(argv + ["--n", "2"]) == main_in_process(argv)
+            code, out, err = main_in_process(argv + ["--n", "3"])
+            assert (code, out) == (1, "")
+            errors = [line for line in err.splitlines() if line.startswith("error: ")]
+            assert len(errors) == 1 and "argument --n: invalid choice: 3" in errors[0]
+    res = run("step-up", "--p", "3", "--n", "3")
+    assert res.returncode == 1 and res.stdout == "" and "Traceback" not in res.stderr
+    assert res.stderr.count("error: ") == 1
+
+
 def test_step_up_p7_runs_in_a_fresh_process_within_two_seconds():
     assert cli.SCHEMA == "scatter-calc.v3"   # v2 tabulated every pair: 10^11 at p = 7
     start = time.perf_counter()
     res = run("step-up", "--p", "7", "--seed", "1", timeout=60)
     assert res.returncode == 0 and time.perf_counter() - start < 2.0
     assert step_up_problems(json.loads(res.stdout), 7, reference_step_up_colour) == []
+
+
+# -- golden certificate bytes ------------------------------------------------------------
+
+# The sierpinski, step-up and ks-check calls below with their exit codes and
+# stdout, hashed together.  The digest was computed before pair colourings
+# became callables and labellings became dicts of their classes.
+GOLDEN_CLI = "3c4331591356044fb540d39282ff3f5232eb4a1b04016b84e97d481fa500a95e"
+KS_GOLDEN_TERMS = [("scaled(ord(w), fin(2))", "200"), ("ord(w^w)", "40"),
+                   ("sum[rev(ord(w)), ord(w^2)]", "60"), ("shuffle(w)", "20")]
+
+
+def golden_calls():
+    """sierpinski on 0-39 tags plus a too-long and a non-injective tag list,
+    step-up at p = 1..7 and seeds 0-29, and ks-check on four terms (one
+    outside the labelled fragment) at n = 0..4 and seeds 0-2."""
+    rng = random.Random(2024)
+    calls = [["sierpinski", "--tags", json.dumps(rng.sample(range(100), n))] for n in range(40)]
+    calls += [["sierpinski", "--tags", json.dumps(list(range(257)))],
+              ["sierpinski", "--tags", "[4, 1, 4]"]]
+    calls += [["step-up", "--p", str(p), "--seed", str(seed)]
+              for p in range(1, 8) for seed in range(30)]
+    calls += [["ks-check", "--term", term, "--n", str(n), "--budget", budget, "--seed", str(seed)]
+              for term, budget in KS_GOLDEN_TERMS for n in range(5) for seed in range(3)]
+    return calls
+
+
+def test_certificates_match_golden_digest():
+    records = [[argv, *main_in_process(argv)[:2]] for argv in golden_calls()]
+    assert {code for _, code, _ in records} == {0, 1, 2}
+    assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == GOLDEN_CLI
 
 
 def test_step_up_refuses_large_p_at_once():
@@ -416,6 +466,25 @@ def test_ks_search_and_verify(tmp_path):
     # wrong oracle: levels clash
     verify2 = run("ks", "verify", "--tree", str(tree_file), "--oracle", "parity")
     assert verify2.returncode in (0, 2)
+
+
+def test_ks_search_refuses_more_than_512_tree_nodes_at_once():
+    limit = cli.antilex.ALPHA_TREE_NODE_LIMIT
+    # 1023 nodes, 1000, 465 + 4060 and 10^9: the parent ran out of stack,
+    # of memory or of time on these
+    for args in (["--delta", "10", "--level-bound", "10", "--mu-range", "20"],
+                 ["--delta", "1000", "--level-bound", "1", "--mu-range", "2000"],
+                 ["--delta", "30", "--level-bound", "30"], ["--delta", "1000000000"]):
+        start = time.perf_counter()
+        res = run("ks", "search", *args, timeout=3)
+        assert time.perf_counter() - start < 2.0
+        assert_one_error_line(res)
+        assert f"more than {limit} tree nodes" in res.stderr
+    # 511 nodes, one recursion level each; a level bound past delta adds none
+    for args, nodes in [(["--delta", "9", "--level-bound", "9", "--mu-range", "10"], 511),
+                        (["--delta", "2", "--level-bound", "1000000000"], 3)]:
+        data = payload(run("ks", "search", *args, timeout=10))
+        assert data["found"] is True and len(data["tree"]["entries"]) == nodes
 
 
 def test_env_seed_default():

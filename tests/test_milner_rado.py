@@ -29,7 +29,6 @@ from scatter_calc.ordinal import (
     ord_pow,
     parse_ordinal,
 )
-from scatter_calc.partition import Labeling
 from scatter_calc.terms import Fin, finite_size
 
 W = OMEGA
@@ -169,19 +168,22 @@ def test_down_up_pattern_sizes():
 
 
 def test_ks_omega_check_examples():
-    single = Labeling(["a"], [1])
+    single = {1: ["a"]}
     assert ks_omega_check(single, 1) is True
     # 4-chain labelled 1: the 4-point down-up approximant embeds
-    chain = Labeling([0, 1, 2, 3], [1, 1, 1, 1])
+    chain = {1: [0, 1, 2, 3]}
     assert ks_omega_check(chain, 1) is False
     # label-0 class must be empty to pass at n = 0
-    assert ks_omega_check(Labeling([0], [0]), 0) is False
-    assert ks_omega_check(Labeling([0], [3]), 0) is True
+    assert ks_omega_check({0: [0]}, 0) is False
+    assert ks_omega_check({3: [0]}, 0) is True
 
 
 def test_ks_omega_check_on_labelled_term_samples():
     term = parse_term("scaled(ord(w), fin(2))")
     sample = sample_elements(term, 40, 5)
-    labeling = mr_labeling(term, sample)
+    classes = mr_labeling(term, sample)
+    assert sum(len(members) for members in classes.values()) == len(sample)
+    for label, members in classes.items():
+        assert members == [e for e in sample if mr_label_term(term, e) == label]
     for n in range(6):
-        assert ks_omega_check(labeling, n) is True
+        assert ks_omega_check(classes, n) is True

@@ -1,5 +1,6 @@
 """Unit tests for the grid-graph recursion and its checkers."""
 
+import itertools
 import json
 import random
 import time
@@ -27,7 +28,7 @@ from scatter_calc.neg_graph import (
     column_lift,
     compose_negative_coloring,
 )
-from scatter_calc.partition import Labeling, find_homogeneous
+from scatter_calc.partition import find_homogeneous
 
 
 def random_params(rng: random.Random, max_k=5, max_l=40) -> NegGraphParams:
@@ -248,12 +249,15 @@ def test_column_lift():
 def test_compose_negative_coloring():
     graph = build_neg_graph(small_params())
     verts = graph.vertices()
-    labeling = Labeling(list(range(len(verts))), [0] * len(verts))
-    col = compose_negative_coloring(labeling, graph, verts)
-    assert sum(col.table.values()) == len(graph.edges)
-    assert find_homogeneous(col, 3, 1) is None
-    with pytest.raises(DomainMismatch):
-        compose_negative_coloring(labeling, graph, verts[:-1])
+    n = len(verts)
+    col = compose_negative_coloring(graph, verts)
+    assert sum(col(i, j) for i, j in itertools.combinations(range(n), 2)) == len(graph.edges)
+    assert find_homogeneous(n, col, 3, 1) is None
+    with pytest.raises(DomainMismatch, match="injective"):
+        compose_negative_coloring(graph, verts + verts[:1])
+    for outside in [(graph.k, 0), (0, graph.l), (-1, 0)]:
+        with pytest.raises(DomainMismatch, match="leaves the vertex grid"):
+            compose_negative_coloring(graph, verts[:-1] + [outside])
 
 
 def test_compose_detects_injected_triangle():
@@ -261,9 +265,8 @@ def test_compose_detects_injected_triangle():
     tri = {((0, 5), (1, 4)), ((0, 5), (1, 3)), ((1, 4), (1, 3))}
     bad = GridGraph(graph.k, graph.l, set(graph.edges) | tri)
     verts = bad.vertices()
-    labeling = Labeling(list(range(len(verts))), [0] * len(verts))
-    col = compose_negative_coloring(labeling, bad, verts)
-    assert find_homogeneous(col, 3, 1) is not None
+    col = compose_negative_coloring(bad, verts)
+    assert find_homogeneous(len(verts), col, 3, 1) is not None
 
 
 def test_json_roundtrip():

@@ -8,9 +8,7 @@ import pytest
 from scatter_calc import partition
 from scatter_calc.partition import (
     BadColouringDomain,
-    Labeling,
     NonInjectiveTag,
-    PairColoring,
     PartitionError,
     check_lex_power,
     extract_unary,
@@ -30,7 +28,7 @@ def test_sierpinski_examples():
 
 def test_sierpinski_rejects_non_injective():
     with pytest.raises(NonInjectiveTag):
-        sierpinski_coloring([0, 1, 2], [1, 1, 2])
+        sierpinski_coloring([1, 1, 2])
 
 
 def test_sierpinski_blocking_exhaustive_small():
@@ -39,10 +37,10 @@ def test_sierpinski_blocking_exhaustive_small():
     rng = random.Random(3)
     for _ in range(5):
         tags = rng.sample(range(50), 5)
-        col = sierpinski_coloring(list(range(5)), tags)
+        col = sierpinski_coloring(tags)
         for size in range(2, 6):
             for combo in itertools.combinations(range(5), size):
-                colours = {col.colour(i, j) for i, j in itertools.combinations(combo, 2)}
+                colours = {col(i, j) for i, j in itertools.combinations(combo, 2)}
                 if colours == {0}:
                     assert all(tags[a] < tags[b]
                                for a, b in itertools.combinations(combo, 2))
@@ -54,31 +52,26 @@ def test_sierpinski_blocking_exhaustive_small():
 # -- brute-force homogeneous search ------------------------------------------------
 
 def test_find_homogeneous_examples():
-    col = PairColoring.from_function([0, 1, 2], 2, lambda i, j: 0)
-    assert find_homogeneous(col, 3, 0) == (0, 1, 2)
+    asked = []
+
+    def zero(i, j):
+        asked.append((i, j))
+        return 0
+
+    assert find_homogeneous(3, zero, 3, 0) == (0, 1, 2)
+    assert asked == [(0, 1), (0, 2), (1, 2)]   # each pair once
     # tag-increasing 4-chain: no 1-homogeneous pair at all
-    chain = sierpinski_coloring(list(range(4)), [0, 1, 2, 3])
-    assert find_homogeneous(chain, 2, 1) is None
-    with pytest.raises(ValueError):
-        find_homogeneous(col, 4, 0)
+    chain = sierpinski_coloring([0, 1, 2, 3])
+    assert find_homogeneous(4, chain, 2, 1) is None
+    for k in (4, 0):
+        with pytest.raises(ValueError):
+            find_homogeneous(3, zero, k, 0)
 
 
 def test_find_homogeneous_least_witness():
     def fn(i, j):
         return 1 if (i, j) in {(1, 2), (1, 3), (2, 3)} else 0
-    col = PairColoring.from_function(list(range(4)), 2, fn)
-    assert find_homogeneous(col, 3, 1) == (1, 2, 3)
-
-
-def test_pair_coloring_json_roundtrip():
-    col = PairColoring.from_function([0, 1, 2], 3, lambda i, j: (i + j) % 3)
-    again = PairColoring.from_json(col.to_json())
-    assert again.table == col.table
-
-
-def test_pair_coloring_totality_check():
-    with pytest.raises(BadColouringDomain):
-        PairColoring([0, 1, 2], 2, {(0, 1): 0}).validate()
+    assert find_homogeneous(4, fn, 3, 1) == (1, 2, 3)
 
 
 # -- extract_unary ---------------------------------------------------------------------
@@ -129,7 +122,7 @@ def setup_step_up(p=4):
 
 def test_step_up_constant_zero():
     P, _ = setup_step_up()
-    res = step_up_extract(P, 2, lambda x, y: 0)
+    res = step_up_extract(P, lambda x, y: 0)
     assert res.side == "zero" and len(res.witness) == len(P)
     firsts = [a for a, _ in res.witness]
     assert firsts == P
@@ -137,7 +130,7 @@ def test_step_up_constant_zero():
 
 def test_step_up_constant_one():
     P, _ = setup_step_up()
-    res = step_up_extract(P, 2, lambda x, y: 1)
+    res = step_up_extract(P, lambda x, y: 1)
     assert res.side == "one" and len(res.witness) == 3
 
 
@@ -159,7 +152,7 @@ def test_step_up_seeded_random_runs():
                 cache[key] = random.Random(f"{seed}:{key}").randrange(2)
             return cache[key]
 
-        res = step_up_extract(P, 2, colour)
+        res = step_up_extract(P, colour)
         expected = 0 if res.side == "zero" else 1
         for x, y in itertools.combinations(res.witness, 2):
             assert colour(x, y) == expected
@@ -169,20 +162,12 @@ def test_step_up_seeded_random_runs():
             assert len(res.witness) == 3
 
 
-def test_step_up_takes_only_a_callable_colour():
-    P, R = setup_step_up(p=2)
-    table = PairColoring.from_function([(a, b) for a in P for b in R], 2, lambda i, j: 0)
-    for colour in (table, {}, 0):
-        with pytest.raises(BadColouringDomain):
-            step_up_extract(P, 2, colour)
-
-
 def test_lex_power_limit_admits_p7_and_refuses_p8_before_building():
     check_lex_power(7, 6)
     with pytest.raises(PartitionError, match="8\\^7 tuples of length 7 exceed the limit"):
         check_lex_power(8, 7)
     with pytest.raises(PartitionError):
-        step_up_extract(range(8), 2, lambda x, y: 0)
+        step_up_extract(range(8), lambda x, y: 0)
     # one tuple of a billion entries, and a power far too large to compute
     for base_size, nu in [(1, 10 ** 9), (10 ** 30, 10 ** 30)]:
         with pytest.raises(PartitionError):
@@ -191,16 +176,14 @@ def test_lex_power_limit_admits_p7_and_refuses_p8_before_building():
 
 
 def test_step_up_n_and_p_bounds():
-    for n in (-1, 0, 1):
-        with pytest.raises(ValueError):
-            step_up_extract(range(3), n, lambda x, y: 0)
     with pytest.raises(ValueError):
-        step_up_extract([], 2, lambda x, y: 0)
-    assert step_up_extract([7], 2, lambda x, y: 1).witness == [(7, ())]
-    # n other than 2 fails only once a stage blocks
-    assert step_up_extract(range(3), 3, lambda x, y: 0).side == "zero"
-    with pytest.raises(PartitionError, match="only handles n = 2"):
-        step_up_extract(range(3), 3, lambda x, y: 1)
+        step_up_extract([], lambda x, y: 0)
+    assert step_up_extract([7], lambda x, y: 1).witness == [(7, ())]
+    # n is 2: every blocked stage ends in a triangle or a copy of P
+    for p in range(2, 6):
+        res = step_up_extract(range(p), lambda x, y: 1)
+        assert res.side == "one" and len(res.witness) == 3
+        assert step_up_extract(range(p), lambda x, y: 0).side == "zero"
 
 
 def blocked_at_stage_two(x, y):
@@ -217,7 +200,7 @@ def blocked_at_stage_two(x, y):
 
 
 def test_step_up_witness_check_catches_a_broken_unary_step(monkeypatch):
-    res = step_up_extract(range(3), 2, blocked_at_stage_two)
+    res = step_up_extract(range(3), blocked_at_stage_two)
     assert (res.side, res.witness) == ("one", [(1, (0, 0)), (2, (1, 0)), (2, (1, 1))])
     real = partition.extract_unary
 
@@ -239,7 +222,7 @@ def test_step_up_witness_check_catches_a_broken_unary_step(monkeypatch):
     def fibre_zero(x, y):
         return 0 if x[0] == y[0] else blocked_at_stage_two(x, y)
 
-    res = step_up_extract(range(3), 2, fibre_zero)
+    res = step_up_extract(range(3), fibre_zero)
     assert (res.side, res.witness) == ("zero", [(2, (1, 0)), (2, (1, 1)), (2, (1, 2))])
     for broken, colour, problem in [(descending, blocked_at_stage_two, "not strictly ascending"),
                                     (non_homogeneous, blocked_at_stage_two, "homogeneity"),
@@ -247,11 +230,4 @@ def test_step_up_witness_check_catches_a_broken_unary_step(monkeypatch):
                                     (short, fibre_zero, "zero witness has 2 points, needs 3")]:
         monkeypatch.setattr(partition, "extract_unary", broken)
         with pytest.raises(PartitionError, match=problem):
-            step_up_extract(range(3), 2, colour)
-
-
-def test_labeling_classes():
-    lab = Labeling([10, 20, 30], [0, 2, 0])
-    lab.validate()
-    assert lab.class_indices(0) == [0, 2]
-    assert lab.realized_labels() == [0, 2]
+            step_up_extract(range(3), colour)
