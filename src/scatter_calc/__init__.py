@@ -63,7 +63,6 @@ from .neg_graph import (
     build_neg_graph,
     check_corner_invariant,
     check_triangle_free,
-    column_lift,
     compose_negative_coloring,
 )
 from .antilex import (

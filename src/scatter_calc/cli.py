@@ -29,8 +29,7 @@ PARSE_SIZE_LIMIT = 10 ** PARSE_SIZE_DIGITS - 1
 
 
 class _CliParser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
+    def error(self, message):   # one line, like every other refusal
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
 

@@ -33,10 +33,6 @@ class InvalidGraph(InvalidParams):
     """Grid-graph JSON from outside the program is malformed."""
 
 
-class NotABijection(NegGraphError):
-    pass
-
-
 class DomainMismatch(NegGraphError):
     pass
 
@@ -387,21 +383,6 @@ def check_corner_invariant(graph: GridGraph) -> Optional[Edge]:
         if overfull is None and count > len(graph.csets.get((ra, b), ())):
             overfull = first
     return overfull
-
-
-def column_lift(graph: GridGraph, row_map) -> GridGraph:
-    """Transport the graph through a bijective relabelling of the rows."""
-    if isinstance(row_map, dict):
-        mapping = dict(row_map)
-    else:
-        mapping = {i: v for i, v in enumerate(row_map)}
-    if sorted(mapping.keys()) != list(range(graph.l)) or \
-            sorted(mapping.values()) != list(range(graph.l)):
-        raise NotABijection("row map must be a bijection of the row index set")
-    edges = [((a, mapping[ra]), (b, mapping[rb])) for (a, ra), (b, rb) in graph.edges]
-    csets = {(mapping[row], col): entries
-             for (row, col), entries in graph.csets.items()}
-    return GridGraph(graph.k, graph.l, edges, csets)
 
 
 def compose_negative_coloring(graph: GridGraph, correspondence: Sequence[Vertex]

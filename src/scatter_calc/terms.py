@@ -10,6 +10,7 @@ searched.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -413,7 +414,7 @@ class Shuffle(OrderTerm):
 
     def random_element(self, rng):
         length = rng.randrange(0, 8)
-        menu = [x for x in _SMALL_ORDINAL_MENU if x.key < self.alphabet.key]
+        menu = _SMALL_ORDINAL_MENU[:bisect.bisect_left(_SMALL_ORDINAL_KEYS, self.alphabet.key)]
         return tuple(rng.choice(menu) for _ in range(length))
 
 
@@ -753,30 +754,38 @@ _SMALL_ORDINAL_MENU = tuple(
     + [omega_power(2), ord_add(omega_power(2), 3)]
 )
 
+_SMALL_ORDINAL_KEYS = [x.key for x in _SMALL_ORDINAL_MENU]   # ascending
 
-def _random_below_power(exponent: CnfOrdinal, rng: random.Random, depth: int) -> CnfOrdinal:
-    """Random ordinal strictly below w^exponent (exponent > 0)."""
+
+def _random_below_power(exponent: CnfOrdinal, rng: random.Random, depth: int) -> tuple:
+    """The normal-form terms of a random ordinal strictly below w^exponent
+    (exponent > 0): w^smaller*m, plus a finite tail when smaller > 0."""
     if depth > 4 or rng.random() < 0.3:
-        return from_int(rng.randrange(200))
+        k = rng.randrange(200)
+        return ((ZERO, k),) if k else ()
     smaller = _random_ordinal_below(exponent, rng, depth + 1)
-    value = omega_power(smaller, rng.randrange(1, 5))
+    terms = ((smaller, rng.randrange(1, 5)),)
     if not smaller.is_zero() and rng.random() < 0.5:
-        value = ord_add(value, from_int(rng.randrange(10)))
-    return value
+        k = rng.randrange(10)
+        if k:
+            terms += ((ZERO, k),)
+    return terms
 
 
 def _random_ordinal_below(a: CnfOrdinal, rng: random.Random, depth: int = 0) -> CnfOrdinal:
+    """A random ordinal below a, built in one step from its normal-form
+    terms: a's terms before a drawn j, then w^e_j*c for a drawn c < c_j, then
+    a random part below w^e_j."""
     n = len(a.terms)
     if n == 0:
         raise TermError("no ordinal below 0")
     j = rng.randrange(n)
     exponent, coefficient = a.terms[j]
-    prefix = CnfOrdinal(a.terms[:j])
     c = rng.randrange(coefficient)
-    value = ord_add(prefix, omega_power(exponent, c))
-    if exponent.is_zero():
-        return value
-    return ord_add(value, _random_below_power(exponent, rng, depth))
+    terms = a.terms[:j] + ((exponent, c),) if c else a.terms[:j]
+    if not exponent.is_zero():
+        terms += _random_below_power(exponent, rng, depth)
+    return CnfOrdinal(terms)
 
 
 def _canonical_ordinals(a: CnfOrdinal, want: int) -> List[CnfOrdinal]:
@@ -808,17 +817,16 @@ def sample_elements(term: OrderTerm, budget: int, seed: int = 0) -> List[Any]:
     if size == 0:
         return []
     rng = random.Random(seed)
-    pool = {}
-    for elem in term.canonical(budget):
-        pool.setdefault(element_key(term, elem), elem)
+    # keyed by the elements themselves, which are equal exactly when their
+    # encodings are; the first of equal elements stays
+    pool = dict.fromkeys(term.canonical(budget))
     # a pool holding every element of a finite term cannot grow
     target = 3 * budget if size is None else min(3 * budget, size)
     attempts = 0
     while len(pool) < target and attempts < 12 * budget:
         attempts += 1
-        elem = term.random_element(rng)
-        pool.setdefault(element_key(term, elem), elem)
-    ordered = sort_elements(term, pool.values())
+        pool.setdefault(term.random_element(rng))
+    ordered = sort_elements(term, pool)
     if len(ordered) <= budget:
         return ordered
     if budget == 1:

@@ -9,14 +9,24 @@ a term (size, depth, well-ordered flags) are recomputed by walking it as a
 tree, never read off its nodes.  The grid-graph checkers sort a plain set
 of edges themselves and never read a ``GridGraph``, and the C-sets are
 rebuilt with plain sets.  The step-up colour is rebuilt from the README's
-formula with no library code at all.
+formula with no library code at all.  The reference sampler draws as the
+sampler did when it built random ordinals by ordinal sums of omega-powers
+and de-duplicated its pool by each element's JSON text.
 """
 
 import functools
 import hashlib
+import random
 
 from scatter_calc import Fin, FinSupp, FinSuppElem, Ord, Rev, Scaled, Shuffle, SumList
-from scatter_calc.ordinal import from_int
+from scatter_calc.ordinal import (
+    CnfOrdinal,
+    from_int,
+    omega_power,
+    ord_add,
+    parse_ordinal,
+)
+from scatter_calc.terms import element_key, finsupp_elem
 
 
 def reference_ord_compare(a, b):
@@ -284,3 +294,94 @@ def reference_step_up_colour(seed, x, y):
 
     data = f"[{seed}, {text(low)}, {text(high)}]".encode("utf-8")
     return hashlib.blake2b(data, digest_size=1).digest()[0] & 1
+
+
+# -- sampling ---------------------------------------------------------------------------
+
+def _reference_random_below_power(exponent, rng, depth):
+    if depth > 4 or rng.random() < 0.3:
+        return from_int(rng.randrange(200))
+    smaller = reference_random_ordinal_below(exponent, rng, depth + 1)
+    value = omega_power(smaller, rng.randrange(1, 5))
+    if not smaller.is_zero() and rng.random() < 0.5:
+        value = ord_add(value, from_int(rng.randrange(10)))
+    return value
+
+
+def reference_random_ordinal_below(a, rng, depth=0):
+    """A random ordinal below a, summed up with ``ord_add``: a's terms before
+    a drawn j, then w^e_j*c for a drawn c < c_j, then, for e_j > 0, either a
+    number below 200 or w^(a random ordinal below e_j)*m plus maybe a number
+    below 10."""
+    j = rng.randrange(len(a.terms))
+    exponent, coefficient = a.terms[j]
+    value = ord_add(CnfOrdinal(a.terms[:j]), omega_power(exponent, rng.randrange(coefficient)))
+    if exponent.is_zero():
+        return value
+    return ord_add(value, _reference_random_below_power(exponent, rng, depth))
+
+
+SHUFFLE_LETTERS = [parse_ordinal(text) for text in
+                   [str(i) for i in range(10)]
+                   + [f"w*{c} + {k}" for c in (1, 2, 3) for k in (0, 1, 5)]
+                   + ["w^2", "w^2 + 3"]]
+
+
+def reference_random_element(term, rng):
+    """One random draw of an element of term, walking it as a tree."""
+    if isinstance(term, Fin):
+        return rng.randrange(term.size)
+    if isinstance(term, Ord):
+        return reference_random_ordinal_below(term.ordinal, rng)
+    if isinstance(term, Rev):
+        return reference_random_element(term.inner, rng)
+    if isinstance(term, SumList):
+        k = rng.randrange(len(term.children))
+        return k, reference_random_element(term.children[k], rng)
+    if isinstance(term, Scaled):
+        index = reference_random_element(term.index, rng)
+        return index, reference_random_element(term.inner, rng)
+    if isinstance(term, Shuffle):
+        length = rng.randrange(0, 8)
+        menu = [x for x in SHUFFLE_LETTERS if reference_ord_compare(x, term.alphabet) < 0]
+        return tuple(rng.choice(menu) for _ in range(length))
+    if isinstance(term, FinSupp):
+        if term.length.is_zero():
+            return FinSuppElem()
+        values = [v for v in (reference_random_element(term.inner, rng) for _ in range(8))
+                  if reference_cmp(term.inner, v, term.zero) != 0]
+        if not values:
+            return FinSuppElem()
+        mapping = {}
+        for _ in range(rng.randrange(0, 4)):
+            mapping[reference_random_ordinal_below(term.length, rng)] = rng.choice(values)
+        return finsupp_elem(mapping)
+    raise AssertionError(f"not a term: {term}")
+
+
+def reference_sample(term, budget, seed=0):
+    """The sampler's output: the term's canonical witnesses, then seeded
+    draws until the pool, de-duplicated by JSON text, holds 3 * budget
+    elements (or all of a finite term) or 12 * budget draws are spent; the
+    pool sorted, then thinned evenly to budget elements."""
+    size = reference_finite_size(term)
+    if size == 0:
+        return []
+    rng = random.Random(seed)
+    pool = {}
+    for elem in term.canonical(budget):
+        pool.setdefault(element_key(term, elem), elem)
+    target = 3 * budget if size is None else min(3 * budget, size)
+    for _ in range(12 * budget):
+        if len(pool) >= target:
+            break
+        elem = reference_random_element(term, rng)
+        pool.setdefault(element_key(term, elem), elem)
+    ordered = sorted(pool.values(),
+                     key=functools.cmp_to_key(lambda x, y: reference_cmp(term, x, y)))
+    if len(ordered) <= budget:
+        return ordered
+    if budget == 1:
+        return ordered[:1]
+    step = (len(ordered) - 1) / (budget - 1)
+    return [ordered[i] for i in sorted({round(i * step) for i in range(budget)})]

@@ -19,13 +19,11 @@ from scatter_calc.neg_graph import (
     InvalidGraph,
     InvalidParams,
     NegGraphParams,
-    NotABijection,
     _cset_corners,
     _cset_triangle,
     build_neg_graph,
     check_corner_invariant,
     check_triangle_free,
-    column_lift,
     compose_negative_coloring,
 )
 from scatter_calc.partition import find_homogeneous
@@ -228,22 +226,6 @@ def test_random_corpus_invariants():
         assert check_corner_invariant(graph) is None
         assert graph.edges == tuple(sorted(set(graph.edges)))
     assert seen_edges > 100   # the recursion is genuinely exercised
-
-
-def test_column_lift():
-    graph = build_neg_graph(small_params())
-    same = column_lift(graph, list(range(graph.l)))
-    assert same.edges == graph.edges
-    rev = column_lift(graph, list(reversed(range(graph.l))))
-    assert len(rev.edges) == len(graph.edges)
-    assert check_triangle_free(rev) is None
-    swap = {r: r for r in range(graph.l)}
-    swap[0], swap[1] = 1, 0
-    swapped = column_lift(graph, swap)
-    assert check_triangle_free(swapped) is None
-    assert swapped.csets == {(swap[r], c): xs for (r, c), xs in graph.csets.items()}
-    with pytest.raises(NotABijection):
-        column_lift(graph, {r: 0 for r in range(graph.l)})
 
 
 def test_compose_negative_coloring():
