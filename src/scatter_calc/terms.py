@@ -74,6 +74,16 @@ class PatternNotFinite(TermError):
 # term typed on a command line without pow.
 TERM_TEXT_LIMIT = 2 ** 20
 
+# Output-size limit for sample_elements: the most elements a sample holds.
+# Sampling time grows with the budget; at this limit the slowest corpus term,
+# finsupp(w, rev(ord(w)), "0"), samples in 7.4 s on a 2-core host with
+# Python 3.11.
+SAMPLE_BUDGET_LIMIT = 10 ** 4
+
+# Elements compare_elements remembers per term as checked: a sample pool at
+# the benchmark's budget (48) plus a materialisation of up to 8 points fits.
+CHECKED_LIMIT = 64
+
 
 # -- term constructors --------------------------------------------------------
 
@@ -97,7 +107,7 @@ class OrderTerm:
     writes each child), _materialize, _canonical and random_element.
     """
 
-    __slots__ = _FACTS + ("_size", "_over", "_hash", "__weakref__")
+    __slots__ = _FACTS + ("_size", "_over", "_hash", "_checked", "__weakref__")
     fields: Tuple[str, ...] = ()
     _table: "weakref.WeakValueDictionary[tuple, OrderTerm]" = weakref.WeakValueDictionary()
 
@@ -528,8 +538,11 @@ class FinSuppElem:
     entries: Tuple[Tuple[CnfOrdinal, Any], ...] = ()
 
     def __post_init__(self):
+        # entries given as lists are frozen, so a valid element stays valid
+        entries = tuple((position, value) for position, value in self.entries)
+        object.__setattr__(self, "entries", entries)
         prev = None
-        for position, _ in self.entries:
+        for position, _ in entries:
             if not isinstance(position, CnfOrdinal):
                 raise InvalidElement("support positions must be CnfOrdinal")
             if prev is not None and prev.key <= position.key:
@@ -637,12 +650,33 @@ def _cmp_shuffle(s: Sequence[CnfOrdinal], t: Sequence[CnfOrdinal]) -> int:
 
 
 def compare_elements(term: OrderTerm, x: Any, y: Any) -> int:
-    """Strict total order on the valid elements of term: -1, 0 or 1."""
-    if not term.validate(x):
-        raise InvalidElement(f"{x!r} is not an element of {term.format()}")
-    if not term.validate(y):
-        raise InvalidElement(f"{y!r} is not an element of {term.format()}")
+    """Strict total order on the valid elements of term: -1, 0 or 1.
+
+    Each distinct element object is validated once per term.  The term's
+    ``_checked`` maps ``id(elem)`` to each of the last elements that passed,
+    at most CHECKED_LIMIT of them.  It holds them, so no other live object
+    has their ids: an argument whose id is in it is the element recorded.
+    The key is identity, not equality, because an equal look-alike need not
+    be valid: True == 1 and 1.0 == 1, but fin(3) refuses both.  Valid
+    elements are immutable, so one that passed stays valid."""
+    try:
+        checked = term._checked
+    except AttributeError:
+        checked = {}
+        object.__setattr__(term, "_checked", checked)
+    if id(x) not in checked:
+        _check_element(term, checked, x)
+    if id(y) not in checked:
+        _check_element(term, checked, y)
     return term.cmp(x, y)
+
+
+def _check_element(term: OrderTerm, checked: dict, elem: Any) -> None:
+    if not term.validate(elem):
+        raise InvalidElement(f"{elem!r} is not an element of {term.format()}")
+    if len(checked) >= CHECKED_LIMIT:
+        checked.clear()
+    checked[id(elem)] = elem
 
 
 def sort_elements(term: OrderTerm, elems: Sequence[Any]) -> List[Any]:
@@ -813,6 +847,8 @@ def sample_elements(term: OrderTerm, budget: int, seed: int = 0) -> List[Any]:
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if budget > SAMPLE_BUDGET_LIMIT:
+        raise TermError(f"budget {budget} exceeds the limit of {SAMPLE_BUDGET_LIMIT}")
     size = term.capped_size(3 * budget)
     if size == 0:
         return []

@@ -11,7 +11,9 @@ of edges themselves and never read a ``GridGraph``, and the C-sets are
 rebuilt with plain sets.  The step-up colour is rebuilt from the README's
 formula with no library code at all.  The reference sampler draws as the
 sampler did when it built random ordinals by ordinal sums of omega-powers
-and de-duplicated its pool by each element's JSON text.
+and de-duplicated its pool by each element's JSON text.  The reference
+``compare_elements`` validates both arguments on every call, as the library
+did before it remembered the elements it had checked.
 """
 
 import functools
@@ -26,7 +28,7 @@ from scatter_calc.ordinal import (
     ord_add,
     parse_ordinal,
 )
-from scatter_calc.terms import element_key, finsupp_elem
+from scatter_calc.terms import InvalidElement, element_key, finsupp_elem
 
 
 def reference_ord_compare(a, b):
@@ -106,6 +108,15 @@ def reference_cmp(term, x, y):
         found = reference_disagreement(term.inner, term.zero, x, y)
         return 0 if found is None else reference_cmp(term.inner, found[1], found[2])
     raise AssertionError(f"not an OrderTerm: {term}")
+
+
+def reference_compare_elements(term, x, y):
+    """compare_elements without its memo: both arguments validated on every
+    call, then the term's comparator."""
+    for elem in (x, y):
+        if not term.validate(elem):
+            raise InvalidElement(f"{elem!r} is not an element of {term.format()}")
+    return term.cmp(x, y)
 
 
 def reference_depth(term):

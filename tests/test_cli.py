@@ -119,6 +119,21 @@ def test_sample_matches_library(tmp_path):
     assert data["elements"] == expected
 
 
+def test_budgets_past_the_limit_are_refused_at_once():
+    limit = cli.terms.SAMPLE_BUDGET_LIMIT
+    assert len(sample_elements(parse_term("fin(3)"), limit)) == 3
+    with pytest.raises(cli.terms.TermError, match=f"budget {limit + 1} exceeds the limit"):
+        sample_elements(parse_term("fin(3)"), limit + 1)
+    for argv in [["sample", "--term", "ord(w)"],
+                 ["embed-search", "--pattern", "fin(3)", "--term", "ord(w)"],
+                 ["ks-check", "--term", "ord(w)", "--n", "2"]]:
+        start = time.perf_counter()
+        res = run(*argv, "--budget", "100000000", timeout=10)
+        assert time.perf_counter() - start < 5.0
+        assert_one_error_line(res)
+        assert f"TermError: budget 100000000 exceeds the limit of {limit}" in res.stderr
+
+
 def test_embed_search_command():
     res = run("embed-search", "--pattern", "fin(3)", "--term", "ord(w^2)",
               "--budget", "8", "--seed", "1")
