@@ -145,9 +145,6 @@ class DecSeq:
     def __len__(self):
         return len(self.entries)
 
-    def last(self) -> CnfOrdinal:
-        return self.entries[-1]
-
     def parent(self) -> "DecSeq":
         return DecSeq(self.entries[:-1])
 

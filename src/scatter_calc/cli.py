@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Every command prints a JSON certificate with a reproducibility header
-(seed, pairing choice and fundamental-sequence system id).  Exit codes:
-0 success or verified-ok, 1 usage or input error, 2 a verification witness
-was found.  A lone ``-`` means stdin or stdout.
+Every command prints a JSON certificate.  Each verb returns only its own
+keys and its exit code; ``main`` adds the one reproducibility header
+(schema, command, seed, pairing choice and fundamental-sequence system id)
+and writes the result.  Exit codes: 0 success or verified-ok, 1 usage or
+input error, 2 a verification witness was found.  A lone ``-`` means stdin
+or stdout.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import itertools
 import json
 import os
 import sys
-from typing import Optional
 
 from .errors import InvalidInput, ScatterCalcError
 from . import antilex, milner_rado, neg_graph, partition, terms
@@ -41,32 +42,6 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _emit(payload: dict, out: Optional[str] = None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out and out != "-":
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _header(command: str, seed: Optional[int]) -> dict:
-    return {
-        "schema": SCHEMA,
-        "command": command,
-        "seed": seed,
-        "pi": "cantor1",
-        "fundamental_sequence": FUNDAMENTAL_SEQUENCE_ID,
-    }
-
-
-def _default_seed(value: Optional[int]) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("SCATTER_CALC_SEED")
-    return int(env) if env else 0
-
-
 def _element(term, raw: str):
     return terms.decode_element(term, json.loads(raw))
 
@@ -74,81 +49,65 @@ def _element(term, raw: str):
 _COMPARE_WORD = {-1: "Less", 0: "Equal", 1: "Greater"}
 
 
-# -- command bodies -----------------------------------------------------------------
+# -- command bodies: each returns (its own certificate keys, exit code) -------------
 
 
-def cmd_parse(args) -> int:
+def cmd_parse(args):
     term = terms.parse_term(args.term)
-    payload = _header("parse", None)
-    payload["term"] = terms.format_term(term)
+    text = terms.format_term(term)
     size = term.capped_size(PARSE_SIZE_LIMIT)
     if size is not None and size > PARSE_SIZE_LIMIT:
         raise terms.TermError(f"finite size has more than {PARSE_SIZE_DIGITS} digits")
-    payload["finite_size"] = size
-    _emit(payload, args.out)
-    return 0
+    return {"term": text, "finite_size": size}, 0
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args):
     term = terms.parse_term(args.term)
     a = _element(term, args.a)
     b = _element(term, args.b)
     result = terms.compare_elements(term, a, b)
-    payload = _header("compare", None)
-    payload["term"] = terms.format_term(term)
-    payload["result"] = _COMPARE_WORD[result]
-    _emit(payload, args.out)
-    return 0
+    return {"term": terms.format_term(term), "result": _COMPARE_WORD[result]}, 0
 
 
-def cmd_sample(args) -> int:
-    seed = _default_seed(args.seed)
+def cmd_sample(args):
     term = terms.parse_term(args.term)
-    sample = terms.sample_elements(term, args.budget, seed)
-    payload = _header("sample", seed)
-    payload["term"] = terms.format_term(term)
-    payload["elements"] = [terms.encode_element(term, e) for e in sample]
-    _emit(payload, args.out)
-    return 0
+    sample = terms.sample_elements(term, args.budget, args.seed)
+    return {"term": terms.format_term(term),
+            "elements": [terms.encode_element(term, e) for e in sample]}, 0
 
 
-def cmd_embed_search(args) -> int:
-    seed = _default_seed(args.seed)
+def cmd_embed_search(args):
     pattern = terms.parse_term(args.pattern)
     target_term = terms.parse_term(args.term)
-    sample = terms.sample_elements(target_term, args.budget, seed)
+    sample = terms.sample_elements(target_term, args.budget, args.seed)
     mapping = terms.search_embedding(
         pattern, sample, lambda x, y: terms.compare_elements(target_term, x, y))
-    payload = _header("embed-search", seed)
-    payload["pattern"] = terms.format_term(pattern)
-    payload["term"] = terms.format_term(target_term)
-    payload["found"] = mapping is not None
-    payload["embedding"] = None if mapping is None else [
-        {"pattern": terms.encode_element(pattern, p),
-         "target": terms.encode_element(target_term, t)}
-        for p, t in mapping
-    ]
-    _emit(payload, args.out)
-    return 0
+    return {
+        "pattern": terms.format_term(pattern),
+        "term": terms.format_term(target_term),
+        "found": mapping is not None,
+        "embedding": None if mapping is None else [
+            {"pattern": terms.encode_element(pattern, p),
+             "target": terms.encode_element(target_term, t)}
+            for p, t in mapping
+        ],
+    }, 0
 
 
-def cmd_sierpinski(args) -> int:
+def cmd_sierpinski(args):
     tags = json.loads(args.tags)
     if not (isinstance(tags, list) and all(type(t) is int for t in tags)):
         raise InvalidInput("tags", f"expected a JSON list of integers, got {args.tags}")
     colour = partition.sierpinski_coloring(tags)
-    payload = _header("sierpinski", None)
-    payload["coloring"] = {
+    return {"coloring": {
         "elements": list(range(len(tags))),
         "colour_count": 2,
         "pairs": [{"a": i, "b": j, "c": colour(i, j)}
                   for i, j in itertools.combinations(range(len(tags)), 2)],
-    }
-    _emit(payload, args.out)
-    return 0
+    }}, 0
 
 
-def cmd_extract_unary(args) -> int:
+def cmd_extract_unary(args):
     request = json.loads(_read(args.input))
     if not isinstance(request, dict):
         raise InvalidInput("request", 'expected {"p": ..., "nu": ..., "F": [...]}')
@@ -164,16 +123,8 @@ def cmd_extract_unary(args) -> int:
     p, nu = request["p"], request["nu"]
     partition.check_lex_power(p, nu)
     table = {tuple(item["g"]): item["c"] for item in request["F"]}
-
-    def F(g):
-        return table[g]
-
-    witness, colour = partition.extract_unary(range(p), nu, F)
-    payload = _header("extract-unary", None)
-    payload["witness"] = [list(g) for g in witness]
-    payload["colour"] = colour
-    _emit(payload, args.out)
-    return 0
+    witness, colour = partition.extract_unary(range(p), nu, table.__getitem__)
+    return {"witness": [list(g) for g in witness], "colour": colour}, 0
 
 
 def _step_up_colour(seed: int, x, y) -> int:
@@ -185,65 +136,41 @@ def _step_up_colour(seed: int, x, y) -> int:
     return digest.digest()[0] & 1
 
 
-def cmd_step_up(args) -> int:
-    seed = _default_seed(args.seed)
-    p = args.p
+def cmd_step_up(args):
+    seed, p = args.seed, args.p
     if p < 1:
         raise partition.PartitionError(f"step-up needs --p of at least 1, got {p}")
     partition.check_lex_power(p, p - 1)   # refuse a huge p before listing range(p)
     result = partition.step_up_extract(range(p), lambda x, y: _step_up_colour(seed, x, y))
-    payload = _header("step-up", seed)
-    payload["side"] = result.side
-    payload["witness"] = [[a, list(b)] for a, b in result.witness]
-    _emit(payload, args.out)
-    return 0
+    return {"side": result.side, "witness": [[a, list(b)] for a, b in result.witness]}, 0
 
 
-def cmd_mr_label(args) -> int:
+def cmd_mr_label(args):
     term = terms.parse_term(args.term)
     elem = _element(term, args.elem)
     label, trace = milner_rado.mr_label_term_trace(term, elem)
-    payload = _header("mr-label", None)
-    payload["term"] = terms.format_term(term)
-    payload["label"] = label
-    payload["chain"] = [{"m": m, "n": n, "value": v} for m, n, v in trace]
-    _emit(payload, args.out)
-    return 0
+    return {"term": terms.format_term(term), "label": label,
+            "chain": [{"m": m, "n": n, "value": v} for m, n, v in trace]}, 0
 
 
-def cmd_mr_bound(args) -> int:
+def cmd_mr_bound(args):
     alpha = parse_ordinal(args.alpha)
     bound = milner_rado.mr_class_type_bound(alpha, args.n)
-    payload = _header("mr-bound", None)
-    payload["alpha"] = format_ordinal(alpha)
-    payload["n"] = args.n
-    payload["bound"] = format_ordinal(bound)
-    _emit(payload, args.out)
-    return 0
+    return {"alpha": format_ordinal(alpha), "n": args.n, "bound": format_ordinal(bound)}, 0
 
 
-def cmd_ks_check(args) -> int:
-    seed = _default_seed(args.seed)
+def cmd_ks_check(args):
     term = terms.parse_term(args.term)
-    sample = terms.sample_elements(term, args.budget, seed)
+    sample = terms.sample_elements(term, args.budget, args.seed)
     classes = milner_rado.mr_labeling(term, sample)
     ok = milner_rado.ks_omega_check(classes, args.n)
-    payload = _header("ks-check", seed)
-    payload["term"] = terms.format_term(term)
-    payload["n"] = args.n
-    payload["ok"] = ok
-    _emit(payload, args.out)
-    return 0 if ok else 2
+    return {"term": terms.format_term(term), "n": args.n, "ok": ok}, 0 if ok else 2
 
 
-def cmd_neg_graph(args) -> int:
+def cmd_neg_graph(args):
     if args.action == "build":
         params = neg_graph.NegGraphParams.from_json(json.loads(_read(args.params)))
-        graph = neg_graph.build_neg_graph(params)
-        payload = _header("neg-graph build", None)
-        payload["graph"] = graph.to_json()
-        _emit(payload, args.out)
-        return 0
+        return {"graph": neg_graph.build_neg_graph(params).to_json()}, 0
     # check
     data = json.loads(_read(args.graph))
     if isinstance(data, dict) and "graph" in data:     # a build certificate
@@ -251,13 +178,12 @@ def cmd_neg_graph(args) -> int:
     graph = neg_graph.GridGraph.from_json(data)
     triangle = neg_graph.check_triangle_free(graph)
     corner = neg_graph.check_corner_invariant(graph)
-    payload = _header("neg-graph check", None)
-    payload["triangle_free"] = triangle is None
-    payload["corner_ok"] = corner is None
-    payload["triangle_witness"] = None if triangle is None else [list(v) for v in triangle]
-    payload["corner_witness"] = None if corner is None else [list(v) for v in corner]
-    _emit(payload, args.out)
-    return 0 if triangle is None and corner is None else 2
+    return {
+        "triangle_free": triangle is None,
+        "corner_ok": corner is None,
+        "triangle_witness": None if triangle is None else [list(v) for v in triangle],
+        "corner_witness": None if corner is None else [list(v) for v in corner],
+    }, 0 if triangle is None and corner is None else 2
 
 
 _KS_ORACLES = {
@@ -267,22 +193,15 @@ _KS_ORACLES = {
 }
 
 
-def cmd_ks(args) -> int:
+def cmd_ks(args):
     if args.action == "search":
-        oracle = _KS_ORACLES[args.oracle]
-        found = antilex.search_alpha_tree(oracle, args.delta, args.mu_range,
-                                          args.level_bound)
-        payload = _header("ks search", None)
-        payload["oracle"] = args.oracle
+        found = antilex.search_alpha_tree(_KS_ORACLES[args.oracle], args.delta,
+                                          args.mu_range, args.level_bound)
         if found is None:
-            payload["found"] = False
-        else:
-            tree, colours = found
-            payload["found"] = True
-            payload["tree"] = tree.to_json()
-            payload["levels"] = {str(k): v for k, v in sorted(colours.items())}
-        _emit(payload, args.out)
-        return 0
+            return {"oracle": args.oracle, "found": False}, 0
+        tree, colours = found
+        return {"oracle": args.oracle, "found": True, "tree": tree.to_json(),
+                "levels": {str(k): v for k, v in sorted(colours.items())}}, 0
     if args.action == "embed":
         for name in ("source_host", "target_host", "f"):
             if getattr(args, name) is None:
@@ -293,12 +212,8 @@ def cmd_ks(args) -> int:
         if not isinstance(source, terms.FinSupp) or not isinstance(target, terms.FinSupp):
             raise ScatterCalcError("hosts must be finsupp(...) terms")
         elem = terms.decode_element(source, json.loads(args.f))
-        fn = antilex.FinSuppFn(source, elem)
-        image = antilex.ks_embed(tree, fn, target)
-        payload = _header("ks embed", None)
-        payload["image"] = terms.encode_element(target, image.elem)
-        _emit(payload, args.out)
-        return 0
+        image = antilex.ks_embed(tree, antilex.FinSuppFn(source, elem), target)
+        return {"image": terms.encode_element(target, image.elem)}, 0
     # verify: re-run the searched tree against its oracle on all chains
     tree = antilex.AlphaTree.from_json(json.loads(_read(args.tree)))
     oracle = _KS_ORACLES[args.oracle]
@@ -314,11 +229,8 @@ def cmd_ks(args) -> int:
                 ok = False
                 break
             levels[level] = colour
-    payload = _header("ks verify", None)
-    payload["ok"] = ok
-    payload["tree_witness"] = None if witness is None else [str(w) for w in witness]
-    _emit(payload, args.out)
-    return 0 if ok else 2
+    tree_witness = None if witness is None else [str(w) for w in witness]
+    return {"ok": ok, "tree_witness": tree_witness}, 0 if ok else 2
 
 
 # -- wiring ---------------------------------------------------------------------------
@@ -404,14 +316,28 @@ def build_parser() -> _CliParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except ScatterCalcError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (json.JSONDecodeError, KeyError, ValueError, OSError) as exc:
+        if "seed" in args and args.seed is None:    # only verbs that declare --seed
+            env = os.environ.get("SCATTER_CALC_SEED")
+            args.seed = int(env) if env else 0
+        fields, code = args.fn(args)
+        payload = {
+            "schema": SCHEMA,
+            "command": f"{args.verb} {args.action}" if "action" in args else args.verb,
+            "seed": getattr(args, "seed", None),
+            "pi": "cantor1",
+            "fundamental_sequence": FUNDAMENTAL_SEQUENCE_ID,
+            **fields,
+        }
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        if args.out and args.out != "-":
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
+    except (ScatterCalcError, KeyError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

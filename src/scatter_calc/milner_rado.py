@@ -82,18 +82,34 @@ def check_pairing(pi: Callable[[int, int], int], bound: int) -> bool:
 
 # -- ordinal labelling ----------------------------------------------------------
 
-def _label_within_power(exponent: CnfOrdinal, xi: CnfOrdinal) -> int:
-    """Label of position xi inside a block of type w^exponent."""
-    if exponent.is_zero():
-        return 0
+def _split_finite(exponent: CnfOrdinal) -> Tuple[CnfOrdinal, int]:
+    """(delta, k) with exponent = delta + k, delta zero or a limit, k finite."""
     if exponent.is_successor():
-        gamma = exponent.predecessor()
-        _, rest = split_at_exponent(xi, gamma)
-        return 1 + _label_within_power(gamma, rest)
-    i = 0
-    while xi.key >= omega_power(fundamental_sequence(exponent, i)).key:
-        i += 1
-    return 1 + _label_within_power(fundamental_sequence(exponent, i), xi)
+        return CnfOrdinal(exponent.terms[:-1]), exponent.terms[-1][1]
+    return exponent, 0
+
+
+def _label_within_power(exponent: CnfOrdinal, xi: CnfOrdinal) -> int:
+    """Label of position xi inside a block of type w^exponent.
+
+    A successor exponent gamma + 1 adds 1 and keeps the part of xi below
+    w^gamma, so the finite part k of the exponent adds k in one step; a
+    limit exponent adds 1 and descends to the first member of its
+    fundamental sequence whose power lies above xi.
+    """
+    label = 0
+    while True:
+        delta, k = _split_finite(exponent)
+        if k:
+            label += k
+            xi = CnfOrdinal(tuple(t for t in xi.terms if t[0].key < delta.key))
+        if delta.is_zero():
+            return label
+        i = 0
+        while xi.key >= omega_power(fundamental_sequence(delta, i)).key:
+            i += 1
+        exponent = fundamental_sequence(delta, i)
+        label += 1
 
 
 def mr_label_ordinal(alpha, xi) -> int:
@@ -121,19 +137,15 @@ def mr_label_ordinal(alpha, xi) -> int:
 
 
 def _bound_within_power(exponent: CnfOrdinal, n: int) -> CnfOrdinal:
-    if exponent.is_zero():
-        return from_int(1) if n == 0 else ZERO
-    if n == 0:
-        return ZERO
-    if exponent.is_successor():
-        inner = _bound_within_power(exponent.predecessor(), n - 1)
-        if inner.is_zero():
-            return ZERO
-        return ord_mul(inner, omega_power(from_int(1)))
-    # limit exponent: omega-many segment pieces each below w^n sum to at most w^n
-    if n <= 1:
-        return ZERO
-    return omega_power(from_int(n))
+    """Bound on class n of a block of type w^(delta + k), delta zero or a
+    limit.  Each of the k successor steps takes 1 from n and multiplies by w,
+    so the bound is w^n when class n - k of w^delta is bounded by w^(n - k)
+    and 0 otherwise.  For delta = 0 that class is the one point of class 0;
+    for a limit delta, omega-many segment pieces each below w^(n - k) sum to
+    at most w^(n - k), and no class below 2 gets a piece."""
+    delta, k = _split_finite(exponent)
+    nonzero = n == k if delta.is_zero() else n - k >= 2
+    return omega_power(from_int(n)) if nonzero else ZERO
 
 
 def mr_class_type_bound(alpha, n: int) -> CnfOrdinal:
@@ -217,19 +229,23 @@ def mr_labeling(term: OrderTerm, elements) -> Dict[int, List[Any]]:
 
 # -- verification-only subset check -------------------------------------------------
 
-def down_up_block_power(n: int, block: int = 2) -> OrderTerm:
+# The descending and ascending blocks of the down-up pattern have this many points.
+DOWN_UP_BLOCK = 2
+
+
+def down_up_block_power(n: int) -> OrderTerm:
     """Finite stand-in for the n-th power of (descending block + ascending block)."""
     if n == 0:
         return Fin(1)
-    base = SumList((Rev(Fin(block)), Fin(block)))
+    base = SumList((Rev(Fin(DOWN_UP_BLOCK)), Fin(DOWN_UP_BLOCK)))
     return pow_term(base, n)
 
 
-def ks_omega_check(classes: Dict[int, List[Any]], n: int, block: int = 2) -> bool:
+def ks_omega_check(classes: Dict[int, List[Any]], n: int) -> bool:
     """True iff the size-4^n down-up approximant does not embed into class n.
 
     A sound necessary check only: the sample is finite, so failure to embed
     here never certifies the infinite avoidance statement.
     """
-    pattern = down_up_block_power(n, block)
+    pattern = down_up_block_power(n)
     return search_embedding(pattern, classes.get(n, [])) is None

@@ -1,6 +1,9 @@
 """Fixed regression corpus shared by the unit and acceptance suites."""
 
+import itertools
+
 from scatter_calc import parse_term
+from scatter_calc.ordinal import omega_power, parse_ordinal
 
 # 30 terms covering every constructor, nesting depth <= 4.
 CORPUS_TEXT = [
@@ -59,3 +62,23 @@ def corpus_terms():
 
 def composite_terms():
     return [parse_term(text) for text in COMPOSITE_TEXT]
+
+
+def bound_corpus():
+    """The ordinals of acceptance criterion 4: one, two and three CNF terms."""
+    exponents = [parse_ordinal(t) for t in [
+        "0", "1", "2", "w", "w + 1", "w + 2", "w*2", "w*2 + 1", "w*3",
+        "w^2", "w^2 + 1", "w^2 + w", "w^2 + w*2 + 2", "w^2*2", "w^2*2 + w",
+        "w^2*3 + w*3 + 1",
+    ]]
+    corpus = []
+    for e1 in exponents:
+        for c1 in (1, 2, 3):
+            corpus.append(omega_power(e1, c1))
+    for i, e1 in enumerate(exponents):
+        for e2 in exponents[:i]:
+            corpus.append(omega_power(e1, 2) + omega_power(e2, 3))
+    triples = list(itertools.combinations(exponents, 3))[:60]
+    for e1, e2, e3 in triples:
+        corpus.append(omega_power(e3, 1) + omega_power(e2, 2) + omega_power(e1, 3))
+    return corpus

@@ -13,7 +13,9 @@ formula with no library code at all.  The reference sampler draws as the
 sampler did when it built random ordinals by ordinal sums of omega-powers
 and de-duplicated its pool by each element's JSON text.  The reference
 ``compare_elements`` validates both arguments on every call, as the library
-did before it remembered the elements it had checked.
+did before it remembered the elements it had checked.  The Milner-Rado block
+label and class bound recurse once per successor step of the exponent, as
+the library did before it took the finite part of an exponent in one step.
 """
 
 import functools
@@ -22,11 +24,15 @@ import random
 
 from scatter_calc import Fin, FinSupp, FinSuppElem, Ord, Rev, Scaled, Shuffle, SumList
 from scatter_calc.ordinal import (
+    ZERO,
     CnfOrdinal,
     from_int,
+    fundamental_sequence,
     omega_power,
     ord_add,
+    ord_mul,
     parse_ordinal,
+    split_at_exponent,
 )
 from scatter_calc.terms import InvalidElement, element_key, finsupp_elem
 
@@ -290,6 +296,38 @@ def reference_csets(params, subtract=True):
 def reference_cset_edges(csets):
     """The set of edges ((iota, rho), (nu, xi)) for xi in C[rho, nu], iota < nu."""
     return {((i, r), (n, x)) for (r, n), xs in csets.items() for x in xs for i in range(n)}
+
+
+def reference_label_within_power(exponent, xi):
+    """Label of position xi inside a block of type w^exponent, one recursion
+    level per successor step and per fundamental-sequence descent."""
+    if exponent.is_zero():
+        return 0
+    if exponent.is_successor():
+        gamma = exponent.predecessor()
+        _, rest = split_at_exponent(xi, gamma)
+        return 1 + reference_label_within_power(gamma, rest)
+    i = 0
+    while xi.key >= omega_power(fundamental_sequence(exponent, i)).key:
+        i += 1
+    return 1 + reference_label_within_power(fundamental_sequence(exponent, i), xi)
+
+
+def reference_bound_within_power(exponent, n):
+    """Bound on class n of a block of type w^exponent, one recursion level
+    per successor step."""
+    if exponent.is_zero():
+        return from_int(1) if n == 0 else ZERO
+    if n == 0:
+        return ZERO
+    if exponent.is_successor():
+        inner = reference_bound_within_power(exponent.predecessor(), n - 1)
+        if inner.is_zero():
+            return ZERO
+        return ord_mul(inner, omega_power(from_int(1)))
+    if n <= 1:
+        return ZERO
+    return omega_power(from_int(n))
 
 
 def reference_step_up_colour(seed, x, y):

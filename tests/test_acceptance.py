@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from corpus import composite_terms, corpus_terms
+from corpus import bound_corpus, composite_terms, corpus_terms
 from oracles import textbook_materialize
 
 from scatter_calc import (
@@ -145,27 +145,8 @@ def test_criterion_3_sierpinski_blocking():
 
 # -- 4: decomposition bounds --------------------------------------------------------------
 
-def _bound_corpus():
-    exponents = [parse_ordinal(t) for t in [
-        "0", "1", "2", "w", "w + 1", "w + 2", "w*2", "w*2 + 1", "w*3",
-        "w^2", "w^2 + 1", "w^2 + w", "w^2 + w*2 + 2", "w^2*2", "w^2*2 + w",
-        "w^2*3 + w*3 + 1",
-    ]]
-    corpus = []
-    for e1 in exponents:
-        for c1 in (1, 2, 3):
-            corpus.append(omega_power(e1, c1))
-    for i, e1 in enumerate(exponents):
-        for e2 in exponents[:i]:
-            corpus.append(omega_power(e1, 2) + omega_power(e2, 3))
-    triples = list(itertools.combinations(exponents, 3))[:60]
-    for e1, e2, e3 in triples:
-        corpus.append(omega_power(e3, 1) + omega_power(e2, 2) + omega_power(e1, 3))
-    return corpus
-
-
 def test_criterion_4_class_bounds():
-    corpus = [alpha for alpha in _bound_corpus() if not alpha.is_zero()]
+    corpus = [alpha for alpha in bound_corpus() if not alpha.is_zero()]
     assert len(corpus) >= 200
     ok = True
     for a_index, alpha in enumerate(corpus):

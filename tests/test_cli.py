@@ -331,6 +331,19 @@ def test_mr_label_and_bound():
     assert res.returncode == 1 and "unrecognized arguments: --pi" in res.stderr
 
 
+def test_deep_exponents_end_in_a_certificate():
+    # each recursed once per finite step of the exponent and died in a traceback
+    for argv, key, value in [
+            (["mr-label", "--term", "ord(w^990)", "--elem", '"0"'], "label", 990),
+            (["mr-bound", "--alpha", "w^990", "--n", "990"], "bound", "w^990"),
+            (["ks-check", "--term", "ord(w^2000)", "--n", "3"], "ok", True),
+            (["mr-bound", "--alpha", "w^1000000000", "--n", "1000000000"], "bound",
+             "w^1000000000")]:
+        res = run(*argv, timeout=10)
+        assert res.returncode == 0 and res.stderr == ""
+        assert json.loads(res.stdout)[key] == value
+
+
 def test_mr_label_on_deep_sums_is_bounded():
     depth = 26
     term = "sum[" * depth + "ord(w)" + "]" * depth
@@ -522,6 +535,122 @@ def test_ks_embed_command(tmp_path):
               "--f", '{"supp": [{"pos": "0", "e": 2}]}')
     data = payload(res)
     assert data["image"] == {"supp": [{"pos": "9", "e": 2}]}
+
+
+# -- every verb's bytes --------------------------------------------------------------
+
+CLASHING_TREE = ('{"alpha": "2", "entries": [{"seq": ["0"], "val": "4"},'
+                 ' {"seq": ["1"], "val": "5"}]}')
+WITNESS_GRAPH = {"k": 2, "l": 3, "provenance": [], "csets": [],
+                 "edges": [[[0, 2], [1, 1]], [[0, 2], [1, 0]], [[1, 1], [1, 0]]]}
+VERBS = ["parse", "compare", "sample", "embed-search", "sierpinski", "extract-unary",
+         "step-up", "mr-label", "mr-bound", "ks-check", "neg-graph", "ks"]
+
+# (argv, stdin, SCATTER_CALC_SEED or None for unset): every verb and action,
+# every --help, and the refusal paths, including a bad seed in the environment
+ALL_VERB_CALLS = [
+    (["parse", "--term", "scaled(ord(w), fin(2))"], None, None),
+    (["parse", "--term", "finsupp(w^2, fin(3), 1)"], None, None),
+    (["parse", "--term", "scaled(ord(w), shuffle(w))"], None, None),
+    (["parse", "--term", "fin(("], None, None),
+    (["parse", "--term", "finsupp(100000000, fin(3), 0)"], None, None),
+    (["parse", "--term", "fin(2)"], None, "x"),
+    (["parse", "--term", "fin(2)", "--bogus"], None, None),
+    (["parse", "--term", "fin(2)", "--out", "missing-directory/cert.json"], None, None),
+    (["compare", "--term", "ord(w)", "--a", '"3"', "--b", '"5"'], None, None),
+    (["compare", "--term", "sum[fin(2), ord(w)]", "--a", '{"i": 1, "e": "4"}',
+      "--b", '{"i": 0, "e": 1}'], None, None),
+    (["compare", "--term", "ord(w)", "--a", "true", "--b", "1"], None, None),
+    (["compare", "--term", "fin(3)", "--a", "[", "--b", "1"], None, None),
+    (["sample", "--term", "finsupp(w^2, fin(3), 1)", "--budget", "12", "--seed", "7"],
+     None, None),
+    (["sample", "--term", "ord(w^2)", "--budget", "5"], None, None),
+    (["sample", "--term", "ord(w^2)", "--budget", "5"], None, "7"),
+    (["sample", "--term", "ord(w^2)", "--budget", "5"], None, "x"),
+    (["sample", "--term", "ord(w^2)", "--budget", "5", "--seed", "3"], None, "x"),
+    (["embed-search", "--pattern", "fin(4)", "--term", "ord(w^2)", "--budget", "10"],
+     None, None),
+    (["embed-search", "--pattern", "fin(12)", "--term", "ord(w)", "--budget", "10",
+      "--seed", "2"], None, None),
+    (["embed-search", "--pattern", "fin(2)", "--term", "ord(w)"], None, "x"),
+    (["sierpinski", "--tags", "[3, 1, 2, 0]"], None, None),
+    (["sierpinski", "--tags", "[4, 1, 4]"], None, None),
+    (["extract-unary"], json.dumps(
+        {"p": 2, "nu": 2, "F": [{"g": [a, b], "c": a} for a in (0, 1) for b in (0, 1)]}),
+     None),
+    (["extract-unary", "--input", "-"], "[1]", None),
+    (["step-up", "--p", "4", "--n", "2", "--seed", "12"], None, None),
+    (["step-up", "--p", "3"], None, None),
+    (["step-up", "--p", "3"], None, "5"),
+    (["step-up", "--p", "3"], None, "x"),
+    (["step-up", "--p", "0"], None, None),
+    (["step-up", "--p", "8"], None, None),
+    (["step-up", "--p", "3", "--n", "3"], None, None),
+    (["mr-label", "--term", "scaled(ord(w), fin(2))", "--elem", '{"i": 0, "e": "5"}'],
+     None, None),
+    (["mr-label", "--term", "ord(w)", "--elem", '"w"'], None, None),
+    (["mr-label", "--term", "shuffle(w)", "--elem", '["1"]'], None, None),
+    (["mr-bound", "--alpha", "w^2*2 + w*3", "--n", "2"], None, None),
+    (["mr-bound", "--alpha", "w", "--n", "-1"], None, None),
+    (["mr-bound", "--alpha", "w +", "--n", "1"], None, None),
+    (["ks-check", "--term", "scaled(ord(w), fin(2))", "--n", "3", "--budget", "40",
+      "--seed", "2"], None, None),
+    (["ks-check", "--term", "scaled(ord(w), fin(2))", "--n", "3", "--budget", "200",
+      "--seed", "2"], None, None),
+    (["ks-check", "--term", "scaled(ord(w), fin(2))", "--n", "3", "--budget", "200",
+      "--seed", "2", "--out", "missing-directory/cert.json"], None, None),
+    (["ks-check", "--term", "ord(w)", "--n", "1"], None, "x"),
+    (["neg-graph", "build", "--params", "-"], json.dumps(ROUND_TRIP_PARAMS), None),
+    (["neg-graph", "build", "--params", "-"], "[1, 2]", None),
+    (["neg-graph", "check", "-"], json.dumps({"graph": WITNESS_GRAPH}), None),
+    (["neg-graph", "check"], json.dumps({"k": 2, "l": 3, "edges": [[[0, 2], [1, 1]]],
+                                         "provenance": [], "csets": []}), None),
+    (["neg-graph", "check", "-"], "[1, 2]", None),
+    (["neg-graph", "check", "-"], '{"k": 2, "l": 3, "edges": [[[0, 1], [0, 1]]]}', None),
+    (["ks", "search", "--delta", "2", "--mu-range", "6", "--level-bound", "2",
+      "--oracle", "length"], None, None),
+    (["ks", "search", "--delta", "3", "--mu-range", "2", "--oracle", "parity"], None, None),
+    (["ks", "search", "--delta", "1000000000"], None, None),
+    (["ks", "embed", "--tree", "-", "--source-host", "finsupp(1, fin(3), 0)",
+      "--target-host", "finsupp(12, fin(3), 0)", "--f", '{"supp": [{"pos": "0", "e": 2}]}'],
+     TREE, None),
+    (EMBED + ["--source-host", "finsupp(1, fin(3), 0)"], TREE, None),
+    (["ks", "verify", "--tree", "-"], TREE, None),
+    (["ks", "verify", "--tree", "-", "--oracle", "parity"], CLASHING_TREE, None),
+    (["ks", "verify", "--tree", "-"], "[]", None),
+    (["ks", "bogus"], None, None),
+    ([], None, None),
+    (["--help"], None, None),
+] + [([verb, "--help"], None, None) for verb in VERBS]
+
+# sha256 of json.dumps([argv, stdin, seed, exit code, stdout, stderr] per call),
+# computed before the header moved from the verbs into main; the --help text
+# is that of argparse in Python 3.10 to 3.12 (3.13 prints it differently)
+ALL_VERB_DIGEST = "9431abda17629b681a4b073e164ca8710112f7f08726507f7abb95d823c8311c"
+
+
+def test_every_verb_matches_the_all_verb_digest(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")   # --help wraps at the terminal width
+    records = []
+    for argv, stdin, seed in ALL_VERB_CALLS:
+        if seed is None:
+            monkeypatch.delenv("SCATTER_CALC_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SCATTER_CALC_SEED", seed)
+        records.append([argv, stdin, seed, *main_in_process(argv, stdin or "")])
+    assert {code for *_, code, _, _ in records} == {0, 1, 2}
+    assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == ALL_VERB_DIGEST
+
+
+def test_out_file_gets_the_stdout_bytes(tmp_path):
+    for argv, stdin, _ in ALL_VERB_CALLS:
+        code, out, err = main_in_process(argv, stdin or "")
+        if code not in (0, 2) or "--help" in argv:
+            continue
+        target = tmp_path / "cert.json"
+        assert main_in_process(argv + ["--out", str(target)], stdin or "") == (code, "", err)
+        assert target.read_bytes() == out.encode()
+        target.unlink()
 
 
 # -- fuzzing the JSON-reading arguments ----------------------------------------------

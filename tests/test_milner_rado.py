@@ -1,10 +1,15 @@
 """Unit tests for the decomposition labelling and its symbolic bounds."""
 
+import sys
+import time
+
 import pytest
 
-from corpus import composite_terms
+from corpus import bound_corpus, composite_terms
+from oracles import reference_bound_within_power, reference_label_within_power
 
 from scatter_calc import parse_term, sample_elements
+from scatter_calc import milner_rado
 from scatter_calc.milner_rado import (
     ElementOutOfRange,
     UnsupportedConstructor,
@@ -151,6 +156,56 @@ def test_term_label_unsupported():
         mr_label_term(parse_term("shuffle(w)"), ())
     with pytest.raises(UnsupportedConstructor):
         mr_label_term(parse_term("rev(sum[fin(2), fin(2)])"), (0, 1))
+
+
+def block_cases():
+    """(alpha, sampled xi, class indices) on the criterion-4 corpus and on
+    exponents below 900, whose recursive reference still fits the stack."""
+    cases = []
+    for index, alpha in enumerate(a for a in bound_corpus() if not a.is_zero()):
+        cases.append((alpha, sample_elements(parse_term(f"ord({alpha})"), 12, 900 + index),
+                      range(12)))
+    for e in list(range(0, 900, 61)) + [898, 899]:
+        for text in (f"w^{e}*2", f"w^(w + {e}) + w^{e}*3", f"w^(w^2*2 + {e})"):
+            alpha = o(text)
+            cases.append((alpha, sample_elements(parse_term(f"ord({alpha})"), 6, e),
+                          {0, 1, 2, e // 2, e, e + 1, e + 2, e + 3}))
+    return cases
+
+
+def test_labels_and_bounds_match_the_recursive_references(monkeypatch):
+    cases = block_cases()
+    assert sum(len(xis) for _, xis, _ in cases) > 1000
+
+    def run():
+        return ([mr_label_ordinal(alpha, xi) for alpha, xis, _ in cases for xi in xis],
+                [mr_class_type_bound(alpha, n) for alpha, _, ns in cases for n in ns])
+
+    labels, bounds = run()
+    monkeypatch.setattr(milner_rado, "_label_within_power", reference_label_within_power)
+    monkeypatch.setattr(milner_rado, "_bound_within_power", reference_bound_within_power)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 3000))   # the references recurse once per step
+    try:
+        assert run() == (labels, bounds)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert max(labels) >= 899 and o("w^901") in bounds
+
+
+def test_deep_exponents_are_labelled_and_bounded_at_once():
+    alpha = o("w^5000")
+    assert mr_label_ordinal(alpha, ZERO) == 5000
+    assert mr_label_ordinal(alpha, o("w^4999*3 + w^7")) == 5000
+    assert mr_class_type_bound(alpha, 5000) == alpha
+    assert mr_class_type_bound(alpha, 4999) == ZERO
+    assert mr_class_type_bound(o("w^(w + 5000)"), 6000) == o("w^6000")
+    start = time.perf_counter()
+    huge = o("w^1000000000")
+    assert mr_class_type_bound(huge, 10 ** 9) == huge
+    assert mr_class_type_bound(huge, 10 ** 9 - 1) == ZERO
+    assert mr_label_ordinal(huge, o("w^999999999*7 + w^5")) == 10 ** 9
+    assert time.perf_counter() - start < 0.1
 
 
 def test_composite_corpus_labels_at_least_five():
