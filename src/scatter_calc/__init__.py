@@ -10,7 +10,6 @@ from .ordinal import (
     format_ordinal,
     from_int,
     fundamental_sequence,
-    is_indecomposable,
     ord_add,
     ord_compare,
     ord_mul,
@@ -28,7 +27,6 @@ from .terms import (
     Shuffle,
     SumList,
     compare_elements,
-    compare_shuffle,
     decode_element,
     encode_element,
     finite_size,
@@ -37,7 +35,6 @@ from .terms import (
     materialize,
     parse_term,
     pow_term,
-    reverse_term,
     sample_elements,
     search_embedding,
     validate_element,
@@ -75,10 +72,7 @@ from .antilex import (
     delta_prime,
     induced_seq_coloring,
     ks_embed,
-    marker_embed,
-    marker_host,
     search_alpha_tree,
-    universal_sum_catalogue,
     validate_alpha_tree,
     verify_color_collapse,
 )

@@ -11,28 +11,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import InvalidInput, ScatterCalcError
-from .ordinal import (
-    CnfOrdinal,
-    ensure_ordinal,
-    format_ordinal,
-    from_int,
-    ord_add,
-    parse_ordinal,
-)
-from .terms import (
-    Fin,
-    FinSupp,
-    FinSuppElem,
-    InvalidElement,
-    Ord,
-    OrderTerm,
-    Rev,
-    Scaled,
-    SumList,
-    finsupp_elem,
-    format_term,
-    validate_element,
-)
+from .ordinal import CnfOrdinal, ensure_ordinal, format_ordinal, from_int, parse_ordinal
+from .terms import (FinSupp, FinSuppElem, InvalidElement, finsupp_elem, format_term,
+                    validate_element)
 
 
 class AntilexError(ScatterCalcError):
@@ -351,14 +332,6 @@ def search_alpha_tree(F: Callable[[Tuple[int, ...]], Any], delta: int,
     return tree, dict(colours)
 
 
-def universal_sum_catalogue(max_size: int) -> List[Tuple[Fin, int]]:
-    """Every (finite chain, designated point) pair up to max_size,
-    lexicographic in (size, point)."""
-    if max_size < 1:
-        raise ValueError("max_size must be >= 1")
-    return [(Fin(n), p) for n in range(1, max_size + 1) for p in range(n)]
-
-
 def verify_color_collapse(H: Callable[[FinSuppFn], Any], tree: AlphaTree,
                           colours: Dict[int, Dict[tuple, Any]], sample: Sequence[FinSuppFn],
                           target_host: FinSupp) -> Tuple[bool, Set[Any]]:
@@ -384,68 +357,3 @@ def verify_color_collapse(H: Callable[[FinSuppFn], Any], tree: AlphaTree,
         if got != expected:
             ok = False
     return ok, realized
-
-
-# -- marker embedding into a finite-support host ---------------------------------------
-
-MARKER_INNER = Fin(3)
-MARKER_ZERO = 1
-MARKER_UP = 2
-MARKER_DOWN = 0
-
-
-def _base_index(term: OrderTerm) -> Tuple[CnfOrdinal, Callable[[Any], CnfOrdinal], int]:
-    """(length, position of an element, marker) of a base index: fin or ord,
-    marked up, or the reversal of one, marked down."""
-    base, marker = (term.inner, MARKER_DOWN) if isinstance(term, Rev) else (term, MARKER_UP)
-    if isinstance(base, Fin):
-        return from_int(base.size), from_int, marker
-    if isinstance(base, Ord):
-        return base.ordinal, lambda elem: elem, marker
-    raise UnsupportedHost(f"marker embedding does not cover {format_term(term)}")
-
-
-def marker_host_length(term: OrderTerm) -> CnfOrdinal:
-    if isinstance(term, SumList):
-        return ord_add(_shared_length(term), from_int(len(term.children)))
-    if isinstance(term, Scaled):
-        return ord_add(marker_host_length(term.inner), _base_index(term.index)[0])
-    return _base_index(term)[0]
-
-
-def _shared_length(term: SumList) -> CnfOrdinal:
-    """The longest marker host among the summands, where the summand markers start."""
-    return max((marker_host_length(child) for child in term.children),
-               key=lambda length: length.key)
-
-
-def marker_host(term: OrderTerm) -> FinSupp:
-    """Finite-support host receiving the marker embedding of term."""
-    return FinSupp(marker_host_length(term), MARKER_INNER, MARKER_ZERO)
-
-
-def marker_embed(term: OrderTerm, elem) -> FinSuppFn:
-    """Order-embedding of a term element into the marker host: inner
-    coordinates keep their positions, a fresh top region carries one marker
-    per index point (an up marker for well-ordered indices, a down marker
-    for reversed ones)."""
-    if not validate_element(term, elem):
-        raise InvalidElement(f"{elem!r} is not an element of {format_term(term)}")
-    host = marker_host(term)
-    return FinSuppFn.build(host, _embed_entries(term, elem))
-
-
-def _embed_entries(term: OrderTerm, elem) -> Dict[CnfOrdinal, int]:
-    if isinstance(term, SumList):
-        k, inner_elem = elem
-        entries = _embed_entries(term.children[k], inner_elem)
-        entries[ord_add(_shared_length(term), from_int(k))] = MARKER_UP
-        return entries
-    if isinstance(term, Scaled):
-        index_elem, inner_elem = elem
-        entries = _embed_entries(term.inner, inner_elem)
-        _, position, marker = _base_index(term.index)
-        entries[ord_add(marker_host_length(term.inner), position(index_elem))] = marker
-        return entries
-    _, position, marker = _base_index(term)
-    return {position(elem): marker}

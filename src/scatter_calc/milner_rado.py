@@ -7,6 +7,7 @@ through an injective pairing of the index and summand labels.
 
 from __future__ import annotations
 
+import bisect
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .errors import ScatterCalcError
@@ -105,11 +106,22 @@ def _label_within_power(exponent: CnfOrdinal, xi: CnfOrdinal) -> int:
             xi = CnfOrdinal(tuple(t for t in xi.terms if t[0].key < delta.key))
         if delta.is_zero():
             return label
-        i = 0
-        while xi.key >= omega_power(fundamental_sequence(delta, i)).key:
-            i += 1
-        exponent = fundamental_sequence(delta, i)
+        exponent = fundamental_sequence(delta, _first_power_above(delta, xi))
         label += 1
+
+
+def _first_power_above(delta: CnfOrdinal, xi: CnfOrdinal) -> int:
+    """Least i with xi < w^(delta[i]) for a limit delta.  The powers increase
+    with i, so after i = 0 the search doubles i past the answer and bisects."""
+    def above(i: int) -> bool:
+        return xi.key < omega_power(fundamental_sequence(delta, i)).key
+
+    if above(0):
+        return 0
+    high = 1
+    while not above(high):
+        high *= 2
+    return bisect.bisect_left(range(high), True, lo=high // 2 + 1, key=above)
 
 
 def mr_label_ordinal(alpha, xi) -> int:

@@ -37,10 +37,6 @@ class OverflowBeyondEpsilon0(OrdinalError):
     """Result would need an exponent tower deeper than the supported limit."""
 
 
-class ZeroInput(OrdinalError):
-    pass
-
-
 class NotALimit(OrdinalError):
     pass
 
@@ -275,14 +271,6 @@ def ord_pow(a: OrdinalLike, b: OrdinalLike) -> CnfOrdinal:
     return result
 
 
-def is_indecomposable(a: OrdinalLike) -> bool:
-    """True iff a is a single omega power (1 = w^0 counts)."""
-    a = ensure_ordinal(a)
-    if a.is_zero():
-        raise ZeroInput("0 is neither decomposable nor indecomposable here")
-    return len(a.terms) == 1 and a.terms[0][1] == 1
-
-
 def fundamental_sequence(a: OrdinalLike, i: int) -> CnfOrdinal:
     """i-th member of the canonical increasing sequence converging to limit a.
 
@@ -393,7 +381,10 @@ class _OrdinalParser:
             self.pos += 1
         if self.pos == start:
             raise self.error("expected a natural number")
-        return int(self.text[start:self.pos])
+        try:   # int() refuses more than 4300 digits and some that isdigit() accepts
+            return int(self.text[start:self.pos])
+        except ValueError as exc:
+            raise self.syntax_error(f"bad natural number: {exc}", start) from exc
 
     def exponent(self) -> CnfOrdinal:
         ch = self.peek()

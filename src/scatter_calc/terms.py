@@ -60,10 +60,6 @@ class InvalidElement(TermError):
     pass
 
 
-class EntryOutOfRange(TermError):
-    pass
-
-
 class PatternNotFinite(TermError):
     pass
 
@@ -183,9 +179,6 @@ class OrderTerm:
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.fields)
         return f"{type(self).__name__}({args})"
 
-    def reverse(self) -> "OrderTerm":
-        return Rev(self)
-
     def decode(self, data: Any) -> Any:
         elem = self._decode(data)
         if not self.validate(elem):
@@ -282,10 +275,6 @@ class Rev(OrderTerm):
     def _materialize(self): return list(reversed(self.inner.materialize()))
     def _canonical(self, want): return self.inner.canonical(want)
     def random_element(self, rng): return self.inner.random_element(rng)
-
-    def reverse(self):
-        """Peeling a top-level Rev keeps reverse an involution."""
-        return self.inner
 
 
 class SumList(OrderTerm):
@@ -611,24 +600,13 @@ def validate_element(term: OrderTerm, elem: Any) -> bool:
     return term.validate(elem)
 
 
-def compare_shuffle(alphabet, s: Sequence, t: Sequence) -> int:
-    """Parity order on finite sequences below alphabet.
+def _cmp_shuffle(s: Sequence[CnfOrdinal], t: Sequence[CnfOrdinal]) -> int:
+    """The parity order on sequences whose entries are already checked.
 
     With d the least position where the sequences disagree (in entries or in
     domain): at even d the later sequence wins if it is a proper prefix or its
     entry is smaller; at odd d the roles are swapped.
     """
-    alphabet = ensure_ordinal(alphabet)
-    s = tuple(ensure_ordinal(x) for x in s)
-    t = tuple(ensure_ordinal(x) for x in t)
-    for x in itertools.chain(s, t):
-        if x.key >= alphabet.key:
-            raise EntryOutOfRange(f"entry {x} is not below {alphabet}")
-    return _cmp_shuffle(s, t)
-
-
-def _cmp_shuffle(s: Sequence[CnfOrdinal], t: Sequence[CnfOrdinal]) -> int:
-    """The parity order on sequences whose entries are already checked."""
     d = 0
     for x, y in zip(s, t):
         if x.key != y.key:
@@ -683,11 +661,6 @@ def sort_elements(term: OrderTerm, elems: Sequence[Any]) -> List[Any]:
     return sorted(elems, key=functools.cmp_to_key(term.cmp))
 
 
-def reverse_term(term: OrderTerm) -> OrderTerm:
-    """Order-reversal; peeling a top-level Rev keeps reverse an involution."""
-    return term.reverse()
-
-
 # -- text form --------------------------------------------------------------------
 
 def format_term(term: OrderTerm) -> str:
@@ -714,6 +687,8 @@ class _TermParser(_OrdinalParser):
             value, end = decoder.raw_decode(self.text, self.pos)
         except json.JSONDecodeError as exc:
             raise TermSyntaxError(f"bad JSON element: {exc.msg}", self.pos) from exc
+        except (ValueError, RecursionError) as exc:   # a long integer or deep nesting
+            raise TermSyntaxError(f"bad JSON element: {exc}", self.pos) from exc
         self.pos = end
         return value
 
@@ -874,27 +849,19 @@ def sample_elements(term: OrderTerm, budget: int, seed: int = 0) -> List[Any]:
 
 # -- finite pattern search ----------------------------------------------------------------
 
-def search_embedding(pattern, target: Sequence[Any],
+def search_embedding(pattern: OrderTerm, target: Sequence[Any],
                      target_cmp: Optional[Callable[[Any, Any], int]] = None
                      ) -> Optional[List[Tuple[Any, Any]]]:
-    """Monotone injection of a finite pattern into a sorted sample, or None.
-
-    The pattern may be an OrderTerm with finite denotation, an integer
-    (an abstract chain of that size) or an explicit list.  Both sides are
-    linear orders, so an embedding exists exactly when the pattern fits;
-    None is exhaustive for the given sample.
+    """Monotone injection of a finite-denotation pattern term into a sorted
+    sample, or None.  Both sides are linear orders, so an embedding exists
+    exactly when the pattern fits; None is exhaustive for the given sample.
     """
-    if isinstance(pattern, int):
-        pattern = range(pattern)
-    if isinstance(pattern, OrderTerm):
-        size = pattern.capped_size(len(target))
-        if size is None:
-            raise PatternNotFinite(f"{pattern.format()} is not a finite pattern")
-    else:
-        size = len(pattern)
+    size = pattern.capped_size(len(target))
+    if size is None:
+        raise PatternNotFinite(f"{pattern.format()} is not a finite pattern")
     if size > len(target):
         return None
-    elems = pattern.materialize() if isinstance(pattern, OrderTerm) else list(pattern)
+    elems = pattern.materialize()
     mapping = list(zip(elems, list(target)[:size]))
     if target_cmp is not None:
         for (_, u), (_, v) in zip(mapping, mapping[1:]):

@@ -20,22 +20,12 @@ from scatter_calc.antilex import (
     delta_prime,
     induced_seq_coloring,
     ks_embed,
-    marker_embed,
-    marker_host,
     search_alpha_tree,
-    universal_sum_catalogue,
     validate_alpha_tree,
     verify_color_collapse,
 )
 from scatter_calc.ordinal import OMEGA, from_int, ord_pow, parse_ordinal
-from scatter_calc.terms import (
-    Fin,
-    FinSupp,
-    compare_elements,
-    parse_term,
-    sample_elements,
-    validate_element,
-)
+from scatter_calc.terms import Fin, FinSupp, compare_elements
 
 W = OMEGA
 HOST = FinSupp(ord_pow(W, 2), Fin(3), 0)
@@ -285,35 +275,3 @@ def test_verify_color_collapse_and_negative_control():
     ok2, _ = verify_color_collapse(H, tree, corrupted, sample, big)
     assert ok2 is False
 
-
-def test_universal_sum_catalogue():
-    assert universal_sum_catalogue(1) == [(Fin(1), 0)]
-    assert len(universal_sum_catalogue(2)) == 3
-    assert len(universal_sum_catalogue(4)) == 10
-    catalogue = universal_sum_catalogue(3)
-    assert catalogue == sorted(catalogue, key=lambda tp: (tp[0].size, tp[1]))
-
-
-# -- marker embedding --------------------------------------------------------------------
-
-MARKER_TERMS = [
-    "fin(5)",
-    "ord(w)",
-    "rev(ord(w))",
-    "sum[fin(2), ord(w), rev(ord(w))]",
-    "scaled(ord(w), rev(ord(w)))",
-    "scaled(rev(ord(w)), ord(w^2))",
-    "scaled(sum[ord(w), rev(ord(w))], fin(3))",
-]
-
-
-@pytest.mark.parametrize("text", MARKER_TERMS)
-def test_marker_embedding_preserves_order(text):
-    term = parse_term(text)
-    host = marker_host(term)
-    sample = sample_elements(term, 25, 13)
-    images = [marker_embed(term, e) for e in sample]
-    for img in images:
-        assert validate_element(host, img.elem)
-    for (x, ix), (y, iy) in itertools.combinations(zip(sample, images), 2):
-        assert compare_antilex(ix, iy) == compare_elements(term, x, y)

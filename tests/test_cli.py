@@ -653,7 +653,7 @@ def test_out_file_gets_the_stdout_bytes(tmp_path):
         target.unlink()
 
 
-# -- fuzzing the JSON-reading arguments ----------------------------------------------
+# -- fuzzing the JSON and text arguments --------------------------------------------
 
 FUZZ_TERMS = ["fin(3)", "ord(w^2)", "rev(ord(w))", "sum[fin(2), ord(w)]",
               "scaled(ord(w), fin(2))", "shuffle(w)", "finsupp(w, fin(3), 0)"]
@@ -702,7 +702,28 @@ def term_and_elements(count):
         st.just(t), *[elements | st.sampled_from(VALID_ELEMENTS[t])] * count))
 
 
+# term and ordinal texts: the fuzzed terms, cut short and spliced, and short token
+# strings; single digits and no pow keep every term small enough to sample at once
+TERM_TOKENS = ["fin", "ord", "rev", "sum", "scaled", "shuffle", "finsupp", "(", ")", "[",
+               "]", ",", "w", "^", "*", "+", "0", "1", "2", " ", '"', "{", "}", "x"]
+term_texts = st.sampled_from(FUZZ_TERMS) | st.builds(
+    lambda t, cut, token: t[:cut] + token + t[cut:],
+    st.sampled_from(FUZZ_TERMS), st.integers(0, 22), st.sampled_from(TERM_TOKENS)) | st.lists(
+    st.sampled_from(TERM_TOKENS), max_size=10).map("".join)
+alpha_texts = ordinal_texts | st.lists(
+    st.sampled_from(["w", "^", "*", "+", "(", ")", "0", "1", "9", " ", "x"]), max_size=10).map(
+    "".join)
+budgets = st.integers(-1, 12).map(str)
+
 FUZZ_CASES = st.one_of(
+    st.builds(lambda t: (["parse", "--term=" + t], ""), term_texts),
+    st.builds(lambda a, n: (["mr-bound", "--alpha=" + a, "--n", str(n)], ""),
+              alpha_texts, st.integers(-1, 6)),
+    st.builds(lambda t, b: (["sample", "--term=" + t, "--budget", b], ""), term_texts, budgets),
+    st.builds(lambda p, t, b: (["embed-search", "--pattern=" + p, "--term=" + t,
+                                "--budget", b], ""), term_texts, term_texts, budgets),
+    st.builds(lambda t, n, b: (["ks-check", "--term=" + t, "--n", str(n), "--budget", b], ""),
+              term_texts, st.integers(-1, 3), budgets),
     st.builds(lambda tags: (["sierpinski", "--tags=" + json.dumps(tags)], ""),
               json_values | st.lists(st.integers(-3, 50), max_size=6)),
     st.builds(lambda req: (["extract-unary"], json.dumps(req)), unary_requests),

@@ -8,7 +8,7 @@ import pytest
 from corpus import bound_corpus, composite_terms
 from oracles import reference_bound_within_power, reference_label_within_power
 
-from scatter_calc import parse_term, sample_elements
+from scatter_calc import decode_element, parse_term, sample_elements
 from scatter_calc import milner_rado
 from scatter_calc.milner_rado import (
     ElementOutOfRange,
@@ -159,8 +159,9 @@ def test_term_label_unsupported():
 
 
 def block_cases():
-    """(alpha, sampled xi, class indices) on the criterion-4 corpus and on
-    exponents below 900, whose recursive reference still fits the stack."""
+    """(alpha, xi, class indices) on the criterion-4 corpus, on exponents
+    below 900 and on fundamental-sequence indices below 900, where the
+    recursive reference still fits the stack."""
     cases = []
     for index, alpha in enumerate(a for a in bound_corpus() if not a.is_zero()):
         cases.append((alpha, sample_elements(parse_term(f"ord({alpha})"), 12, 900 + index),
@@ -170,6 +171,11 @@ def block_cases():
             alpha = o(text)
             cases.append((alpha, sample_elements(parse_term(f"ord({alpha})"), 6, e),
                           {0, 1, 2, e // 2, e, e + 1, e + 2, e + 3}))
+    # below w^k, the limit exponent w descends at index k of its sequence
+    ks = list(range(0, 900, 37)) + [898, 899]
+    for text in ("w^w", "w^(w^2)", "w^(w + 1)"):
+        cases.append((o(text), [o(f"w^{k}{tail}") for k in ks
+                                for tail in ("", f"*3 + w^{k // 2} + 1")], range(4)))
     return cases
 
 
@@ -206,6 +212,14 @@ def test_deep_exponents_are_labelled_and_bounded_at_once():
     assert mr_class_type_bound(huge, 10 ** 9 - 1) == ZERO
     assert mr_label_ordinal(huge, o("w^999999999*7 + w^5")) == 10 ** 9
     assert time.perf_counter() - start < 0.1
+
+
+def test_a_large_index_is_found_at_once():
+    term = parse_term("ord(w^w)")
+    start = time.perf_counter()
+    assert mr_label_term(term, decode_element(term, "w^10000000")) == 10000002
+    assert time.perf_counter() - start < 1
+    assert mr_label_ordinal(o("w^w"), o("w^899")) == 901
 
 
 def test_composite_corpus_labels_at_least_five():

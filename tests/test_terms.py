@@ -7,7 +7,7 @@ import random
 import time
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from corpus import COMPOSITE_TEXT, CORPUS_TEXT, corpus_terms
 from oracles import (
@@ -26,11 +26,11 @@ from scatter_calc import (
     FinSuppElem,
     Ord,
     Rev,
+    ScatterCalcError,
     Scaled,
     Shuffle,
     SumList,
     compare_elements,
-    compare_shuffle,
     decode_element,
     encode_element,
     finite_size,
@@ -39,14 +39,13 @@ from scatter_calc import (
     materialize,
     parse_term,
     pow_term,
-    reverse_term,
     sample_elements,
     search_embedding,
     validate_element,
 )
-from scatter_calc.ordinal import TERM_DEPTH_LIMIT, OMEGA, OrdinalError, from_int, ord_pow
+from scatter_calc.ordinal import (TERM_DEPTH_LIMIT, OMEGA, OrdinalError, from_int, ord_pow,
+                                  parse_ordinal)
 from scatter_calc.terms import (
-    EntryOutOfRange,
     InvalidElement,
     InvalidIndexTerm,
     PatternNotFinite,
@@ -102,6 +101,41 @@ def test_term_depth_limit():
     with pytest.raises(TermTooDeep):
         parse_term(f"pow(pow(fin(2), {TERM_DEPTH_LIMIT}), 2)")
     assert finite_size(parse_term(f"pow(fin(2), {TERM_DEPTH_LIMIT})")) == 2 ** TERM_DEPTH_LIMIT
+
+
+LONG_LITERAL = "9" * 4301   # one digit past Python's default int-to-text limit
+PARSER_TOKENS = ["fin", "ord", "rev", "sum", "scaled", "shuffle", "finsupp", "pow", "(", ")",
+                 "[", "]", ",", "w", "^", "*", "+", "0", "1", "7", " ", "\n", '"', "{", "}",
+                 ":", "-", "x", "²", "٣", LONG_LITERAL]
+parser_texts = (st.lists(st.sampled_from(PARSER_TOKENS), max_size=12).map("".join)
+                | st.text(max_size=12))
+DECODE_TERMS = [parse_term(t) for t in (
+    "fin(3)", "ord(w^2)", "rev(ord(w))", "sum[fin(2), ord(w)]", "scaled(ord(w), fin(2))",
+    "shuffle(w)", "finsupp(w, fin(3), 0)")]
+json_data = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | parser_texts,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
+        st.sampled_from(["i", "e", "supp", "pos"]), kids, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parser_texts, st.sampled_from(DECODE_TERMS), json_data)
+@example(f"fin({LONG_LITERAL})", Ord(W), LONG_LITERAL)
+@example(f"finsupp(w, fin(3), {LONG_LITERAL})", Shuffle(W), [f"w^{LONG_LITERAL}"])
+@example("finsupp(w, fin(3), " + "[" * 100_000, DECODE_TERMS[-1],
+         {"supp": [{"pos": "²", "e": 1}]})
+def test_parsers_raise_only_library_errors(text, term, data):
+    # each call returns a value or raises ScatterCalcError; anything else fails here
+    for parse in (parse_term, parse_ordinal):
+        try:
+            parse(text)
+        except ScatterCalcError:
+            pass
+    try:
+        decode_element(term, data)
+    except ScatterCalcError:
+        pass
 
 
 def test_finite_powers_are_admissible_indices():
@@ -288,13 +322,15 @@ def test_cmp_matches_reference_on_corpus_pools():
 
 
 def test_shuffle_examples():
-    assert compare_shuffle(W, (), ()) == 0
-    assert compare_shuffle(W, [1], [0]) == -1          # <1> below <0>
-    assert compare_shuffle(W, [0], [0, 0]) == -1       # odd split, prefix below
-    with pytest.raises(EntryOutOfRange):
-        compare_shuffle(from_int(2), [5], [0])
-    with pytest.raises(EntryOutOfRange):
-        compare_shuffle(W, [0], [1, W])          # an entry equal to the alphabet
+    zero, one = from_int(0), from_int(1)
+    shuffle = Shuffle(W)
+    assert compare_elements(shuffle, (), ()) == 0
+    assert compare_elements(shuffle, (one,), (zero,)) == -1          # <1> below <0>
+    assert compare_elements(shuffle, (zero,), (zero, zero)) == -1    # odd split, prefix below
+    with pytest.raises(InvalidElement):
+        compare_elements(Shuffle(from_int(2)), (from_int(5),), (zero,))
+    with pytest.raises(InvalidElement):
+        compare_elements(shuffle, (zero,), (one, W))    # an entry equal to the alphabet
 
 
 def test_shuffle_brute_force_total_order():
@@ -303,37 +339,34 @@ def test_shuffle_brute_force_total_order():
     for length in (1, 2):
         seqs.extend(itertools.product([from_int(i) for i in range(3)], repeat=length))
     seqs = [tuple(s) for s in seqs]
-    alpha = from_int(3)
+    shuffle = Shuffle(from_int(3))
     for s, t in itertools.combinations(seqs, 2):
-        cst, cts = compare_shuffle(alpha, s, t), compare_shuffle(alpha, t, s)
+        cst, cts = compare_elements(shuffle, s, t), compare_elements(shuffle, t, s)
         assert cst in (-1, 1) and cts == -cst
     for s, t, u in itertools.permutations(seqs, 3):
-        if compare_shuffle(alpha, s, t) < 0 and compare_shuffle(alpha, t, u) < 0:
-            assert compare_shuffle(alpha, s, u) < 0
+        if compare_elements(shuffle, s, t) < 0 and compare_elements(shuffle, t, u) < 0:
+            assert compare_elements(shuffle, s, u) < 0
 
 
 def test_shuffle_descending_first_level():
     # each one-letter sequence sits below the empty sequence, and they descend
     k = 4
-    alpha = from_int(k)
+    shuffle = Shuffle(from_int(k))
     empty = ()
     prev = None
     for j in range(k):
         s = (from_int(j),)
-        assert compare_shuffle(alpha, s, empty) == -1
+        assert compare_elements(shuffle, s, empty) == -1
         if prev is not None:
-            assert compare_shuffle(alpha, s, prev) == -1
+            assert compare_elements(shuffle, s, prev) == -1
         prev = s
 
 
 def test_reverse_term_flips_and_involutes():
-    assert reverse_term(Fin(3)) == Rev(Fin(3))
-    assert reverse_term(Ord(W)) == Rev(Ord(W))
     t = Scaled(Ord(W), Fin(2))
-    assert reverse_term(reverse_term(t)) == t
     rng = random.Random(5)
     sample = sample_elements(t, 30, 9)
-    rt = reverse_term(t)
+    rt = Rev(t)
     for _ in range(10_000):
         x, y = rng.choice(sample), rng.choice(sample)
         assert compare_elements(rt, x, y) == -compare_elements(t, x, y)
@@ -469,7 +502,7 @@ def test_search_embedding_matches_brute_force():
         return False
     for p in range(1, 5):
         for s in range(0, 5):
-            lib = search_embedding(p, list(range(s))) is not None
+            lib = search_embedding(Fin(p), list(range(s))) is not None
             assert lib == brute(p, s)
 
 
