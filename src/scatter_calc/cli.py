@@ -337,7 +337,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
         return code
-    except (ScatterCalcError, KeyError, ValueError, OSError) as exc:
+    except (ScatterCalcError, KeyError, ValueError, OSError, RecursionError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

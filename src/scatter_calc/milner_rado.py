@@ -8,7 +8,7 @@ through an injective pairing of the index and summand labels.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from .errors import ScatterCalcError
 from .ordinal import (
@@ -20,8 +20,6 @@ from .ordinal import (
     omega_power,
     ord_add,
     ord_mul,
-    ord_sub_left,
-    split_at_exponent,
 )
 from . import terms
 from .terms import (
@@ -127,25 +125,19 @@ def _first_power_above(delta: CnfOrdinal, xi: CnfOrdinal) -> int:
 def mr_label_ordinal(alpha, xi) -> int:
     """Class index of xi in the decomposition of alpha.
 
-    Finite ordinals collapse to class 0; each CNF summand is handled inside
-    its own block, successor-exponent blocks descend one power per level and
-    limit exponents descend along their fundamental sequence.  The class of
-    label n always has order type below w^(n+1).
+    xi lies in the block w^e_j * c_j of alpha at the first index j where
+    their normal forms part, at the position given by its terms below w^e_j.
+    Successor-exponent blocks descend one power per level and limit
+    exponents descend along their fundamental sequence; a finite block gets
+    label 0.  The class of label n always has order type below w^(n+1).
     """
     alpha, xi = ensure_ordinal(alpha), ensure_ordinal(xi)
     if xi.key >= alpha.key:
         raise ElementOutOfRange(f"{xi} is not an element of {alpha}")
-    if alpha.is_finite():
-        return 0
-    running = ZERO
-    for exponent, coefficient in alpha.terms:
-        nxt = ord_add(running, omega_power(exponent, coefficient))
-        if xi.key < nxt.key:
-            delta = ord_sub_left(running, xi)
-            _, rest = split_at_exponent(delta, exponent)
-            return _label_within_power(exponent, rest)
-        running = nxt
-    raise MilnerRadoError("unreachable: xi below alpha but in no block")
+    j = next((j for j, (a, x) in enumerate(zip(alpha.key, xi.key)) if a != x), len(xi.terms))
+    exponent = alpha.terms[j][0]
+    return _label_within_power(
+        exponent, CnfOrdinal(tuple(t for t in xi.terms if t[0].key < exponent.key)))
 
 
 def _bound_within_power(exponent: CnfOrdinal, n: int) -> CnfOrdinal:
@@ -178,45 +170,36 @@ def mr_class_type_bound(alpha, n: int) -> CnfOrdinal:
 
 # -- term labelling ---------------------------------------------------------------
 
-def _term_label(term: OrderTerm, elem: Any,
-                trace: Optional[List[Tuple[int, int, int]]]) -> int:
+def _term_label(term: OrderTerm, elem: Any, trace: List[Tuple[int, int, int]]) -> int:
     if isinstance(term, Fin):
         return 0
     if isinstance(term, Ord):
         return mr_label_ordinal(term.ordinal, elem)
-    if isinstance(term, Rev):
-        if isinstance(term.inner, Ord):
-            return mr_label_ordinal(term.inner.ordinal, elem)
-        if isinstance(term.inner, Fin):
-            return 0
-        raise UnsupportedConstructor(
-            "reversal is only labelled over ordinal and finite bases")
+    if isinstance(term, Rev):       # the same classes, each with its type reversed
+        return _term_label(term.inner, elem, trace)
     if isinstance(term, SumList):
         k, inner_elem = elem
         return _pair(0, _term_label(term.children[k], inner_elem, trace), trace)
     if isinstance(term, Scaled):
         index_elem, inner_elem = elem
-        m = _term_label(term.index, index_elem, None)
+        m = _term_label(term.index, index_elem, [])
         return _pair(m, _term_label(term.inner, inner_elem, trace), trace)
     raise UnsupportedConstructor(
         f"{type(term).__name__} terms are outside the labelled fragment")
 
 
-def _pair(m: int, n: int, trace: Optional[List[Tuple[int, int, int]]]) -> int:
+def _pair(m: int, n: int, trace: List[Tuple[int, int, int]]) -> int:
     value = cantor1(m, n)
     if value.bit_length() > LABEL_BIT_LIMIT:
         raise LabelTooLarge(f"label exceeds {LABEL_BIT_LIMIT} bits")
-    if trace is not None:
-        trace.append((m, n, value))
+    trace.append((m, n, value))
     return value
 
 
 def mr_label_term(term: OrderTerm, elem: Any) -> int:
     """Label of a term element: base blocks via mr_label_ordinal, composite
     constructors via cantor1(index label, inner label)."""
-    if not validate_element(term, elem):
-        raise ElementOutOfRange(f"{elem!r} is not an element of {terms.format_term(term)}")
-    return _term_label(term, elem, None)
+    return mr_label_term_trace(term, elem)[0]
 
 
 def mr_label_term_trace(term: OrderTerm, elem: Any

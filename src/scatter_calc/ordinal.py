@@ -193,24 +193,6 @@ def ord_add(a: OrdinalLike, b: OrdinalLike) -> CnfOrdinal:
     return CnfOrdinal(tuple(keep) + b.terms)
 
 
-def ord_sub_left(a: OrdinalLike, b: OrdinalLike) -> CnfOrdinal:
-    """The unique s with a + s = b; requires a <= b."""
-    a, b = ensure_ordinal(a), ensure_ordinal(b)
-    for i, (ta, tb) in enumerate(zip(a.terms, b.terms)):
-        if ta == tb:
-            continue
-        if ta[0].key < tb[0].key:
-            return CnfOrdinal(b.terms[i:])
-        if ta[0].key > tb[0].key:
-            raise OrdinalError(f"{a} > {b}: left subtraction undefined")
-        if ta[1] < tb[1]:
-            return CnfOrdinal(((tb[0], tb[1] - ta[1]),) + b.terms[i + 1:])
-        raise OrdinalError(f"{a} > {b}: left subtraction undefined")
-    if len(a.terms) > len(b.terms):
-        raise OrdinalError(f"{a} > {b}: left subtraction undefined")
-    return CnfOrdinal(b.terms[len(a.terms):])
-
-
 def ord_mul(a: OrdinalLike, b: OrdinalLike) -> CnfOrdinal:
     a, b = ensure_ordinal(a), ensure_ordinal(b)
     if a.is_zero() or b.is_zero():
@@ -293,21 +275,6 @@ def fundamental_sequence(a: OrdinalLike, i: int) -> CnfOrdinal:
     else:
         step = omega_power(fundamental_sequence(exponent, i))
     return ord_add(prefix, step)
-
-
-def split_at_exponent(xi: OrdinalLike, gamma: OrdinalLike) -> Tuple[int, CnfOrdinal]:
-    """Write xi < w^(gamma+1) as w^gamma*i + rest with rest < w^gamma."""
-    xi, gamma = ensure_ordinal(xi), ensure_ordinal(gamma)
-    count = 0
-    rest = []
-    for exponent, coefficient in xi.terms:
-        if exponent.key > gamma.key:
-            raise OrdinalError(f"{xi} is not below w^({gamma}+1)")
-        if exponent.key == gamma.key:
-            count = coefficient
-        else:
-            rest.append((exponent, coefficient))
-    return count, CnfOrdinal(tuple(rest))
 
 
 # -- text form ---------------------------------------------------------------

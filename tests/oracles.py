@@ -16,23 +16,29 @@ and de-duplicated its pool by each element's JSON text.  The reference
 did before it remembered the elements it had checked.  The Milner-Rado block
 label and class bound recurse once per successor step of the exponent, as
 the library did before it took the finite part of an exponent in one step.
+The Milner-Rado block walk sums the CNF blocks of an ordinal and subtracts on
+the left, as the library did before it read the block off the normal forms.
 """
 
 import functools
 import hashlib
 import random
+from typing import Tuple
 
 from scatter_calc import Fin, FinSupp, FinSuppElem, Ord, Rev, Scaled, Shuffle, SumList
+from scatter_calc.milner_rado import ElementOutOfRange, MilnerRadoError
 from scatter_calc.ordinal import (
     ZERO,
     CnfOrdinal,
+    OrdinalError,
+    OrdinalLike,
+    ensure_ordinal,
     from_int,
     fundamental_sequence,
     omega_power,
     ord_add,
     ord_mul,
     parse_ordinal,
-    split_at_exponent,
 )
 from scatter_calc.terms import InvalidElement, element_key, finsupp_elem
 
@@ -298,6 +304,59 @@ def reference_cset_edges(csets):
     return {((i, r), (n, x)) for (r, n), xs in csets.items() for x in xs for i in range(n)}
 
 
+def _ord_sub_left(a: OrdinalLike, b: OrdinalLike) -> CnfOrdinal:
+    """The unique s with a + s = b; requires a <= b."""
+    a, b = ensure_ordinal(a), ensure_ordinal(b)
+    for i, (ta, tb) in enumerate(zip(a.terms, b.terms)):
+        if ta == tb:
+            continue
+        if ta[0].key < tb[0].key:
+            return CnfOrdinal(b.terms[i:])
+        if ta[0].key > tb[0].key:
+            raise OrdinalError(f"{a} > {b}: left subtraction undefined")
+        if ta[1] < tb[1]:
+            return CnfOrdinal(((tb[0], tb[1] - ta[1]),) + b.terms[i + 1:])
+        raise OrdinalError(f"{a} > {b}: left subtraction undefined")
+    if len(a.terms) > len(b.terms):
+        raise OrdinalError(f"{a} > {b}: left subtraction undefined")
+    return CnfOrdinal(b.terms[len(a.terms):])
+
+
+def _split_at_exponent(xi: OrdinalLike, gamma: OrdinalLike) -> Tuple[int, CnfOrdinal]:
+    """Write xi < w^(gamma+1) as w^gamma*i + rest with rest < w^gamma."""
+    xi, gamma = ensure_ordinal(xi), ensure_ordinal(gamma)
+    count = 0
+    rest = []
+    for exponent, coefficient in xi.terms:
+        if exponent.key > gamma.key:
+            raise OrdinalError(f"{xi} is not below w^({gamma}+1)")
+        if exponent.key == gamma.key:
+            count = coefficient
+        else:
+            rest.append((exponent, coefficient))
+    return count, CnfOrdinal(tuple(rest))
+
+
+def reference_label_ordinal(alpha, xi, within):
+    """Class index of xi in the decomposition of alpha, found by summing
+    alpha's CNF blocks with ``ord_add`` until one passes xi; ``within``
+    labels the position inside that block."""
+    alpha, xi = ensure_ordinal(alpha), ensure_ordinal(xi)
+    if xi.key >= alpha.key:
+        raise ElementOutOfRange(f"{xi} is not an element of {alpha}")
+    if alpha.is_finite():
+        return 0
+    running = ZERO
+    for exponent, coefficient in alpha.terms:
+        nxt = ord_add(running, omega_power(exponent, coefficient))
+        if xi.key < nxt.key:
+            delta = _ord_sub_left(running, xi)
+            _, rest = _split_at_exponent(delta, exponent)
+            return within(exponent, rest)
+        running = nxt
+    raise MilnerRadoError("unreachable: xi below alpha but in no block")
+
+
 def reference_label_within_power(exponent, xi):
     """Label of position xi inside a block of type w^exponent, one recursion
     level per successor step and per fundamental-sequence descent."""
@@ -305,7 +364,7 @@ def reference_label_within_power(exponent, xi):
         return 0
     if exponent.is_successor():
         gamma = exponent.predecessor()
-        _, rest = split_at_exponent(xi, gamma)
+        _, rest = _split_at_exponent(xi, gamma)
         return 1 + reference_label_within_power(gamma, rest)
     i = 0
     while xi.key >= omega_power(fundamental_sequence(exponent, i)).key:

@@ -317,6 +317,17 @@ def test_malformed_json_is_one_error_line(argv, stdin):
     assert_one_error_line(run(*argv, stdin=stdin))
 
 
+def test_deeply_nested_json_is_one_error_line():
+    deep = "[" * 100000
+    for argv, stdin in [(["compare", "--term", "fin(3)", "--a", deep, "--b", "1"], ""),
+                        (["sierpinski", "--tags", deep], ""),
+                        (["neg-graph", "check", "-"], deep),
+                        (["ks", "verify", "--tree", "-"], deep)]:
+        code, out, err = main_in_process(argv, stdin)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: RecursionError: ") and err.count("\n") == 1
+
+
 def test_mr_label_and_bound():
     res = run("mr-label", "--term", "scaled(ord(w), fin(2))",
               "--elem", '{"i": 0, "e": "5"}')
@@ -653,7 +664,7 @@ def test_out_file_gets_the_stdout_bytes(tmp_path):
         target.unlink()
 
 
-# -- fuzzing the JSON and text arguments --------------------------------------------
+# -- fuzzing the JSON, text and integer arguments ---------------------------------------
 
 FUZZ_TERMS = ["fin(3)", "ord(w^2)", "rev(ord(w))", "sum[fin(2), ord(w)]",
               "scaled(ord(w), fin(2))", "shuffle(w)", "finsupp(w, fin(3), 0)"]
@@ -694,6 +705,20 @@ trees = json_values | st.just(json.loads(TREE)) | st.fixed_dictionaries({
     "entries": json_values | st.lists(st.fixed_dictionaries(
         {"seq": json_values | st.lists(ordinal_texts | json_values, max_size=3),
          "val": ordinal_texts | json_values}), max_size=3)})
+
+
+@st.composite
+def neg_graph_params(draw):
+    """Well-formed neg-graph build parameters with k <= l <= 8."""
+    k = draw(st.integers(1, 8))
+    l = draw(st.integers(k, 8))
+    rows = st.lists(st.integers(k, l - 1), unique=True) if l > k else st.just([])
+    u = {str(r): sorted(draw(st.lists(st.integers(0, 12), min_size=k, max_size=k,
+                                      unique=True))) for r in range(l)}
+    d = {str(r): draw(st.lists(st.integers(0, r - 1), max_size=4, unique=True))
+         for r in draw(rows)}
+    g = {str(r): draw(st.permutations(range(r)))[:k] for r in draw(rows)}
+    return {"k": k, "l": l, "d": d, "u": u, "g": g}
 
 
 def term_and_elements(count):
@@ -738,6 +763,15 @@ FUZZ_CASES = st.one_of(
                                          "--b=" + json.dumps(c[2])], "")),
     term_and_elements(1).map(lambda c: (["mr-label", "--term", c[0],
                                          "--elem=" + json.dumps(c[1])], "")),
+    st.builds(lambda params: (["neg-graph", "build", "--params", "-"], json.dumps(params)),
+              json_values | neg_graph_params()),
+    st.builds(lambda p, seed: (["step-up", "--p", str(p), "--seed", str(seed)], ""),
+              st.integers(-2, 7), st.integers(0, 5)),
+    st.builds(lambda delta, mu, level, oracle: (
+        ["ks", "search", "--delta", str(delta), "--mu-range", str(mu),
+         "--level-bound", str(level), "--oracle", oracle], ""),
+        st.integers(-1, 10), st.integers(-1, 12), st.integers(-1, 10),
+        st.sampled_from(["const", "length", "parity"])),
 )
 
 

@@ -5,8 +5,12 @@ import time
 
 import pytest
 
-from corpus import bound_corpus, composite_terms
-from oracles import reference_bound_within_power, reference_label_within_power
+from corpus import COMPOSITE_TEXT, bound_corpus, composite_terms, corpus_terms
+from oracles import (
+    reference_bound_within_power,
+    reference_label_ordinal,
+    reference_label_within_power,
+)
 
 from scatter_calc import decode_element, parse_term, sample_elements
 from scatter_calc import milner_rado
@@ -34,7 +38,7 @@ from scatter_calc.ordinal import (
     ord_pow,
     parse_ordinal,
 )
-from scatter_calc.terms import Fin, finite_size
+from scatter_calc.terms import Fin, FinSupp, Shuffle, finite_size
 
 W = OMEGA
 
@@ -155,7 +159,26 @@ def test_term_label_unsupported():
     with pytest.raises(UnsupportedConstructor):
         mr_label_term(parse_term("shuffle(w)"), ())
     with pytest.raises(UnsupportedConstructor):
-        mr_label_term(parse_term("rev(sum[fin(2), fin(2)])"), (0, 1))
+        mr_label_term(parse_term("rev(shuffle(w))"), ())
+
+
+def test_reversed_terms_keep_label_and_chain():
+    for text in COMPOSITE_TEXT + ["sum[fin(2), scaled(ord(w), fin(2))]"]:
+        term, reversed_term = parse_term(text), parse_term(f"rev({text})")
+        for elem in sample_elements(reversed_term, 25, 11):
+            assert mr_label_term_trace(reversed_term, elem) == mr_label_term_trace(term, elem)
+
+
+def test_the_fragment_is_every_corpus_term_but_shuffle_and_finsupp():
+    labelled = []
+    for term in corpus_terms():
+        try:
+            for elem in sample_elements(term, 10, 4):
+                mr_label_term(term, elem)
+            labelled.append(term)
+        except UnsupportedConstructor:
+            assert isinstance(term, (Shuffle, FinSupp))
+    assert len(labelled) == 23
 
 
 def block_cases():
@@ -197,6 +220,16 @@ def test_labels_and_bounds_match_the_recursive_references(monkeypatch):
     finally:
         sys.setrecursionlimit(limit)
     assert max(labels) >= 899 and o("w^901") in bounds
+
+
+def test_labels_match_the_block_walk_reference():
+    pairs = 0
+    for index, alpha in enumerate(a for a in bound_corpus() if not a.is_zero()):
+        for xi in sample_elements(parse_term(f"ord({alpha})"), 25, 900 + index):
+            expected = reference_label_ordinal(alpha, xi, milner_rado._label_within_power)
+            assert mr_label_ordinal(alpha, xi) == expected
+            pairs += 1
+    assert pairs > 4000
 
 
 def test_deep_exponents_are_labelled_and_bounded_at_once():

@@ -24,9 +24,7 @@ from scatter_calc.ordinal import (
     ord_compare,
     ord_mul,
     ord_pow,
-    ord_sub_left,
     parse_ordinal,
-    split_at_exponent,
 )
 
 W = OMEGA
@@ -146,13 +144,6 @@ def test_parse_errors_have_positions():
 def test_parse_rejects_deep_nesting():
     with pytest.raises(OrdinalSyntaxError):
         parse_ordinal("w^(" * 3000 + "1" + ")" * 3000)
-
-
-def test_sub_left_and_split():
-    assert ord_sub_left(o("w^2"), o("w^2 + 1")) == ONE
-    assert ord_sub_left(o("w*3 + 5"), o("w*5")) == ord_mul(W, 2)
-    count, rest = split_at_exponent(o("w*4 + 2"), ONE)
-    assert count == 4 and rest == from_int(2)
 
 
 # -- property tests -------------------------------------------------------------
