@@ -100,7 +100,7 @@ class CnfOrdinal:
         rest = self.terms[:-1]
         if c > 1:
             rest = rest + ((exp, c - 1),)
-        return CnfOrdinal(rest)
+        return from_terms(rest)
 
     def depth(self) -> int:
         if not self.terms:
@@ -135,18 +135,31 @@ class CnfOrdinal:
 OrdinalLike = Union[CnfOrdinal, int]
 
 ZERO = CnfOrdinal()
-ONE = CnfOrdinal(((ZERO, 1),))
+# the naturals below 256, built once; a sampler draw below 200 is one of them
+_NATURALS = (ZERO,) + tuple(CnfOrdinal(((ZERO, n),)) for n in range(1, 256))
+ONE = _NATURALS[1]
 OMEGA = CnfOrdinal(((ONE, 1),))
 
 
 def from_int(n: int) -> CnfOrdinal:
-    if type(n) is not int:
+    """The finite ordinal n.  Below 256 it is one shared object, but only
+    ``==``, not identity, is promised."""
+    if type(n) is not int:   # ahead of the lookup: _NATURALS[True] is ONE
         raise OrdinalError(f"{n!r} is not an integer")
     if n < 0:
         raise OrdinalError("ordinals are non-negative")
-    if n == 0:
-        return ZERO
+    if n < len(_NATURALS):
+        return _NATURALS[n]
     return CnfOrdinal(((ZERO, n),))
+
+
+def from_terms(terms: tuple) -> CnfOrdinal:
+    """The ordinal with these normal-form terms; a finite one is from_int's."""
+    if not terms:
+        return ZERO
+    if len(terms) == 1 and terms[0][0].is_zero():
+        return from_int(terms[0][1])
+    return CnfOrdinal(terms)
 
 
 def ensure_ordinal(value: OrdinalLike) -> CnfOrdinal:
@@ -162,7 +175,7 @@ def omega_power(exponent: OrdinalLike, coefficient: int = 1) -> CnfOrdinal:
     exponent = ensure_ordinal(exponent)
     if coefficient == 0:
         return ZERO
-    return CnfOrdinal(((exponent, coefficient),))
+    return from_terms(((exponent, coefficient),))
 
 
 def ord_compare(a: OrdinalLike, b: OrdinalLike) -> int:
@@ -189,7 +202,7 @@ def ord_add(a: OrdinalLike, b: OrdinalLike) -> CnfOrdinal:
             break
     if merged is not None:
         head = (eb, merged + b.terms[0][1])
-        return CnfOrdinal(tuple(keep) + (head,) + b.terms[1:])
+        return from_terms(tuple(keep) + (head,) + b.terms[1:])
     return CnfOrdinal(tuple(keep) + b.terms)
 
 
@@ -205,7 +218,7 @@ def ord_mul(a: OrdinalLike, b: OrdinalLike) -> CnfOrdinal:
             out.extend(a.terms[1:])
         else:
             out.append((ord_add(e1, exponent), coefficient))
-    return CnfOrdinal(tuple(out))
+    return from_terms(tuple(out))
 
 
 def _finite_pow(a: CnfOrdinal, n: int) -> CnfOrdinal:
@@ -243,7 +256,7 @@ def ord_pow(a: OrdinalLike, b: OrdinalLike) -> CnfOrdinal:
                 else:
                     shifted = exponent
                 image_terms.append((shifted, coefficient))
-            head = omega_power(CnfOrdinal(tuple(image_terms)))
+            head = omega_power(from_terms(tuple(image_terms)))
         else:
             head = omega_power(ord_mul(a.terms[0][0], infinite))
         result = ord_mul(head, _finite_pow(a, finite_part))

@@ -31,6 +31,7 @@ from .ordinal import (
     format_ordinal,
     fundamental_sequence,
     from_int,
+    from_terms,
     ord_add,
     ord_mul,
     omega_power,
@@ -784,7 +785,8 @@ def _random_below_power(exponent: CnfOrdinal, rng: random.Random, depth: int) ->
 def _random_ordinal_below(a: CnfOrdinal, rng: random.Random, depth: int = 0) -> CnfOrdinal:
     """A random ordinal below a, built in one step from its normal-form
     terms: a's terms before a drawn j, then w^e_j*c for a drawn c < c_j, then
-    a random part below w^e_j."""
+    a random part below w^e_j.  A finite draw is a shared natural, so only an
+    infinite one constructs an ordinal."""
     n = len(a.terms)
     if n == 0:
         raise TermError("no ordinal below 0")
@@ -794,22 +796,20 @@ def _random_ordinal_below(a: CnfOrdinal, rng: random.Random, depth: int = 0) -> 
     terms = a.terms[:j] + ((exponent, c),) if c else a.terms[:j]
     if not exponent.is_zero():
         terms += _random_below_power(exponent, rng, depth)
-    return CnfOrdinal(terms)
+    return from_terms(terms)
 
 
 def _canonical_ordinals(a: CnfOrdinal, want: int) -> List[CnfOrdinal]:
     out = [from_int(i) for i in range(3)]
     if a.is_limit():
         out += [fundamental_sequence(a, i) for i in range(3)]
-    running = ZERO
-    for exponent, coefficient in a.terms:
+    for j, (exponent, coefficient) in enumerate(a.terms):
         coeffs = sorted({c for c in (0, 1, coefficient // 2, coefficient - 1)
                          if 0 <= c < coefficient})
         for c in coeffs:
-            base = ord_add(running, omega_power(exponent, c))
+            base = from_terms(a.terms[:j] + ((exponent, c),) if c else a.terms[:j])
             out.append(base)
             out.append(ord_add(base, 1))
-        running = ord_add(running, omega_power(exponent, coefficient))
     uniq = list(dict.fromkeys(x for x in out if x.key < a.key))
     return uniq[: max(want, 1)]
 

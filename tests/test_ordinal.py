@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import reference_ord_compare
+from scatter_calc import ordinal
 from scatter_calc.ordinal import (
     EXPONENT_DEPTH_LIMIT,
     CnfOrdinal,
@@ -18,6 +19,7 @@ from scatter_calc.ordinal import (
     ZERO,
     format_ordinal,
     from_int,
+    from_terms,
     fundamental_sequence,
     omega_power,
     ord_add,
@@ -229,3 +231,48 @@ def test_compare_strict_total_order_bulk():
         assert ord_compare(a, b) == -ord_compare(b, a)
         if ord_compare(a, b) <= 0 and ord_compare(b, c) <= 0:
             assert ord_compare(a, c) <= 0
+
+
+# -- shared naturals ----------------------------------------------------------
+
+def test_small_naturals_are_shared():
+    bound = len(ordinal._NATURALS)
+    assert bound >= 200   # every randrange(200) draw of the sampler
+    for n in range(bound):
+        assert from_int(n) is from_int(n)
+    assert from_int(0) is ZERO and from_int(1) is ONE
+
+
+@pytest.mark.parametrize("offset", [-1, 0])
+def test_naturals_at_the_table_bound_are_exact(offset):
+    n = len(ordinal._NATURALS) + offset
+    fresh = CnfOrdinal(((ZERO, n),))
+    x = from_int(n)
+    assert x.key == fresh.key and hash(x) == hash(fresh) and x == fresh
+    assert format_ordinal(x) == format_ordinal(fresh) == str(n)
+    assert x.as_int() == n and from_int(n + 1) > x > from_int(n - 1)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, -1, "1"])
+def test_from_int_refuses_what_is_not_a_natural(bad):
+    with pytest.raises(OrdinalError):
+        from_int(bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ordinals())
+def test_from_terms_is_the_normal_form(a):
+    b = from_terms(a.terms)
+    assert b.key == a.key and format_ordinal(b) == format_ordinal(a)
+    if a.is_finite():
+        assert b is from_int(a.as_int())
+
+
+def test_finite_results_are_shared_naturals():
+    two, three = from_int(2), from_int(3)
+    assert ord_add(two, three) is from_int(5)
+    assert ord_mul(two, three) is from_int(6)
+    assert ord_pow(two, three) is from_int(8)
+    assert omega_power(ZERO, 7) is from_int(7)
+    assert from_int(9).predecessor() is from_int(8)
+    assert fundamental_sequence(W, 3) is from_int(4)

@@ -43,8 +43,8 @@ from scatter_calc import (
     search_embedding,
     validate_element,
 )
-from scatter_calc.ordinal import (TERM_DEPTH_LIMIT, OMEGA, OrdinalError, from_int, ord_pow,
-                                  parse_ordinal)
+from scatter_calc.ordinal import (TERM_DEPTH_LIMIT, OMEGA, CnfOrdinal, OrdinalError, from_int,
+                                  ord_pow, parse_ordinal)
 from scatter_calc.terms import (
     InvalidElement,
     InvalidIndexTerm,
@@ -52,6 +52,7 @@ from scatter_calc.terms import (
     TermError,
     TermSyntaxError,
     TermTooDeep,
+    _random_ordinal_below,
     element_key,
     sort_elements,
 )
@@ -426,6 +427,42 @@ def test_sample_of_a_complete_finite_pool_makes_no_draws(monkeypatch):
     # an infinite term still tops its pool up with random draws
     sample_elements(parse_term("ord(w^2)"), 48, 0)
     assert calls
+
+
+def counting_constructions(monkeypatch):
+    """A list that grows by one for every CnfOrdinal constructed from now on."""
+    made = []
+    init = CnfOrdinal.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CnfOrdinal, "__init__", counted)
+    return made
+
+
+def test_sampling_below_w_constructs_no_ordinal(monkeypatch):
+    term = parse_term("ord(w)")
+    made = counting_constructions(monkeypatch)
+    sample = sample_elements(term, 48, 0)
+    assert len(sample) == 48 and made == []
+
+
+def test_finite_draws_are_shared_naturals(monkeypatch):
+    made = counting_constructions(monkeypatch)
+    for bound in ("7", "w", "w^w", "w^(w + 1)*2 + w^2*3"):
+        a, rng = parse_ordinal(bound), random.Random(5)
+        finite = 0
+        for _ in range(300):
+            before = len(made)
+            x = _random_ordinal_below(a, rng)
+            if x.is_finite():
+                finite += 1
+                assert x is from_int(x.as_int()) and len(made) == before
+            else:
+                assert len(made) > before
+        assert finite > 10
 
 
 def test_sample_deterministic_and_valid():
