@@ -388,24 +388,14 @@ def check_corner_invariant(graph: GridGraph) -> Optional[Edge]:
 def compose_negative_coloring(graph: GridGraph, correspondence: Sequence[Vertex]
                               ) -> Callable[[int, int], int]:
     """The colour of a pair of distinct indices of the correspondence: 1
-    exactly when their grid vertices are joined by an edge.  A graph that is
-    its C-sets answers from them: (c1, r1) and (c2, r2) with c1 < c2 are
-    joined iff r2 is in C[r1, c2]."""
+    exactly when their grid vertices are joined by an edge."""
+    vertices = set(graph.vertices())
+    edges = set(graph.edges)
     corr = [tuple(v) for v in correspondence]
     if len(set(corr)) != len(corr):
         raise DomainMismatch("correspondence must be injective")
-    if not all(len(v) == 2 and v[0] in range(graph.k) and v[1] in range(graph.l)
-               for v in corr):
+    if any(v not in vertices for v in corr):
         raise DomainMismatch("correspondence leaves the vertex grid")
-    if graph._edges is None:
-        csets = graph.csets
-
-        def colour(i: int, j: int) -> int:
-            a, b = sorted((corr[i], corr[j]))
-            return 1 if a[0] < b[0] and b[1] in csets.get((a[1], b[0]), ()) else 0
-
-        return colour
-    edges = set(graph.edges)
 
     def colour(i: int, j: int) -> int:
         a, b = corr[i], corr[j]

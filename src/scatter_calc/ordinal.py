@@ -28,6 +28,10 @@ TERM_DEPTH_LIMIT = 128
 
 FUNDAMENTAL_SEQUENCE_ID = "wainer-cnf"
 
+# from_int shares one object for each natural below this bound, and the term
+# sampler draws its finite tails below it, so every such draw is shared.
+SHARED_NATURALS = 200
+
 
 class OrdinalError(ScatterCalcError):
     pass
@@ -135,20 +139,19 @@ class CnfOrdinal:
 OrdinalLike = Union[CnfOrdinal, int]
 
 ZERO = CnfOrdinal()
-# the naturals below 256, built once; a sampler draw below 200 is one of them
-_NATURALS = (ZERO,) + tuple(CnfOrdinal(((ZERO, n),)) for n in range(1, 256))
+_NATURALS = (ZERO,) + tuple(CnfOrdinal(((ZERO, n),)) for n in range(1, SHARED_NATURALS))
 ONE = _NATURALS[1]
 OMEGA = CnfOrdinal(((ONE, 1),))
 
 
 def from_int(n: int) -> CnfOrdinal:
-    """The finite ordinal n.  Below 256 it is one shared object, but only
-    ``==``, not identity, is promised."""
+    """The finite ordinal n.  Below SHARED_NATURALS it is one shared object,
+    but only ``==``, not identity, is promised."""
     if type(n) is not int:   # ahead of the lookup: _NATURALS[True] is ONE
         raise OrdinalError(f"{n!r} is not an integer")
     if n < 0:
         raise OrdinalError("ordinals are non-negative")
-    if n < len(_NATURALS):
+    if n < SHARED_NATURALS:
         return _NATURALS[n]
     return CnfOrdinal(((ZERO, n),))
 

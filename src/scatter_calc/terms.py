@@ -25,6 +25,7 @@ from .ordinal import (
     CnfOrdinal,
     OMEGA,
     ONE,
+    SHARED_NATURALS,
     ZERO,
     _OrdinalParser,
     ensure_ordinal,
@@ -771,7 +772,7 @@ def _random_below_power(exponent: CnfOrdinal, rng: random.Random, depth: int) ->
     """The normal-form terms of a random ordinal strictly below w^exponent
     (exponent > 0): w^smaller*m, plus a finite tail when smaller > 0."""
     if depth > 4 or rng.random() < 0.3:
-        k = rng.randrange(200)
+        k = rng.randrange(SHARED_NATURALS)
         return ((ZERO, k),) if k else ()
     smaller = _random_ordinal_below(exponent, rng, depth + 1)
     terms = ((smaller, rng.randrange(1, 5)),)

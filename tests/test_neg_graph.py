@@ -251,59 +251,6 @@ def test_compose_detects_injected_triangle():
     assert find_homogeneous(len(verts), col, 3, 1) is not None
 
 
-def edge_set_colouring(edges, corr):
-    """The colouring read off a set of edges, the reference for both paths."""
-    edges = set(edges)
-    return lambda i, j: int((corr[i], corr[j]) in edges or (corr[j], corr[i]) in edges)
-
-
-def assert_colourings_agree(graph, listed, corr):
-    """The C-set graph's colouring equals the edge-list graph's and the edge
-    set's on every ordered pair of distinct indices."""
-    got = compose_negative_coloring(graph, corr)
-    via_edges = compose_negative_coloring(listed, corr)
-    want = edge_set_colouring(listed.edges, corr)
-    for i, j in itertools.permutations(range(len(corr)), 2):
-        assert got(i, j) == via_edges(i, j) == want(i, j), (corr[i], corr[j])
-    return got
-
-
-def test_cset_colouring_matches_the_edge_set_colouring():
-    rng = random.Random(17)
-    triangles = edges = 0
-    for trial in range(80):
-        k = rng.randint(2, 5)
-        l = rng.randint(max(k, 3), 24)
-        if trial % 2:
-            csets = random_csets(rng, k, l, rng.choice((0.3, 0.6)), high=0.5)
-        else:
-            csets = build_neg_graph(grid_params(rng, k, l)).csets
-        graph = GridGraph(k, l, csets=csets)
-        listed = GridGraph(k, l, reference_cset_edges(csets), csets)
-        corr = graph.vertices()
-        rng.shuffle(corr)
-        corr = corr[:rng.randint(len(corr) // 2, len(corr))]
-        colour = assert_colourings_agree(graph, listed, corr)
-        edges += len(listed.edges)
-        triangles += find_homogeneous(len(corr), colour, 3, 1) is not None
-    assert triangles > 8 and edges > 2000
-
-
-def test_cset_colouring_finds_an_injected_triangle():
-    graph = build_neg_graph(grid_params(random.Random(2), 3, 8))
-    csets = dict(graph.csets)
-    # (0, 5)-(1, 4), (0, 5)-(2, 3) and (1, 4)-(2, 3)
-    for key, x in (((5, 1), 4), ((5, 2), 3), ((4, 2), 3)):
-        csets[key] = tuple(sorted(set(csets.get(key, ())) | {x}))
-    bad = GridGraph(3, 8, csets=csets)
-    listed = GridGraph(3, 8, reference_cset_edges(csets), csets)
-    verts = bad.vertices()
-    colour = assert_colourings_agree(bad, listed, verts)
-    assert check_triangle_free(bad) is not None
-    assert find_homogeneous(len(verts), colour, 3, 1) is not None
-    assert find_homogeneous(len(verts), compose_negative_coloring(graph, verts), 3, 1) is None
-
-
 def test_json_roundtrip():
     params = small_params()
     assert NegGraphParams.from_json(params.to_json()) == params

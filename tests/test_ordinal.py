@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import reference_ord_compare
-from scatter_calc import ordinal
 from scatter_calc.ordinal import (
     EXPONENT_DEPTH_LIMIT,
+    SHARED_NATURALS,
     CnfOrdinal,
     NotALimit,
     OMEGA,
@@ -236,16 +236,14 @@ def test_compare_strict_total_order_bulk():
 # -- shared naturals ----------------------------------------------------------
 
 def test_small_naturals_are_shared():
-    bound = len(ordinal._NATURALS)
-    assert bound >= 200   # every randrange(200) draw of the sampler
-    for n in range(bound):
+    for n in range(SHARED_NATURALS):
         assert from_int(n) is from_int(n)
     assert from_int(0) is ZERO and from_int(1) is ONE
 
 
 @pytest.mark.parametrize("offset", [-1, 0])
 def test_naturals_at_the_table_bound_are_exact(offset):
-    n = len(ordinal._NATURALS) + offset
+    n = SHARED_NATURALS + offset
     fresh = CnfOrdinal(((ZERO, n),))
     x = from_int(n)
     assert x.key == fresh.key and hash(x) == hash(fresh) and x == fresh
