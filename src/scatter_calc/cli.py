@@ -221,8 +221,8 @@ def cmd_ks(args):
     levels: dict = {}
     ok = witness is None
     if ok:
-        for seq, _ in sorted(tree.entries.items(), key=lambda kv: (len(kv[0]), kv[0].entries)):
-            chain = tuple(tree.entries[p].as_int() for p in seq.prefixes())
+        for seq in sorted(tree.entries, key=lambda s: (len(s), s.entries)):
+            chain = tuple(tree.value(p).as_int() for p in seq.prefixes())
             colour = oracle(chain)
             level = len(seq) - 1
             if level in levels and levels[level] != colour:

@@ -206,6 +206,8 @@ def ord_add(a: OrdinalLike, b: OrdinalLike) -> CnfOrdinal:
     if merged is not None:
         head = (eb, merged + b.terms[0][1])
         return from_terms(tuple(keep) + (head,) + b.terms[1:])
+    if not keep:    # b absorbs a
+        return b
     return CnfOrdinal(tuple(keep) + b.terms)
 
 

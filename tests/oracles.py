@@ -18,6 +18,9 @@ label and class bound recurse once per successor step of the exponent, as
 the library did before it took the finite part of an exponent in one step.
 The Milner-Rado block walk sums the CNF blocks of an ordinal and subtracts on
 the left, as the library did before it read the block off the normal forms.
+The Milner-Rado avoidance check builds the n-th power of the down-up pattern
+as a term and searches the class for a copy of it, as the library did before
+it compared the class size with 4^n.
 """
 
 import functools
@@ -40,7 +43,13 @@ from scatter_calc.ordinal import (
     ord_mul,
     parse_ordinal,
 )
-from scatter_calc.terms import InvalidElement, element_key, finsupp_elem
+from scatter_calc.terms import (
+    InvalidElement,
+    element_key,
+    finsupp_elem,
+    pow_term,
+    search_embedding,
+)
 
 
 def reference_ord_compare(a, b):
@@ -387,6 +396,18 @@ def reference_bound_within_power(exponent, n):
     if n <= 1:
         return ZERO
     return omega_power(from_int(n))
+
+
+def reference_down_up_power(n):
+    """Finite stand-in for the n-th power of (2 points descending + 2 ascending)."""
+    if n == 0:
+        return Fin(1)
+    return pow_term(SumList((Rev(Fin(2)), Fin(2))), n)
+
+
+def reference_ks_omega_check(classes, n):
+    """True iff the down-up pattern's n-th power does not embed into class n."""
+    return search_embedding(reference_down_up_power(n), classes.get(n, [])) is None
 
 
 def reference_step_up_colour(seed, x, y):

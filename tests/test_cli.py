@@ -380,6 +380,21 @@ def test_ks_check_exit_codes():
     assert bad.returncode == 2 and json.loads(bad.stdout)["ok"] is False
 
 
+def test_ks_check_large_n_is_a_size_comparison():
+    # the check never builds the 4^n-point pattern, so n past its depth limit is fine
+    for n in ("127", "1000000000"):
+        start = time.perf_counter()
+        res = run("ks-check", "--term", "ord(w)", "--n", n, "--budget", "10", timeout=10)
+        assert time.perf_counter() - start < 2.0
+        assert res.returncode == 0 and payload(res)["ok"] is True
+
+
+def test_ks_check_negative_n_is_one_error_line():
+    res = run("ks-check", "--term", "ord(w)", "--n", "-1")
+    assert_one_error_line(res)
+    assert "class index must be a natural number" in res.stderr
+
+
 def test_neg_graph_pipeline(tmp_path):
     params = {
         "k": 2, "l": 6,
@@ -505,6 +520,13 @@ def test_ks_search_and_verify(tmp_path):
     # wrong oracle: levels clash
     verify2 = run("ks", "verify", "--tree", str(tree_file), "--oracle", "parity")
     assert verify2.returncode in (0, 2)
+
+
+def test_ks_verify_reports_a_missing_prefix():
+    tree = {"alpha": "3", "entries": [{"seq": ["2", "1"], "val": "0"}]}
+    res = run("ks", "verify", "--tree", "-", stdin=json.dumps(tree))
+    assert_one_error_line(res)
+    assert res.stderr == "error: TreeDomainMiss: tree has no value for prefix ('2',)\n"
 
 
 def test_ks_search_refuses_more_than_512_tree_nodes_at_once():

@@ -8,6 +8,8 @@ import pytest
 from corpus import COMPOSITE_TEXT, bound_corpus, composite_terms, corpus_terms
 from oracles import (
     reference_bound_within_power,
+    reference_down_up_power,
+    reference_ks_omega_check,
     reference_label_ordinal,
     reference_label_within_power,
 )
@@ -19,7 +21,6 @@ from scatter_calc.milner_rado import (
     UnsupportedConstructor,
     cantor1,
     check_pairing,
-    down_up_block_power,
     ks_omega_check,
     mr_class_type_bound,
     mr_label_ordinal,
@@ -264,9 +265,31 @@ def test_composite_corpus_labels_at_least_five():
 # -- subset avoidance check ----------------------------------------------------------
 
 def test_down_up_pattern_sizes():
-    assert finite_size(down_up_block_power(0)) == 1
-    assert finite_size(down_up_block_power(1)) == 4
-    assert finite_size(down_up_block_power(3)) == 64
+    assert finite_size(reference_down_up_power(0)) == 1
+    assert finite_size(reference_down_up_power(1)) == 4
+    assert finite_size(reference_down_up_power(3)) == 64
+
+
+def test_ks_omega_check_matches_the_pattern_search():
+    for n in range(6):
+        sizes = list(range(301)) + [4 ** n - 1, 4 ** n, 4 ** n + 1]
+        for size in sizes:
+            classes = {n: list(range(size)), n + 1: [0]}
+            assert ks_omega_check(classes, n) is reference_ks_omega_check(classes, n), (n, size)
+        assert ks_omega_check({}, n) is reference_ks_omega_check({}, n) is True
+
+
+def test_ks_omega_check_passes_below_4_to_the_n_only():
+    for n in (7, 127, 10 ** 9):   # 4^7 > 10^4, the largest sample budget
+        assert ks_omega_check({n: list(range(10 ** 4))}, n) is True
+    assert ks_omega_check({6: list(range(4 ** 6 - 1))}, 6) is True
+    assert ks_omega_check({6: list(range(4 ** 6))}, 6) is False
+
+
+@pytest.mark.parametrize("bad", [-1, True, 1.0, "1"])
+def test_ks_omega_check_refuses_what_is_not_a_natural(bad):
+    with pytest.raises(ValueError, match="class index must be a natural number"):
+        ks_omega_check({1: [0]}, bad)
 
 
 def test_ks_omega_check_examples():

@@ -82,6 +82,25 @@ def test_add_examples():
     assert ord_add(W, 1) == o("w + 1")
 
 
+def test_absorbed_sum_is_b_and_constructs_nothing(constructions):
+    for a, b in [(ONE, OMEGA), (o("w*3 + 2"), o("w^2"))]:
+        before = len(constructions)
+        total = ord_add(a, b)
+        assert len(constructions) == before
+        assert total is b and reference_ord_compare(total, b) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(ordinals(), ordinals())
+def test_sum_is_b_exactly_when_a_is_absorbed(a, b):
+    absorbed = not b.is_zero() and all(
+        reference_ord_compare(e, b.terms[0][0]) < 0 for e, _ in a.terms)
+    total = ord_add(a, b)
+    assert (reference_ord_compare(total, b) == 0) == (absorbed or a.is_zero())
+    if absorbed:
+        assert total is b
+
+
 def test_mul_omega_plus_one_times_omega():
     # oracle: (w+1)*n by repeated addition, then the limit absorbs into w^2
     acc = ZERO

@@ -43,7 +43,7 @@ from scatter_calc import (
     search_embedding,
     validate_element,
 )
-from scatter_calc.ordinal import (TERM_DEPTH_LIMIT, OMEGA, CnfOrdinal, OrdinalError, from_int,
+from scatter_calc.ordinal import (TERM_DEPTH_LIMIT, OMEGA, OrdinalError, from_int,
                                   ord_pow, parse_ordinal)
 from scatter_calc.terms import (
     InvalidElement,
@@ -429,39 +429,25 @@ def test_sample_of_a_complete_finite_pool_makes_no_draws(monkeypatch):
     assert calls
 
 
-def counting_constructions(monkeypatch):
-    """A list that grows by one for every CnfOrdinal constructed from now on."""
-    made = []
-    init = CnfOrdinal.__init__
-
-    def counted(self, *args, **kwargs):
-        made.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(CnfOrdinal, "__init__", counted)
-    return made
-
-
-def test_sampling_below_w_constructs_no_ordinal(monkeypatch):
+def test_sampling_below_w_constructs_no_ordinal(constructions):
     term = parse_term("ord(w)")
-    made = counting_constructions(monkeypatch)
+    constructions.clear()
     sample = sample_elements(term, 48, 0)
-    assert len(sample) == 48 and made == []
+    assert len(sample) == 48 and constructions == []
 
 
-def test_finite_draws_are_shared_naturals(monkeypatch):
-    made = counting_constructions(monkeypatch)
+def test_finite_draws_are_shared_naturals(constructions):
     for bound in ("7", "w", "w^w", "w^(w + 1)*2 + w^2*3"):
         a, rng = parse_ordinal(bound), random.Random(5)
         finite = 0
         for _ in range(300):
-            before = len(made)
+            before = len(constructions)
             x = _random_ordinal_below(a, rng)
             if x.is_finite():
                 finite += 1
-                assert x is from_int(x.as_int()) and len(made) == before
+                assert x is from_int(x.as_int()) and len(constructions) == before
             else:
-                assert len(made) > before
+                assert len(constructions) > before
         assert finite > 10
 
 
