@@ -29,9 +29,7 @@ from .terms import (
     compare_elements,
     decode_element,
     encode_element,
-    finite_size,
     finsupp_elem,
-    format_term,
     materialize,
     parse_term,
     pow_term,
@@ -42,7 +40,6 @@ from .terms import (
 from .partition import (
     extract_unary,
     find_homogeneous,
-    sierpinski_color,
     sierpinski_coloring,
     step_up_extract,
 )

@@ -12,8 +12,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import InvalidInput, ScatterCalcError
 from .ordinal import CnfOrdinal, ensure_ordinal, format_ordinal, from_int, parse_ordinal
-from .terms import (FinSupp, FinSuppElem, InvalidElement, finsupp_elem, format_term,
-                    validate_element)
+from .terms import FinSupp, FinSuppElem, InvalidElement, finsupp_elem, validate_element
 
 
 class AntilexError(ScatterCalcError):
@@ -56,24 +55,14 @@ class FinSuppFn:
     def __post_init__(self):
         if not validate_element(self.host, self.elem):
             raise InvalidElement(
-                f"{self.elem!r} is not an element of {format_term(self.host)}")
+                f"{self.elem!r} is not an element of {self.host.format()}")
 
     @classmethod
     def build(cls, host: FinSupp, mapping) -> "FinSuppFn":
         return cls(host, finsupp_elem(mapping))
 
-    @classmethod
-    def zero(cls, host: FinSupp) -> "FinSuppFn":
-        return cls(host, FinSuppElem())
-
     def support(self) -> Tuple[Tuple[CnfOrdinal, Any], ...]:
         return self.elem.entries
-
-    def value_at(self, position) -> Any:
-        return self.elem.value_at(ensure_ordinal(position), self.host.zero)
-
-    def is_zero(self) -> bool:
-        return not self.elem.entries
 
 
 def delta_prime(f: FinSuppFn, g: FinSuppFn) -> CnfOrdinal:
@@ -191,15 +180,16 @@ def validate_alpha_tree(tree: AlphaTree) -> Optional[tuple]:
             parent = seq.parent()
             if parent in tree.entries and val.key >= tree.entries[parent].key:
                 return ("child-not-below-parent", seq, parent)
-    for seq_a, seq_b in itertools.combinations(tree.entries, 2):
-        if len(seq_a) != len(seq_b) or seq_a.entries[:-1] != seq_b.entries[:-1]:
-            continue
-        ca, cb = seq_a.entries[-1], seq_b.entries[-1]
-        va, vb = tree.entries[seq_a], tree.entries[seq_b]
-        if ca.key < cb.key and va.key >= vb.key:
-            return ("siblings-not-increasing", seq_a, seq_b)
-        if ca.key > cb.key and va.key <= vb.key:
-            return ("siblings-not-increasing", seq_b, seq_a)
+    # values increase along the siblings of a parent, ordered by their last
+    # entry, iff they increase between neighbours in that order
+    siblings: Dict[Tuple[CnfOrdinal, ...], List[DecSeq]] = {}
+    for seq in tree.entries:
+        siblings.setdefault(seq.entries[:-1], []).append(seq)
+    for family in siblings.values():
+        family.sort(key=lambda s: s.entries[-1].key)
+        for seq_a, seq_b in zip(family, family[1:]):
+            if tree.entries[seq_a].key >= tree.entries[seq_b].key:
+                return ("siblings-not-increasing", seq_a, seq_b)
     return None
 
 

@@ -54,7 +54,7 @@ _COMPARE_WORD = {-1: "Less", 0: "Equal", 1: "Greater"}
 
 def cmd_parse(args):
     term = terms.parse_term(args.term)
-    text = terms.format_term(term)
+    text = term.format()
     size = term.capped_size(PARSE_SIZE_LIMIT)
     if size is not None and size > PARSE_SIZE_LIMIT:
         raise terms.TermError(f"finite size has more than {PARSE_SIZE_DIGITS} digits")
@@ -66,13 +66,13 @@ def cmd_compare(args):
     a = _element(term, args.a)
     b = _element(term, args.b)
     result = terms.compare_elements(term, a, b)
-    return {"term": terms.format_term(term), "result": _COMPARE_WORD[result]}, 0
+    return {"term": term.format(), "result": _COMPARE_WORD[result]}, 0
 
 
 def cmd_sample(args):
     term = terms.parse_term(args.term)
     sample = terms.sample_elements(term, args.budget, args.seed)
-    return {"term": terms.format_term(term),
+    return {"term": term.format(),
             "elements": [terms.encode_element(term, e) for e in sample]}, 0
 
 
@@ -83,8 +83,8 @@ def cmd_embed_search(args):
     mapping = terms.search_embedding(
         pattern, sample, lambda x, y: terms.compare_elements(target_term, x, y))
     return {
-        "pattern": terms.format_term(pattern),
-        "term": terms.format_term(target_term),
+        "pattern": pattern.format(),
+        "term": target_term.format(),
         "found": mapping is not None,
         "embedding": None if mapping is None else [
             {"pattern": terms.encode_element(pattern, p),
@@ -149,7 +149,7 @@ def cmd_mr_label(args):
     term = terms.parse_term(args.term)
     elem = _element(term, args.elem)
     label, trace = milner_rado.mr_label_term_trace(term, elem)
-    return {"term": terms.format_term(term), "label": label,
+    return {"term": term.format(), "label": label,
             "chain": [{"m": m, "n": n, "value": v} for m, n, v in trace]}, 0
 
 
@@ -164,7 +164,7 @@ def cmd_ks_check(args):
     sample = terms.sample_elements(term, args.budget, args.seed)
     classes = milner_rado.mr_labeling(term, sample)
     ok = milner_rado.ks_omega_check(classes, args.n)
-    return {"term": terms.format_term(term), "n": args.n, "ok": ok}, 0 if ok else 2
+    return {"term": term.format(), "n": args.n, "ok": ok}, 0 if ok else 2
 
 
 def cmd_neg_graph(args):
@@ -229,7 +229,8 @@ def cmd_ks(args):
                 ok = False
                 break
             levels[level] = colour
-    tree_witness = None if witness is None else [str(w) for w in witness]
+    tree_witness = None if witness is None else [witness[0]] + [
+        [format_ordinal(x) for x in seq.entries] for seq in witness[1:]]
     return {"ok": ok, "tree_witness": tree_witness}, 0 if ok else 2
 
 

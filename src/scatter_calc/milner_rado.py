@@ -8,7 +8,7 @@ through an injective pairing of the index and summand labels.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from .errors import ScatterCalcError
 from .ordinal import (
@@ -21,7 +21,6 @@ from .ordinal import (
     ord_add,
     ord_mul,
 )
-from . import terms
 from .terms import (
     Fin,
     Ord,
@@ -61,20 +60,6 @@ def cantor1(m: int, n: int) -> int:
     certificate header: the Cantor pairing shifted up by one, injective and
     at least m + n + 1."""
     return (m + n) * (m + n + 1) // 2 + n + 1
-
-
-def check_pairing(pi: Callable[[int, int], int], bound: int) -> bool:
-    """Pointwise check of injectivity and the m+n+1 lower bound on [0, bound)^2."""
-    seen = {}
-    for m in range(bound):
-        for n in range(bound):
-            v = pi(m, n)
-            if v < m + n + 1:
-                return False
-            if v in seen and seen[v] != (m, n):
-                return False
-            seen[v] = (m, n)
-    return True
 
 
 # -- ordinal labelling ----------------------------------------------------------
@@ -205,7 +190,7 @@ def mr_label_term_trace(term: OrderTerm, elem: Any
     """Label plus the (m, n, cantor1(m, n)) combination executed at each level,
     innermost first."""
     if not validate_element(term, elem):
-        raise ElementOutOfRange(f"{elem!r} is not an element of {terms.format_term(term)}")
+        raise ElementOutOfRange(f"{elem!r} is not an element of {term.format()}")
     trace: List[Tuple[int, int, int]] = []
     label = _term_label(term, elem, trace)
     return label, trace

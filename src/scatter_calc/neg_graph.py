@@ -154,12 +154,9 @@ class GridGraph:
     @property
     def edges(self) -> Tuple[Edge, ...]:
         if self._edges is None:
-            return tuple(((i, r), (n, x)) for i, r, n, xs in _edge_groups(self.k, self.csets)
+            return tuple(((i, r), (n, x)) for i, r, n, xs in _edge_groups(self.csets)
                          for x in xs)
         return self._edges
-
-    def vertices(self) -> List[Vertex]:
-        return [(c, r) for c in range(self.k) for r in range(self.l)]
 
     def to_json(self) -> dict:
         if self._edges is None:
@@ -219,13 +216,14 @@ def _is_cset(c: Any, k: int, l: int) -> bool:
             and isinstance(c.get("entries"), list) and all(_below(x, l) for x in c["entries"]))
 
 
-def _edge_groups(k: int, csets: Dict[Tuple[int, int], Tuple[int, ...]]):
+def _edge_groups(csets: Dict[Tuple[int, int], Tuple[int, ...]]):
     """(iota, rho, nu, C[rho, nu]) for iota < nu, ordered so that the edges
-    ((iota, rho), (nu, xi)) for xi in C[rho, nu] come out sorted."""
+    ((iota, rho), (nu, xi)) for xi in C[rho, nu] come out sorted.  Columns
+    past the largest C-set column start no edge."""
     rows: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
     for (rho, nu), xs in sorted(csets.items()):
         rows.setdefault(rho, []).append((nu, xs))
-    for iota in range(k):
+    for iota in range(max((nu for _, nu in csets), default=0)):
         for rho, cols in rows.items():
             for nu, xs in cols:
                 if nu > iota:
@@ -235,7 +233,7 @@ def _edge_groups(k: int, csets: Dict[Tuple[int, int], Tuple[int, ...]]):
 def _json_edges(k: int, l: int, csets: Dict[Tuple[int, int], Tuple[int, ...]]) -> List[list]:
     """The edges in JSON form; edges share their vertex lists, one list per vertex."""
     vertex = [[[c, r] for r in range(l)] for c in range(k)]
-    return [[vertex[i][r], vertex[n][x]] for i, r, n, xs in _edge_groups(k, csets) for x in xs]
+    return [[vertex[i][r], vertex[n][x]] for i, r, n, xs in _edge_groups(csets) for x in xs]
 
 
 def _cset_graph(k: int, l: int, edges: list, csets: Any) -> Optional[GridGraph]:
@@ -254,7 +252,7 @@ def _cset_graph(k: int, l: int, edges: list, csets: Any) -> Optional[GridGraph]:
             return None
         table[key] = tuple(entries)
         last = key
-    derived = ([[i, r], [n, x]] for i, r, n, xs in _edge_groups(k, table) for x in xs)
+    derived = ([[i, r], [n, x]] for i, r, n, xs in _edge_groups(table) for x in xs)
     if (len(edges) != sum(col * len(xs) for (row, col), xs in table.items())
             or any(map(ne, edges, derived))):
         return None
@@ -314,10 +312,12 @@ def _cset_triangle(graph: GridGraph) -> bool:
     1 <= b < c and r in C[rho, b] with C[r, c] and C[rho, c] meeting.  Row
     by row, the r of C[rho, b] for 1 <= b < c form the bitset ``below``, and
     x in C[rho, c] completes a triangle iff some r in ``below`` has x in
-    C[r, c]."""
-    holders: List[Dict[int, int]] = [{} for _ in range(graph.k)]   # [c][x]: r with x in C[r, c]
+    C[r, c].  Only the rows of C-sets can hold an x, so a row's bit is its
+    rank among them."""
+    rank = {r: i for i, r in enumerate(sorted({r for r, _ in graph.csets}))}
+    holders: Dict[int, Dict[int, int]] = {}   # [c][x]: r with x in C[r, c]
     for (r, c), xs in graph.csets.items():
-        column, bit = holders[c], 1 << r
+        column, bit = holders.setdefault(c, {}), 1 << rank[r]
         for x in xs:
             column[x] = column.get(x, 0) | bit
     row, below = -1, 0
@@ -327,7 +327,7 @@ def _cset_triangle(graph: GridGraph) -> bool:
         if below and any(holders[c][x] & below for x in xs):
             return True
         if c >= 1:
-            below |= sum(1 << x for x in xs)
+            below |= sum(1 << rank[x] for x in xs if x in rank)
     return False
 
 
@@ -343,22 +343,23 @@ def check_triangle_free(graph: GridGraph) -> Optional[Tuple[Vertex, Vertex, Vert
     least witness, the first edge that lies on a triangle completed by the
     least common neighbour of its ends, as a sorted triple.  A graph that is
     its C-sets is first tested on them, and scanned only when the test
-    finds a triangle.  Vertex (c, r) is bit c*l + r of the adjacency masks,
-    so bit order is vertex order."""
+    finds a triangle.  A vertex on an edge is the bit of its rank among
+    them in the adjacency masks, so bit order is vertex order."""
     if graph._edges is None and not _cset_triangle(graph):
         return None
-    l = graph.l
     edges = graph.edges
-    masks = [0] * (graph.k * l)
-    for (a, ra), (b, rb) in edges:
-        ia, ib = a * l + ra, b * l + rb
+    vertices = sorted({v for edge in edges for v in edge})
+    rank = {v: i for i, v in enumerate(vertices)}
+    masks = [0] * len(vertices)
+    for a, b in edges:
+        ia, ib = rank[a], rank[b]
         masks[ia] |= 1 << ib
         masks[ib] |= 1 << ia
-    for (a, ra), (b, rb) in edges:
-        common = masks[a * l + ra] & masks[b * l + rb]
+    for a, b in edges:
+        common = masks[rank[a]] & masks[rank[b]]
         if common:
-            c = divmod((common & -common).bit_length() - 1, l)
-            return tuple(sorted(((a, ra), (b, rb), c)))
+            c = vertices[(common & -common).bit_length() - 1]
+            return tuple(sorted((a, b, c)))
     return None
 
 
@@ -389,12 +390,11 @@ def compose_negative_coloring(graph: GridGraph, correspondence: Sequence[Vertex]
                               ) -> Callable[[int, int], int]:
     """The colour of a pair of distinct indices of the correspondence: 1
     exactly when their grid vertices are joined by an edge."""
-    vertices = set(graph.vertices())
     edges = set(graph.edges)
     corr = [tuple(v) for v in correspondence]
     if len(set(corr)) != len(corr):
         raise DomainMismatch("correspondence must be injective")
-    if any(v not in vertices for v in corr):
+    if not all(len(v) == 2 and _below(v[0], graph.k) and _below(v[1], graph.l) for v in corr):
         raise DomainMismatch("correspondence leaves the vertex grid")
 
     def colour(i: int, j: int) -> int:

@@ -44,23 +44,23 @@ SIERPINSKI_TAG_LIMIT = 256
 
 # -- the folklore blocking colouring -------------------------------------------
 
-def sierpinski_color(tags: Sequence[int], i: int, j: int) -> int:
-    """0 iff the domain order and the tag order agree on positions i < j."""
-    if i == j:
-        raise PartitionError("pairs need two distinct points")
-    if i > j:
-        i, j = j, i
-    return 0 if tags[i] < tags[j] else 1
-
-
 def sierpinski_coloring(tags: Sequence[int]) -> Callable[[int, int], int]:
-    """The colour of a pair of distinct positions of an injective tag list."""
+    """The colour of a pair of distinct positions of an injective tag list:
+    0 iff the domain order and the tag order agree on them."""
     if len(tags) > SIERPINSKI_TAG_LIMIT:
         raise PartitionError(
             f"{len(tags)} tags exceed the limit of {SIERPINSKI_TAG_LIMIT} tags")
     if len(set(tags)) != len(tags):
         raise NonInjectiveTag("tags must be injective")
-    return lambda i, j: sierpinski_color(tags, i, j)
+
+    def colour(i: int, j: int) -> int:
+        if i == j:
+            raise PartitionError("pairs need two distinct points")
+        if i > j:
+            i, j = j, i
+        return 0 if tags[i] < tags[j] else 1
+
+    return colour
 
 
 # -- exhaustive homogeneous search ------------------------------------------------

@@ -540,12 +540,6 @@ class FinSuppElem:
                 raise InvalidElement("support positions must be strictly decreasing")
             prev = position
 
-    def value_at(self, position: CnfOrdinal, zero: Any) -> Any:
-        for p, v in self.entries:
-            if p == position:
-                return v
-        return zero
-
     def first_disagreement(self, other: "FinSuppElem",
                            zero: Any) -> Optional[Tuple[CnfOrdinal, Any, Any]]:
         """(position, own value, other's value) at the largest position where
@@ -588,11 +582,6 @@ def pow_term(base: OrderTerm, n: int) -> OrderTerm:
     for _ in range(n - 1):
         result = Scaled(result, base)
     return result
-
-
-def finite_size(term: OrderTerm) -> Optional[int]:
-    """Number of elements when the denotation is finite, else None."""
-    return term.finite_size
 
 
 # -- elements and comparators ---------------------------------------------------
@@ -664,10 +653,6 @@ def sort_elements(term: OrderTerm, elems: Sequence[Any]) -> List[Any]:
 
 
 # -- text form --------------------------------------------------------------------
-
-def format_term(term: OrderTerm) -> str:
-    return term.format()
-
 
 class _TermParser(_OrdinalParser):
     syntax_error = TermSyntaxError
@@ -746,10 +731,6 @@ def encode_element(term: OrderTerm, elem: Any) -> Any:
 
 def decode_element(term: OrderTerm, data: Any) -> Any:
     return term.decode(data)
-
-
-def element_key(term: OrderTerm, elem: Any) -> str:
-    return json.dumps(term.encode(elem), sort_keys=True, separators=(",", ":"))
 
 
 def materialize(term: OrderTerm) -> List[Any]:

@@ -20,11 +20,15 @@ The Milner-Rado block walk sums the CNF blocks of an ordinal and subtracts on
 the left, as the library did before it read the block off the normal forms.
 The Milner-Rado avoidance check builds the n-th power of the down-up pattern
 as a term and searches the class for a copy of it, as the library did before
-it compared the class size with 4^n.
+it compared the class size with 4^n.  The value-tree check compares every
+pair of entries, as the library did before it sorted the children of each
+parent.
 """
 
 import functools
 import hashlib
+import itertools
+import json
 import random
 from typing import Tuple
 
@@ -45,7 +49,6 @@ from scatter_calc.ordinal import (
 )
 from scatter_calc.terms import (
     InvalidElement,
-    element_key,
     finsupp_elem,
     pow_term,
     search_embedding,
@@ -244,11 +247,16 @@ def textbook_materialize(term):
     raise AssertionError(f"not finite: {term}")
 
 
+def grid_vertices(k, l):
+    """Every vertex (column, row) of the k-by-l grid, in sorted order."""
+    return [(c, r) for c in range(k) for r in range(l)]
+
+
 def reference_triangle_free(k, l, edges):
     """Triangle scan over a set of edges: the first edge in sorted order
     with a common neighbour, completed by its least common neighbour, as a
     sorted triple; None when there is no triangle."""
-    verts = [(c, r) for c in range(k) for r in range(l)]
+    verts = grid_vertices(k, l)
     index = {v: i for i, v in enumerate(verts)}
     masks = [0] * len(verts)
     for a, b in edges:
@@ -425,7 +433,39 @@ def reference_step_up_colour(seed, x, y):
     return hashlib.blake2b(data, digest_size=1).digest()[0] & 1
 
 
+def reference_validate_alpha_tree(tree):
+    """The value-tree check with every pair of entries compared: None when
+    coherent, otherwise the first violation found, as a tuple of its kind
+    and the sequences involved."""
+    for seq in tree.entries:
+        if len(seq) == 0:
+            return ("empty-sequence", seq)
+        for x in seq.entries:
+            if x.key >= tree.alpha.key:
+                return ("entry-above-alpha", seq)
+    for seq, val in tree.entries.items():
+        if len(seq) > 1:
+            parent = seq.parent()
+            if parent in tree.entries and val.key >= tree.entries[parent].key:
+                return ("child-not-below-parent", seq, parent)
+    for seq_a, seq_b in itertools.combinations(tree.entries, 2):
+        if len(seq_a) != len(seq_b) or seq_a.entries[:-1] != seq_b.entries[:-1]:
+            continue
+        ca, cb = seq_a.entries[-1], seq_b.entries[-1]
+        va, vb = tree.entries[seq_a], tree.entries[seq_b]
+        if ca.key < cb.key and va.key >= vb.key:
+            return ("siblings-not-increasing", seq_a, seq_b)
+        if ca.key > cb.key and va.key <= vb.key:
+            return ("siblings-not-increasing", seq_b, seq_a)
+    return None
+
+
 # -- sampling ---------------------------------------------------------------------------
+
+def element_key(term, elem):
+    """An element's JSON text, the key the reference sampler de-duplicates by."""
+    return json.dumps(term.encode(elem), sort_keys=True, separators=(",", ":"))
+
 
 def _reference_random_below_power(exponent, rng, depth):
     if depth > 4 or rng.random() < 0.3:

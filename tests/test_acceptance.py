@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from corpus import bound_corpus, composite_terms, corpus_terms
-from oracles import textbook_materialize
+from oracles import element_key, grid_vertices, textbook_materialize
 
 from scatter_calc import (
     Fin,
@@ -27,8 +27,6 @@ from scatter_calc import (
     compose_negative_coloring,
     extract_unary,
     find_homogeneous,
-    finite_size,
-    format_term,
     materialize,
     parse_term,
     pow_term,
@@ -59,7 +57,7 @@ from scatter_calc.ordinal import (
     ord_compare,
     parse_ordinal,
 )
-from scatter_calc.terms import element_key, sort_elements
+from scatter_calc.terms import sort_elements
 
 
 def report(number: int, description: str, ok: bool) -> None:
@@ -104,7 +102,7 @@ def test_criterion_2_finite_denotation_oracle():
     checked = 0
     ok = True
     for term in corpus_terms():
-        size = finite_size(term)
+        size = term.finite_size
         if size is None or size > 8:
             continue
         checked += 1
@@ -184,7 +182,7 @@ def test_criterion_5_composite_label_avoidance():
             for pattern in _approximants(label):
                 found = search_embedding(pattern, members)
                 if found is not None:
-                    hits.append((format_term(term), label))
+                    hits.append((term.format(), label))
                     ok = False
     report(5, f"no down-up/nested approximant embeds into any label class "
               f"(10 composite terms, 200-point samples); hits: {hits}", ok)
@@ -308,7 +306,7 @@ def test_criterion_7_negative_graph():
             ok = False
         if check_corner_invariant(graph) is not None:
             ok = False
-        verts = graph.vertices()
+        verts = grid_vertices(graph.k, graph.l)
         colouring = compose_negative_coloring(graph, verts)
         if len(verts) >= 3 and find_homogeneous(len(verts), colouring, 3, 1) is not None:
             ok = False

@@ -2,11 +2,12 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_disagreement
+from oracles import reference_disagreement, reference_validate_alpha_tree
 from scatter_calc.antilex import (
     AlphaTree,
     EqualInputs,
@@ -44,7 +45,7 @@ def random_fn(rng: random.Random) -> FinSuppFn:
 
 def test_delta_prime_examples():
     f = FinSuppFn.build(HOST, {2: 1})
-    assert delta_prime(f, FinSuppFn.zero(HOST)) == from_int(2)
+    assert delta_prime(f, FinSuppFn.build(HOST, {})) == from_int(2)
     f2 = FinSuppFn.build(HOST, {3: 1, 1: 2})
     g2 = FinSuppFn.build(HOST, {3: 1, 0: 2})
     assert delta_prime(f2, g2) == from_int(1)
@@ -52,7 +53,7 @@ def test_delta_prime_examples():
         delta_prime(f, f)
     other = FinSupp(W, Fin(3), 0)
     with pytest.raises(HostMismatch):
-        delta_prime(f, FinSuppFn.zero(other))
+        delta_prime(f, FinSuppFn.build(other, {}))
 
 
 def test_delta_prime_matches_reference():
@@ -72,7 +73,7 @@ def test_delta_prime_matches_reference():
 
 
 def test_compare_examples():
-    z = FinSuppFn.zero(HOST)
+    z = FinSuppFn.build(HOST, {})
     g = FinSuppFn.build(HOST, {0: 1})
     assert compare_antilex(z, z) == 0
     assert compare_antilex(z, g) == -1
@@ -86,7 +87,8 @@ def test_compare_decided_at_delta_prime():
         if f.elem == g.elem:
             continue
         d = delta_prime(f, g)
-        expected = compare_elements(Fin(3), f.value_at(d), g.value_at(d))
+        fd, gd = dict(f.support()).get(d, 0), dict(g.support()).get(d, 0)
+        expected = compare_elements(Fin(3), fd, gd)
         assert compare_antilex(f, g) == expected
 
 
@@ -137,7 +139,47 @@ def test_validate_tree_examples():
     siblings = AlphaTree(from_int(3), {dec_seq([0]): from_int(5),
                                        dec_seq([1]): from_int(4)})
     witness = validate_alpha_tree(siblings)
-    assert witness is not None and witness[0] == "siblings-not-increasing"
+    assert witness == ("siblings-not-increasing", dec_seq([0]), dec_seq([1]))
+    equal = AlphaTree(from_int(3), {dec_seq([2]): from_int(4), dec_seq([0]): from_int(4)})
+    assert validate_alpha_tree(equal) == ("siblings-not-increasing", dec_seq([0]), dec_seq([2]))
+
+
+def test_validate_tree_matches_the_pairwise_reference():
+    # values shrink with depth, so most parents sit above their children and
+    # the sibling check is reached; small value ranges make equal siblings
+    rng = random.Random(29)
+    universe = [s for n in range(1, 4) for s in itertools.combinations(range(4, -1, -1), n)]
+    kinds = set()
+    for _ in range(3000):
+        seqs = rng.sample(universe, rng.randrange(1, 9))
+        if rng.random() < 0.02:
+            seqs.append(())
+        alpha = from_int(4 if rng.random() < 0.05 else 5)
+        tree = AlphaTree(alpha, {
+            dec_seq(s): from_int(rng.randrange(3) + 3 * (3 - len(s)) + rng.choice([0, 0, 0, 3]))
+            for s in seqs})
+        got, want = validate_alpha_tree(tree), reference_validate_alpha_tree(tree)
+        assert (got is None) == (want is None)
+        if got is None:
+            continue
+        kinds.add(got[0])
+        assert got[0] == want[0]
+        if got[0] != "siblings-not-increasing":
+            assert got == want
+            continue
+        low, high = got[1], got[2]
+        assert low.entries[:-1] == high.entries[:-1]
+        assert low.entries[-1] < high.entries[-1]
+        assert tree.entries[low] >= tree.entries[high]
+    assert kinds == {"empty-sequence", "entry-above-alpha", "child-not-below-parent",
+                     "siblings-not-increasing"}
+
+
+def test_validate_tree_with_4000_siblings_is_fast():
+    tree = AlphaTree(from_int(4000), {dec_seq([i]): from_int(i) for i in range(4000)})
+    start = time.perf_counter()
+    assert validate_alpha_tree(tree) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_dec_seq_rejects_increase():
@@ -187,8 +229,8 @@ def test_ks_embed_examples():
     small = FinSupp(from_int(1), Fin(3), 0)
     big = FinSupp(from_int(12), Fin(3), 0)
     tree = AlphaTree(from_int(1), {dec_seq([0]): from_int(9)})
-    zero = FinSuppFn.zero(small)
-    assert ks_embed(tree, zero, big).is_zero()
+    zero = FinSuppFn.build(small, {})
+    assert ks_embed(tree, zero, big).support() == ()
     f = FinSuppFn.build(small, {0: 2})
     image = ks_embed(tree, f, big)
     assert image.support() == ((from_int(9), 2),)

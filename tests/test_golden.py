@@ -19,8 +19,6 @@ from scatter_calc import (
     compare_elements,
     decode_element,
     encode_element,
-    finite_size,
-    format_term,
     materialize,
     parse_term,
     sample_elements,
@@ -45,8 +43,8 @@ def _key(term, elem):
 
 def record(text):
     term = parse_term(text)
-    size = finite_size(term)
-    out = {"text": text, "term": format_term(term), "size": size}
+    size = term.finite_size
+    out = {"text": text, "term": term.format(), "size": size}
     for seed in range(3):
         pool = sample_elements(term, 48, seed)
         out[f"sample{seed}"] = [_key(term, e) for e in pool]

@@ -20,7 +20,6 @@ from scatter_calc.milner_rado import (
     ElementOutOfRange,
     UnsupportedConstructor,
     cantor1,
-    check_pairing,
     ks_omega_check,
     mr_class_type_bound,
     mr_label_ordinal,
@@ -39,13 +38,24 @@ from scatter_calc.ordinal import (
     ord_pow,
     parse_ordinal,
 )
-from scatter_calc.terms import Fin, FinSupp, Shuffle, finite_size
+from scatter_calc.terms import Fin, FinSupp, Shuffle
 
 W = OMEGA
 
 
 def o(text):
     return parse_ordinal(text)
+
+
+def check_pairing(pi, bound):
+    """Pointwise check of injectivity and the m+n+1 lower bound on [0, bound)^2."""
+    seen = {}
+    for m in range(bound):
+        for n in range(bound):
+            v = pi(m, n)
+            if v < m + n + 1 or seen.setdefault(v, (m, n)) != (m, n):
+                return False
+    return True
 
 
 def test_pairing_contract():
@@ -265,9 +275,9 @@ def test_composite_corpus_labels_at_least_five():
 # -- subset avoidance check ----------------------------------------------------------
 
 def test_down_up_pattern_sizes():
-    assert finite_size(reference_down_up_power(0)) == 1
-    assert finite_size(reference_down_up_power(1)) == 4
-    assert finite_size(reference_down_up_power(3)) == 64
+    assert reference_down_up_power(0).finite_size == 1
+    assert reference_down_up_power(1).finite_size == 4
+    assert reference_down_up_power(3).finite_size == 64
 
 
 def test_ks_omega_check_matches_the_pattern_search():

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from oracles import (
+    grid_vertices,
     reference_cset_edges,
     reference_csets,
     reference_corner_invariant,
@@ -230,7 +231,7 @@ def test_random_corpus_invariants():
 
 def test_compose_negative_coloring():
     graph = build_neg_graph(small_params())
-    verts = graph.vertices()
+    verts = grid_vertices(graph.k, graph.l)
     n = len(verts)
     col = compose_negative_coloring(graph, verts)
     assert sum(col(i, j) for i, j in itertools.combinations(range(n), 2)) == len(graph.edges)
@@ -246,7 +247,7 @@ def test_compose_detects_injected_triangle():
     graph = build_neg_graph(small_params())
     tri = {((0, 5), (1, 4)), ((0, 5), (1, 3)), ((1, 4), (1, 3))}
     bad = GridGraph(graph.k, graph.l, set(graph.edges) | tri)
-    verts = bad.vertices()
+    verts = grid_vertices(bad.k, bad.l)
     col = compose_negative_coloring(bad, verts)
     assert find_homogeneous(len(verts), col, 3, 1) is not None
 
@@ -426,3 +427,33 @@ def test_large_grid_builds_and_checks_quickly():
     elapsed = time.perf_counter() - start
     assert sum(map(len, graph.csets.values())) > 100_000
     assert elapsed < 5.0, f"k=12, l=1000 took {elapsed:.2f} s"
+
+
+# the canonical C-set graph with C[1, 2] = C[2, 2] = {0} and C[2, 1] = {1},
+# whose five edges close the triangle (0, 2), (1, 1), (2, 0)
+TRIANGLE_CSETS = [{"row": 1, "col": 2, "entries": [0]}, {"row": 2, "col": 1, "entries": [1]},
+                  {"row": 2, "col": 2, "entries": [0]}]
+TRIANGLE_EDGES = [[[0, 1], [2, 0]], [[0, 2], [1, 1]], [[0, 2], [2, 0]], [[1, 1], [2, 0]],
+                  [[1, 2], [2, 0]]]
+TOP = 10 ** 9 - 1
+
+
+@pytest.mark.parametrize("edges, csets, triangle, corner", [
+    ([], [], None, None),
+    (TRIANGLE_EDGES, TRIANGLE_CSETS, ((0, 2), (1, 1), (2, 0)), None),
+    ([[[0, 5], [1, 4]]], [], None, ((0, 5), (1, 4))),
+    # C-sets on the last rows of the grid
+    ([[[0, TOP], [1, TOP - 1]], [[0, TOP], [2, TOP - 2]], [[1, TOP], [2, TOP - 2]]],
+     [{"row": TOP, "col": 1, "entries": [TOP - 1]}, {"row": TOP, "col": 2, "entries": [TOP - 2]}],
+     None, None),
+])
+def test_checks_on_a_10e9_grid_follow_the_edges_and_csets(edges, csets, triangle, corner):
+    start = time.perf_counter()
+    graph = GridGraph.from_json({"k": 10 ** 9, "l": 10 ** 9, "edges": edges, "csets": csets})
+    assert is_cset_graph(graph) == (edges == [] or csets != [])
+    assert check_triangle_free(graph) == triangle
+    assert check_corner_invariant(graph) == corner
+    assert time.perf_counter() - start < 1.0
+    if edges is TRIANGLE_EDGES:   # the same witness on the smallest grid that holds it
+        small = GridGraph.from_json({"k": 3, "l": 3, "edges": edges, "csets": csets})
+        assert is_cset_graph(small) and check_triangle_free(small) == triangle

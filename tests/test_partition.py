@@ -13,7 +13,6 @@ from scatter_calc.partition import (
     check_lex_power,
     extract_unary,
     find_homogeneous,
-    sierpinski_color,
     sierpinski_coloring,
     step_up_extract,
 )
@@ -22,8 +21,11 @@ from scatter_calc.partition import (
 # -- sierpinski colouring --------------------------------------------------------
 
 def test_sierpinski_examples():
-    assert sierpinski_color([0, 1], 0, 1) == 0
-    assert sierpinski_color([7, 2], 0, 1) == 1
+    assert sierpinski_coloring([0, 1])(0, 1) == 0
+    assert sierpinski_coloring([7, 2])(0, 1) == 1
+    assert sierpinski_coloring([7, 2])(1, 0) == 1
+    with pytest.raises(PartitionError, match="two distinct points"):
+        sierpinski_coloring([7, 2])(1, 1)
 
 
 def test_sierpinski_rejects_non_injective():

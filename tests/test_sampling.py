@@ -7,12 +7,12 @@ import random
 import pytest
 
 from corpus import COMPOSITE_TEXT, CORPUS_TEXT
-from oracles import reference_random_ordinal_below, reference_sample
+from oracles import element_key, reference_random_ordinal_below, reference_sample
 from test_golden import EXTRA_TEXT
 
 from scatter_calc import parse_term, sample_elements
 from scatter_calc.ordinal import format_ordinal, parse_ordinal
-from scatter_calc.terms import _random_ordinal_below, element_key
+from scatter_calc.terms import _random_ordinal_below
 
 BOUNDS = ["1", "7", "w", "w^w", "w^(w + 1)*2 + w^2*3", "w^(w^2)"]
 

@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from corpus import COMPOSITE_TEXT, CORPUS_TEXT, corpus_terms
 from oracles import (
+    element_key,
     reference_admissible_index,
     reference_anti_well_ordered,
     reference_cmp,
@@ -33,9 +34,7 @@ from scatter_calc import (
     compare_elements,
     decode_element,
     encode_element,
-    finite_size,
     finsupp_elem,
-    format_term,
     materialize,
     parse_term,
     pow_term,
@@ -53,7 +52,6 @@ from scatter_calc.terms import (
     TermSyntaxError,
     TermTooDeep,
     _random_ordinal_below,
-    element_key,
     sort_elements,
 )
 
@@ -71,7 +69,7 @@ def test_parse_examples():
 
 def test_parse_format_roundtrip_corpus():
     for term in corpus_terms():
-        assert parse_term(format_term(term)) == term
+        assert parse_term(term.format()) == term
 
 
 def test_parse_rejects_non_bl_index():
@@ -101,7 +99,7 @@ def test_term_depth_limit():
         pow_term(Fin(2), 5000)
     with pytest.raises(TermTooDeep):
         parse_term(f"pow(pow(fin(2), {TERM_DEPTH_LIMIT}), 2)")
-    assert finite_size(parse_term(f"pow(fin(2), {TERM_DEPTH_LIMIT})")) == 2 ** TERM_DEPTH_LIMIT
+    assert parse_term(f"pow(fin(2), {TERM_DEPTH_LIMIT})").finite_size == 2 ** TERM_DEPTH_LIMIT
 
 
 LONG_LITERAL = "9" * 4301   # one digit past Python's default int-to-text limit
@@ -142,7 +140,7 @@ def test_parsers_raise_only_library_errors(text, term, data):
 def test_finite_powers_are_admissible_indices():
     # finite order types count as admissible indices regardless of shape
     pattern = pow_term(parse_term("scaled(fin(2), rev(fin(2)))"), 3)
-    assert finite_size(pattern) == 64
+    assert pattern.finite_size == 64
     index = parse_term("scaled(fin(2), rev(fin(2)))")
     assert index.well_ordered and index.anti_well_ordered
 
@@ -184,12 +182,12 @@ def order_terms(draw, depth=3):
 @given(order_terms())
 def test_node_facts_match_tree_walks(term):
     size = reference_finite_size(term)
-    assert term.finite_size == size and finite_size(term) == size
+    assert term.finite_size == size
     assert term.finite == (size is not None)
     assert term.depth == reference_depth(term)
     assert term.well_ordered == reference_well_ordered(term)
     assert term.anti_well_ordered == reference_anti_well_ordered(term)
-    twin = parse_term(format_term(term))
+    twin = parse_term(term.format())
     assert twin is term and hash(twin) == hash(term)
 
 
@@ -212,7 +210,7 @@ def test_sampling_a_huge_finite_support_power_stops_counting():
     assert all(compare_elements(term, x, y) < 0 for x, y in zip(sample, sample[1:]))
     assert not wide.finite and term.capped_size(100) == 101
     assert elapsed < 1.0, f"took {elapsed:.2f} s"
-    assert finite_size(parse_term("finsupp(40, fin(3), 0)")) == 3 ** 40
+    assert parse_term("finsupp(40, fin(3), 0)").finite_size == 3 ** 40
 
 
 @settings(max_examples=200, deadline=None)
@@ -319,7 +317,7 @@ def test_cmp_matches_reference_on_corpus_pools():
         pool = sample_elements(term, 48, 2000 + t_index)
         for x in pool:
             for y in pool:
-                assert term.cmp(x, y) == reference_cmp(term, x, y), (format_term(term), x, y)
+                assert term.cmp(x, y) == reference_cmp(term, x, y), (term.format(), x, y)
 
 
 def test_shuffle_examples():
@@ -377,7 +375,7 @@ def test_reverse_term_flips_and_involutes():
 
 def test_materialize_matches_textbook_oracle():
     for term in corpus_terms():
-        size = finite_size(term)
+        size = term.finite_size
         if size is None or size > 8:
             continue
         expected = textbook_materialize(term)
