@@ -168,6 +168,8 @@ def reference_finite_size(term):
         return None if None in sizes else sum(sizes)
     if isinstance(term, Scaled):
         a, b = reference_finite_size(term.inner), reference_finite_size(term.index)
+        if a == 0 or b == 0:   # no copies, or copies of the empty order
+            return 0
         return None if a is None or b is None else a * b
     if isinstance(term, Shuffle):
         return None
@@ -191,7 +193,8 @@ def reference_well_ordered(term):
     if isinstance(term, SumList):
         return all(reference_well_ordered(c) for c in term.children)
     if isinstance(term, Scaled):
-        return reference_well_ordered(term.inner) and reference_well_ordered(term.index)
+        return reference_finite_size(term) == 0 or (
+            reference_well_ordered(term.inner) and reference_well_ordered(term.index))
     return reference_finite_size(term) is not None
 
 
@@ -205,8 +208,8 @@ def reference_anti_well_ordered(term):
     if isinstance(term, SumList):
         return all(reference_anti_well_ordered(c) for c in term.children)
     if isinstance(term, Scaled):
-        return (reference_anti_well_ordered(term.inner)
-                and reference_anti_well_ordered(term.index))
+        return reference_finite_size(term) == 0 or (
+            reference_anti_well_ordered(term.inner) and reference_anti_well_ordered(term.index))
     return reference_finite_size(term) is not None
 
 
@@ -231,6 +234,8 @@ def textbook_materialize(term):
             out.extend((k, e) for e in textbook_materialize(child))
         return out
     if isinstance(term, Scaled):
+        if reference_finite_size(term) == 0:   # one side may be infinite
+            return []
         inner = textbook_materialize(term.inner)
         return [(ie, e) for ie in textbook_materialize(term.index) for e in inner]
     if isinstance(term, FinSupp):
@@ -497,7 +502,8 @@ SHUFFLE_LETTERS = [parse_ordinal(text) for text in
 
 
 def reference_random_element(term, rng):
-    """One random draw of an element of term, walking it as a tree."""
+    """One random draw of an element of term, walking it as a tree.  A sum
+    draws among its non-empty children."""
     if isinstance(term, Fin):
         return rng.randrange(term.size)
     if isinstance(term, Ord):
@@ -505,7 +511,8 @@ def reference_random_element(term, rng):
     if isinstance(term, Rev):
         return reference_random_element(term.inner, rng)
     if isinstance(term, SumList):
-        k = rng.randrange(len(term.children))
+        live = [k for k, child in enumerate(term.children) if reference_finite_size(child) != 0]
+        k = live[rng.randrange(len(live))]
         return k, reference_random_element(term.children[k], rng)
     if isinstance(term, Scaled):
         index = reference_random_element(term.index, rng)

@@ -50,8 +50,8 @@ from scatter_calc.terms import (
     PatternNotFinite,
     TermError,
     TermSyntaxError,
+    OrderTerm,
     TermTooDeep,
-    _random_ordinal_below,
     sort_elements,
 )
 
@@ -409,15 +409,17 @@ def test_sample_examples():
 
 def test_sample_of_a_complete_finite_pool_makes_no_draws(monkeypatch):
     calls = []
+    kernel_of = OrderTerm._draw_kernel
 
-    def counting(draw):
-        def counted(term, rng):
+    def counting(term):
+        draw = kernel_of(term)
+
+        def counted(rng):
             calls.append(term)
-            return draw(term, rng)
+            return draw(rng)
         return counted
 
-    for cls in (Fin, FinSupp, Ord, Rev, Scaled, Shuffle, SumList):
-        monkeypatch.setattr(cls, "random_element", counting(cls.random_element))
+    monkeypatch.setattr(OrderTerm, "_draw_kernel", counting)
     assert sample_elements(Fin(3), 48, 0) == [0, 1, 2]
     host = parse_term("finsupp(3, fin(2), 0)")
     assert sample_elements(host, 48, 0) == textbook_materialize(host)
@@ -437,10 +439,11 @@ def test_sampling_below_w_constructs_no_ordinal(constructions):
 def test_finite_draws_are_shared_naturals(constructions):
     for bound in ("7", "w", "w^w", "w^(w + 1)*2 + w^2*3"):
         a, rng = parse_ordinal(bound), random.Random(5)
+        draw = Ord(a)._draw_kernel()
         finite = 0
         for _ in range(300):
             before = len(constructions)
-            x = _random_ordinal_below(a, rng)
+            x = draw(rng)
             if x.is_finite():
                 finite += 1
                 assert x is from_int(x.as_int()) and len(constructions) == before
