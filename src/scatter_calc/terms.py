@@ -27,6 +27,7 @@ from .ordinal import (
     ONE,
     SHARED_NATURALS,
     ZERO,
+    _NATURALS,
     _OrdinalParser,
     ensure_ordinal,
     format_ordinal,
@@ -74,8 +75,8 @@ TERM_TEXT_LIMIT = 2 ** 20
 
 # Output-size limit for sample_elements: the most elements a sample holds.
 # Sampling time grows with the budget; at this limit the slowest corpus term,
-# finsupp(w, rev(ord(w)), "0"), samples in about 2.2 s on a 2-core host with
-# Python 3.11.
+# finsupp(w, rev(ord(w)), "0"), samples in about 2.2 s (1.9-2.5 s over five
+# runs) on a 2-CPU Intel Xeon host with Python 3.11.7.
 SAMPLE_BUDGET_LIMIT = 10 ** 4
 
 # Elements compare_elements remembers per term as checked: a sample pool at
@@ -565,7 +566,7 @@ class FinSupp(OrderTerm):
                 # as in mapping[position] = choice(values): the value is drawn first
                 value = values[_below(bits, n, width)]
                 mapping[position(rng)] = value
-            return finsupp_elem(mapping)
+            return _from_entries(mapping.items())
         return draw
 
 
@@ -613,9 +614,12 @@ class FinSuppElem:
 
 def finsupp_elem(mapping) -> FinSuppElem:
     """Build a FinSuppElem from {position: value}; positions may be ints."""
-    items = [(ensure_ordinal(p), v) for p, v in dict(mapping).items()]
-    items.sort(key=lambda item: item[0].key, reverse=True)
-    return FinSuppElem(tuple(items))
+    return _from_entries([(ensure_ordinal(p), v) for p, v in dict(mapping).items()])
+
+
+def _from_entries(entries) -> FinSuppElem:
+    """The FinSuppElem of (position, value) pairs with distinct positions."""
+    return FinSuppElem(tuple(sorted(entries, key=lambda entry: entry[0].key, reverse=True)))
 
 
 def pow_term(base: OrderTerm, n: int) -> OrderTerm:
@@ -811,57 +815,122 @@ def _below(bits: Callable[[int], int], n: int, width: int) -> int:
 
 
 def _ordinal_kernel(a: CnfOrdinal, depth: int = 0) -> Callable[[random.Random], CnfOrdinal]:
-    """A kernel drawing an ordinal below a > 0, built in one step from its
-    normal-form terms: a's terms before a drawn j, then w^e_j*c for a drawn
-    c < c_j, then for e_j > 0 a random part below w^e_j.  A finite draw is a
-    shared natural, so only an infinite one constructs an ordinal.  The
+    """A kernel drawing an ordinal below a > 0: a's terms before a drawn j,
+    then w^e_j*c for a drawn c < c_j, then for e_j > 0 a random part below
+    w^e_j.  The closure is chosen from a's normal form, compared by key: a
+    natural reads j's draw below 1 and returns a shared natural, w^e reads
+    the draws of j and c below 1 and is the kernel of its part below w^e,
+    and any other bound takes the general closure below.  A draw below 1 is
+    a read-skip that still reads its words, so the stream stays the one the
+    reference sampler reads.  A finite draw is a shared natural, and an
+    infinite one constructs one ordinal besides its infinite exponents.  The
     kernels below are compiled per (exponent, depth), down to the depth
     where the recursion stops, so compiling walks a's text at most once."""
     bound = a.terms
+    if len(bound) == 1:
+        exponent, coefficient = bound[0]
+        if exponent.is_zero():
+            return _natural_kernel(coefficient, 1)
+        if coefficient == 1:
+            return _power_kernel(exponent, depth, 2)
     n, width = len(bound), len(bound).bit_length()
     # a's terms before j are sliced per draw: a table of every prefix would
     # be quadratic in the number of terms
     parts = tuple((exponent, coefficient, coefficient.bit_length(),
-                   None if exponent.is_zero() else _power_kernel(exponent, depth))
+                   None if exponent.is_zero() else _power_kernel(exponent, depth, 0))
                   for exponent, coefficient in bound)
 
     def draw(rng):
         bits = rng.getrandbits
-        j = _below(bits, n, width)
+        if n == 1:
+            while bits(1):
+                pass
+            j = 0
+        else:
+            j = _below(bits, n, width)
         exponent, coefficient, c_width, below_power = parts[j]
-        c = _below(bits, coefficient, c_width)
-        terms = bound[:j] + ((exponent, c),) if c else bound[:j]
-        if below_power is not None:
-            terms += below_power(rng)
-        return from_terms(terms)
+        if coefficient == 1:
+            while bits(1):
+                pass
+            head = bound[:j]
+        else:
+            c = _below(bits, coefficient, c_width)
+            head = bound[:j] + ((exponent, c),) if c else bound[:j]
+        if below_power is None:   # head is infinite: exponent 0 ends a bound of two terms or more
+            return CnfOrdinal(head)
+        return below_power(rng, head)
     return draw
 
 
-def _power_kernel(exponent: CnfOrdinal, depth: int) -> Callable[[random.Random], tuple]:
-    """A kernel drawing the normal-form terms of an ordinal below
-    w^exponent (exponent > 0): with probability 0.3, and always past depth
-    4 (where no random() is read), a natural below SHARED_NATURALS; else
-    w^smaller*m, plus a finite tail when smaller > 0."""
-    width = SHARED_NATURALS.bit_length()
+def _plus_natural(head: tuple, k: int) -> CnfOrdinal:
+    """The ordinal with normal-form terms head, an infinite ordinal's, then k."""
+    return CnfOrdinal(head + ((ZERO, k),) if k else head)
 
-    def natural(rng):
-        k = _below(rng.getrandbits, SHARED_NATURALS, width)
-        return ((ZERO, k),) if k else ()
+
+def _natural_kernel(n: int, lead: int) -> Callable[..., CnfOrdinal]:
+    """A kernel that skips ``lead`` draws below 1, then draws a natural below
+    n; ``draw(rng, head)`` returns it after the terms head, as the power
+    kernels do.  Below 1 the natural is 0 and its draw a read-skip too."""
+    skips, width = range(lead + (n == 1)), n.bit_length()
+    natural = _NATURALS.__getitem__ if n <= SHARED_NATURALS else from_int
+
+    def draw(rng, head=()):
+        bits = rng.getrandbits
+        for _ in skips:
+            while bits(1):
+                pass
+        k = _below(bits, n, width) if n > 1 else 0
+        return _plus_natural(head, k) if head else natural(k)
+    return draw
+
+
+def _power_kernel(exponent: CnfOrdinal, depth: int, lead: int) -> Callable[..., CnfOrdinal]:
+    """A kernel that skips ``lead`` draws below 1, then draws an ordinal
+    below w^exponent (exponent > 0): with probability 0.3, and always past
+    depth 4 (where no random() is read), a natural below SHARED_NATURALS;
+    else w^smaller*m, plus a finite tail when smaller > 0.  ``draw(rng,
+    head)`` returns the ordinal whose normal form is head's terms, then the
+    part's, constructed once.  Below w^1 the smaller ordinal is 0, so its
+    draws of j and c are read-skips and the part is a shared natural."""
     if depth > 4:
-        return natural
+        return _natural_kernel(SHARED_NATURALS, lead)
+    skips, width = range(lead), SHARED_NATURALS.bit_length()
+    if exponent == ONE:
+        def draw(rng, head=()):
+            bits = rng.getrandbits
+            for _ in skips:
+                while bits(1):
+                    pass
+            if rng.random() < 0.3:
+                k = _below(bits, SHARED_NATURALS, width)
+            else:
+                while bits(1):
+                    pass
+                while bits(1):
+                    pass
+                k = 1 + _below(bits, 4, 3)   # randrange(1, 5)
+            return _plus_natural(head, k) if head else _NATURALS[k]
+        return draw
     smaller_kernel = _ordinal_kernel(exponent, depth + 1)
 
-    def draw(rng):
-        if rng.random() < 0.3:
-            return natural(rng)
-        smaller = smaller_kernel(rng)
+    def draw(rng, head=()):
         bits = rng.getrandbits
-        terms = ((smaller, 1 + _below(bits, 4, 3)),)   # randrange(1, 5)
-        if smaller.terms and rng.random() < 0.5:
+        for _ in skips:
+            while bits(1):
+                pass
+        if rng.random() < 0.3:
+            k = _below(bits, SHARED_NATURALS, width)
+            return _plus_natural(head, k) if head else _NATURALS[k]
+        smaller = smaller_kernel(rng)
+        m = 1 + _below(bits, 4, 3)
+        if not smaller.terms:
+            return _plus_natural(head, m) if head else _NATURALS[m]
+        terms = head + ((smaller, m),)
+        if rng.random() < 0.5:
             k = _below(bits, 10, 4)
             if k:
                 terms += ((ZERO, k),)
-        return terms
+        return CnfOrdinal(terms)
     return draw
 
 
@@ -884,8 +953,12 @@ def sample_elements(term: OrderTerm, budget: int, seed: int = 0) -> List[Any]:
     """Deterministic sorted sample of at most ``budget`` distinct elements.
 
     Mixes small canonical witnesses with seeded deep paths, then thins the
-    sorted pool evenly so both ends of the order stay represented.
+    sorted pool evenly so both ends of the order stay represented.  The
+    budget and the seed are ints: a seed of None would draw from OS entropy.
     """
+    for name, value in (("budget", budget), ("seed", seed)):
+        if type(value) is not int:
+            raise TermError(f"sample {name} must be an int, got {value!r}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if budget > SAMPLE_BUDGET_LIMIT:

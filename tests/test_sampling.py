@@ -12,11 +12,17 @@ from oracles import (element_key, reference_random_element, reference_random_ord
 from test_golden import EXTRA_TEXT
 
 from scatter_calc import Ord, parse_term, sample_elements
-from scatter_calc.ordinal import format_ordinal, parse_ordinal
+from scatter_calc.ordinal import ZERO, CnfOrdinal, format_ordinal, from_int, parse_ordinal
 from scatter_calc.terms import TermError, _below
 
-# the last tower is tall enough for draws to reach the recursion's depth cap
-BOUNDS = ["1", "7", "w", "w^w", "w^(w + 1)*2 + w^2*3", "w^(w^2)", "w^(w^(w^(w^(w^w))))"]
+# one bound per closure shape the kernel compiler picks: naturals, w^e with
+# e = 1 and e > 1, one term with a coefficient, several terms with and
+# without coefficient 1; the last tower is tall enough for draws to reach
+# the recursion's depth cap
+BOUNDS = ["1", "7", "w", "w^2", "w*2", "w + 1", "w^w", "w^w*3 + w", "w^(w + 1)*2 + w^2*3",
+          "w^(w^2)", "w^(w^(w^(w^(w^w))))"]
+# w whose exponent 1 is not from_int's shared object: the compiler compares by key
+OMEGA_UNSHARED = CnfOrdinal(((CnfOrdinal(((ZERO, 1),)), 1),))
 ALL_TEXT = CORPUS_TEXT + COMPOSITE_TEXT + EXTRA_TEXT
 
 
@@ -41,9 +47,9 @@ def test_below_follows_randrange_and_choice():
             assert rng.getstate() == reference.getstate()
 
 
-@pytest.mark.parametrize("bound", BOUNDS)
-def test_random_ordinal_below_matches_reference(bound):
-    a = parse_ordinal(bound)
+@pytest.mark.parametrize("a", [parse_ordinal(text) for text in BOUNDS] + [OMEGA_UNSHARED],
+                         ids=BOUNDS + ["w-unshared"])
+def test_random_ordinal_below_matches_reference(a):
     draw = Ord(a)._draw_kernel()
     for seed in range(250):
         rng, reference = _twins(seed)
@@ -53,6 +59,8 @@ def test_random_ordinal_below_matches_reference(bound):
             assert x == y and format_ordinal(x) == format_ordinal(y)
             assert x < a
             assert rng.getstate() == reference.getstate()
+            if x.is_finite():
+                assert x is from_int(x.as_int())
 
 
 @pytest.mark.parametrize("text", ALL_TEXT)
@@ -112,3 +120,9 @@ def test_empty_terms_sample_to_nothing(text):
     assert sample_elements(term, 12, 0) == []
     with pytest.raises(TermError, match="has no elements"):
         term._draw_kernel()
+
+
+@pytest.mark.parametrize("budget, seed", [(2.5, 0), (True, 0), (12, None), (12, 1.0), (12, False)])
+def test_sample_refuses_a_budget_or_seed_that_is_not_an_int(budget, seed):
+    with pytest.raises(TermError, match="must be an int"):
+        sample_elements(parse_term("ord(w)"), budget, seed)

@@ -436,19 +436,32 @@ def test_sampling_below_w_constructs_no_ordinal(constructions):
     assert len(sample) == 48 and constructions == []
 
 
+def _infinite_nodes(x, seen):
+    """The infinite ordinals in x's normal form, x included, not yet in seen."""
+    if x.is_finite() or id(x) in seen:
+        return 0
+    seen.add(id(x))
+    return 1 + sum(_infinite_nodes(exponent, seen) for exponent, _ in x.terms)
+
+
 def test_finite_draws_are_shared_naturals(constructions):
-    for bound in ("7", "w", "w^w", "w^(w + 1)*2 + w^2*3"):
+    # an infinite draw constructs each infinite ordinal of its normal form
+    # once, and none of the bound's, which it reuses
+    for bound in ("7", "w", "w^2", "w*2", "w^w", "w^w*3 + w", "w^(w + 1)*2 + w^2*3",
+                  "w^(w^(w + 1))"):
         a, rng = parse_ordinal(bound), random.Random(5)
         draw = Ord(a)._draw_kernel()
         finite = 0
-        for _ in range(300):
+        for _ in range(600):
             before = len(constructions)
             x = draw(rng)
             if x.is_finite():
                 finite += 1
                 assert x is from_int(x.as_int()) and len(constructions) == before
             else:
-                assert len(constructions) > before
+                seen = set()
+                _infinite_nodes(a, seen)
+                assert len(constructions) - before == _infinite_nodes(x, seen) > 0
         assert finite > 10
 
 
