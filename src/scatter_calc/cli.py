@@ -121,7 +121,6 @@ def cmd_extract_unary(args):
                 and all(type(x) is int for x in item["g"])):
             raise InvalidInput("F", f'{item!r} is not {{"g": [integers], "c": colour}}')
     p, nu = request["p"], request["nu"]
-    partition.check_lex_power(p, nu)
     table = {tuple(item["g"]): item["c"] for item in request["F"]}
     witness, colour = partition.extract_unary(range(p), nu, table.__getitem__)
     return {"witness": [list(g) for g in witness], "colour": colour}, 0
@@ -140,7 +139,6 @@ def cmd_step_up(args):
     seed, p = args.seed, args.p
     if p < 1:
         raise partition.PartitionError(f"step-up needs --p of at least 1, got {p}")
-    partition.check_lex_power(p, p - 1)   # refuse a huge p before listing range(p)
     result = partition.step_up_extract(range(p), lambda x, y: _step_up_colour(seed, x, y))
     return {"side": result.side, "witness": [[a, list(b)] for a, b in result.witness]}, 0
 

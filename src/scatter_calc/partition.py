@@ -118,6 +118,7 @@ def extract_unary(P: Sequence[Any], nu: int, F: Callable[[tuple], int]
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
+    check_lex_power(_length(P), nu)
     points = list(P)
     if not points:
         raise ValueError("P must be nonempty")
@@ -159,6 +160,13 @@ def check_lex_power(base_size: int, nu: int) -> None:
             f"{LEX_POWER_LIMIT} entries")
 
 
+def _length(P: Sequence[Any]) -> int:
+    """len(P), also for a range longer than len() can count (sys.maxsize)."""
+    if isinstance(P, range):
+        return max(0, -((P.start - P.stop) // P.step))   # (stop - start) / step, rounded up
+    return len(P)
+
+
 # -- pair extraction through the greedy product recursion ---------------------------
 
 
@@ -184,11 +192,12 @@ def step_up_extract(P: Sequence[Any], colour: Callable[[Any, Any], int]) -> Step
     triangle with (a_x, b_x), or none, and then it is a 0-homogeneous copy of
     P.  The returned witness is re-checked on its own before it is returned.
     """
+    size = _length(P)
+    check_lex_power(size, size - 1)
     points = list(P)
     if not points:
         raise ValueError("P must be nonempty")
     nu = len(points) - 1
-    check_lex_power(len(points), nu)
 
     def check_01(x, y) -> int:
         c = colour(x, y)

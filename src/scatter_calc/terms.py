@@ -184,6 +184,8 @@ class OrderTerm:
         return f"{type(self).__name__}({args})"
 
     def decode(self, data: Any) -> Any:
+        """The element encoded by data.  Composite terms decode their
+        children with ``_decode``, so the element is validated once, here."""
         elem = self._decode(data)
         if not self.validate(elem):
             raise self._undecodable(data, "decoded value is not a valid element")
@@ -291,7 +293,7 @@ class Rev(OrderTerm):
     def validate(self, elem): return self.inner.validate(elem)
     def cmp(self, x, y): return -self.inner.cmp(x, y)
     def encode(self, elem): return self.inner.encode(elem)
-    def decode(self, data): return self.inner.decode(data)
+    def _decode(self, data): return self.inner._decode(data)
     def _format(self, text): return f"rev({text(self.inner)})"
     def _materialize(self): return list(reversed(self.inner.materialize()))
     def _canonical(self, want): return self.inner.canonical(want)
@@ -339,7 +341,7 @@ class SumList(OrderTerm):
         k = data["i"]
         if not (type(k) is int and 0 <= k < len(self.children)):
             raise self._undecodable(data, "child index out of range")
-        return k, self.children[k].decode(data["e"])
+        return k, self.children[k]._decode(data["e"])
 
     def _materialize(self):
         return [(k, e) for k, child in enumerate(self.children) for e in child.materialize()]
@@ -399,7 +401,7 @@ class Scaled(OrderTerm):
     def _decode(self, data):
         if not (isinstance(data, dict) and set(data) == {"i", "e"}):
             raise self._undecodable(data, 'expected {"i": idx, "e": ...}')
-        return self.index.decode(data["i"]), self.inner.decode(data["e"])
+        return self.index._decode(data["i"]), self.inner._decode(data["e"])
 
     def _materialize(self):
         if self.finite_size == 0:   # the other side may be infinite
@@ -440,7 +442,7 @@ class Shuffle(OrderTerm):
         if not isinstance(data, list):
             raise self._undecodable(data, "expected a list of ordinal strings")
         letters = Ord(self.alphabet)
-        return tuple(letters.decode(x) for x in data)
+        return tuple(letters._decode(x) for x in data)
 
     def _canonical(self, want):
         letters = [x for x in (ZERO, ONE) if x.key < self.alphabet.key]
@@ -510,13 +512,11 @@ class FinSupp(OrderTerm):
         if not (isinstance(data, dict) and set(data) == {"supp"}
                 and isinstance(data["supp"], list)):
             raise self._undecodable(data, 'expected {"supp": [...]}')
-        entries = []
+        entries, positions = [], Ord(self.length)
         for item in data["supp"]:
             if not (isinstance(item, dict) and set(item) == {"pos", "e"}):
                 raise self._undecodable(data, 'support items must be {"pos": ..., "e": ...}')
-            pos = item["pos"]
-            pos = from_int(pos) if type(pos) is int else Ord(self.length).decode(pos)
-            entries.append((pos, self.inner.decode(item["e"])))
+            entries.append((positions._decode(item["pos"]), self.inner._decode(item["e"])))
         return FinSuppElem(tuple(entries))
 
     def _format(self, text):
@@ -815,29 +815,24 @@ def _below(bits: Callable[[int], int], n: int, width: int) -> int:
 
 
 def _ordinal_kernel(a: CnfOrdinal, depth: int = 0) -> Callable[[random.Random], CnfOrdinal]:
-    """A kernel drawing an ordinal below a > 0: a's terms before a drawn j,
-    then w^e_j*c for a drawn c < c_j, then for e_j > 0 a random part below
-    w^e_j.  The closure is chosen from a's normal form, compared by key: a
-    natural reads j's draw below 1 and returns a shared natural, w^e reads
-    the draws of j and c below 1 and is the kernel of its part below w^e,
-    and any other bound takes the general closure below.  A draw below 1 is
-    a read-skip that still reads its words, so the stream stays the one the
-    reference sampler reads.  A finite draw is a shared natural, and an
-    infinite one constructs one ordinal besides its infinite exponents.  The
-    kernels below are compiled per (exponent, depth), down to the depth
-    where the recursion stops, so compiling walks a's text at most once."""
-    bound = a.terms
-    if len(bound) == 1:
-        exponent, coefficient = bound[0]
-        if exponent.is_zero():
-            return _natural_kernel(coefficient, 1)
-        if coefficient == 1:
-            return _power_kernel(exponent, depth, 2)
-    n, width = len(bound), len(bound).bit_length()
-    # a's terms before j are sliced per draw: a table of every prefix would
-    # be quadratic in the number of terms
+    """A kernel drawing an ordinal below a > 0, read for read as the
+    reference draw: a's terms before a drawn j, then w^e_j*c for a drawn
+    c < c_j, then for e_j > 0 a part below w^e_j.  The part is, with
+    probability 0.3 and always past depth 4 (where no random() is read), a
+    natural below SHARED_NATURALS; else w^smaller*m for a drawn smaller <
+    e_j, plus a natural below 10 with probability 0.5 when smaller > 0.  A
+    draw below 1 (j for a one-term bound, c for a coefficient of 1, and
+    below w^1 the smaller ordinal's j and c) is a read-skip: it reads the
+    words the reference reads and builds nothing.  A finite draw is a
+    shared natural, and an infinite one constructs one ordinal besides its
+    infinite exponents.  Only an exponent above 1, at depth 4 or less, gets
+    a kernel for its smaller ordinal, so compiling walks a's normal form
+    once, down to depth 5."""
+    bound, n = a.terms, len(a.terms)
+    width, capped, natural_width = n.bit_length(), depth > 4, SHARED_NATURALS.bit_length()
     parts = tuple((exponent, coefficient, coefficient.bit_length(),
-                   None if exponent.is_zero() else _power_kernel(exponent, depth, 0))
+                   None if capped or exponent.key <= ONE.key
+                   else _ordinal_kernel(exponent, depth + 1))
                   for exponent, coefficient in bound)
 
     def draw(rng):
@@ -848,89 +843,37 @@ def _ordinal_kernel(a: CnfOrdinal, depth: int = 0) -> Callable[[random.Random], 
             j = 0
         else:
             j = _below(bits, n, width)
-        exponent, coefficient, c_width, below_power = parts[j]
+        exponent, coefficient, c_width, smaller_kernel = parts[j]
+        # a's terms before j are sliced per draw: a table of every prefix
+        # would be quadratic in the number of terms
+        head = bound[:j] if j else ()
+        # k is c, then the natural that ends the draw
         if coefficient == 1:
             while bits(1):
                 pass
-            head = bound[:j]
+            k = 0
         else:
-            c = _below(bits, coefficient, c_width)
-            head = bound[:j] + ((exponent, c),) if c else bound[:j]
-        if below_power is None:   # head is infinite: exponent 0 ends a bound of two terms or more
-            return CnfOrdinal(head)
-        return below_power(rng, head)
-    return draw
-
-
-def _plus_natural(head: tuple, k: int) -> CnfOrdinal:
-    """The ordinal with normal-form terms head, an infinite ordinal's, then k."""
-    return CnfOrdinal(head + ((ZERO, k),) if k else head)
-
-
-def _natural_kernel(n: int, lead: int) -> Callable[..., CnfOrdinal]:
-    """A kernel that skips ``lead`` draws below 1, then draws a natural below
-    n; ``draw(rng, head)`` returns it after the terms head, as the power
-    kernels do.  Below 1 the natural is 0 and its draw a read-skip too."""
-    skips, width = range(lead + (n == 1)), n.bit_length()
-    natural = _NATURALS.__getitem__ if n <= SHARED_NATURALS else from_int
-
-    def draw(rng, head=()):
-        bits = rng.getrandbits
-        for _ in skips:
-            while bits(1):
-                pass
-        k = _below(bits, n, width) if n > 1 else 0
-        return _plus_natural(head, k) if head else natural(k)
-    return draw
-
-
-def _power_kernel(exponent: CnfOrdinal, depth: int, lead: int) -> Callable[..., CnfOrdinal]:
-    """A kernel that skips ``lead`` draws below 1, then draws an ordinal
-    below w^exponent (exponent > 0): with probability 0.3, and always past
-    depth 4 (where no random() is read), a natural below SHARED_NATURALS;
-    else w^smaller*m, plus a finite tail when smaller > 0.  ``draw(rng,
-    head)`` returns the ordinal whose normal form is head's terms, then the
-    part's, constructed once.  Below w^1 the smaller ordinal is 0, so its
-    draws of j and c are read-skips and the part is a shared natural."""
-    if depth > 4:
-        return _natural_kernel(SHARED_NATURALS, lead)
-    skips, width = range(lead), SHARED_NATURALS.bit_length()
-    if exponent == ONE:
-        def draw(rng, head=()):
-            bits = rng.getrandbits
-            for _ in skips:
-                while bits(1):
-                    pass
-            if rng.random() < 0.3:
-                k = _below(bits, SHARED_NATURALS, width)
-            else:
+            k = _below(bits, coefficient, c_width)
+        if exponent.terms:   # the part below w^exponent
+            if k:
+                head += ((exponent, k),)
+            if capped or rng.random() < 0.3:
+                k = _below(bits, SHARED_NATURALS, natural_width)
+            elif smaller_kernel is None:   # below w^1 the smaller ordinal is 0
                 while bits(1):
                     pass
                 while bits(1):
                     pass
                 k = 1 + _below(bits, 4, 3)   # randrange(1, 5)
-            return _plus_natural(head, k) if head else _NATURALS[k]
-        return draw
-    smaller_kernel = _ordinal_kernel(exponent, depth + 1)
-
-    def draw(rng, head=()):
-        bits = rng.getrandbits
-        for _ in skips:
-            while bits(1):
-                pass
-        if rng.random() < 0.3:
-            k = _below(bits, SHARED_NATURALS, width)
-            return _plus_natural(head, k) if head else _NATURALS[k]
-        smaller = smaller_kernel(rng)
-        m = 1 + _below(bits, 4, 3)
-        if not smaller.terms:
-            return _plus_natural(head, m) if head else _NATURALS[m]
-        terms = head + ((smaller, m),)
-        if rng.random() < 0.5:
-            k = _below(bits, 10, 4)
-            if k:
-                terms += ((ZERO, k),)
-        return CnfOrdinal(terms)
+            else:
+                smaller = smaller_kernel(rng)
+                k = 1 + _below(bits, 4, 3)
+                if smaller.terms:
+                    head += ((smaller, k),)
+                    k = _below(bits, 10, 4) if rng.random() < 0.5 else 0
+        if head:
+            return CnfOrdinal(head + ((ZERO, k),) if k else head)
+        return _NATURALS[k] if k < SHARED_NATURALS else CnfOrdinal(((ZERO, k),))
     return draw
 
 

@@ -22,7 +22,8 @@ The Milner-Rado avoidance check builds the n-th power of the down-up pattern
 as a term and searches the class for a copy of it, as the library did before
 it compared the class size with 4^n.  The value-tree check compares every
 pair of entries, as the library did before it sorted the children of each
-parent.
+parent.  The eta embedding builds shuffle sequences from the tree recursion
+alone, with no library comparator.
 """
 
 import functools
@@ -463,6 +464,25 @@ def reference_validate_alpha_tree(tree):
         if ca.key > cb.key and va.key <= vb.key:
             return ("siblings-not-increasing", seq_b, seq_a)
     return None
+
+
+# -- the shuffle order ---------------------------------------------------------------------
+
+def eta_embedding(depth, m=()):
+    """The image, in in-order, of the complete binary tree of this depth under
+    the embedding E(m, depth) into the shuffle order.  The root goes to m.0;
+    when len(m) is odd, E(m.0.0) lies below it and E(m.1) above, and when
+    len(m) is even, E(m.1) lies below and E(m.0.0) above.  In-order on the
+    tree is the order of the dyadic rationals, which is eta, and the image at
+    depth d is every other point of the image at depth d + 1, so the union
+    over all depths is a copy of eta."""
+    if depth == 0:
+        return []
+    low = eta_embedding(depth - 1, m + (ZERO, ZERO))
+    high = eta_embedding(depth - 1, m + (from_int(1),))
+    if len(m) % 2 == 0:
+        low, high = high, low
+    return low + [m + (ZERO,)] + high
 
 
 # -- sampling ---------------------------------------------------------------------------

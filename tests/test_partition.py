@@ -177,6 +177,13 @@ def test_lex_power_limit_admits_p7_and_refuses_p8_before_building():
     check_lex_power(10 ** 9, 0)
 
 
+def test_extract_unary_refuses_a_large_power_before_colouring():
+    calls = []
+    with pytest.raises(PartitionError, match="8\\^7 tuples of length 7 exceed the limit"):
+        extract_unary(range(8), 7, lambda g: calls.append(g) or 0)
+    assert calls == []
+
+
 def test_step_up_n_and_p_bounds():
     with pytest.raises(ValueError):
         step_up_extract([], lambda x, y: 0)

@@ -15,10 +15,10 @@ from scatter_calc import Ord, parse_term, sample_elements
 from scatter_calc.ordinal import ZERO, CnfOrdinal, format_ordinal, from_int, parse_ordinal
 from scatter_calc.terms import TermError, _below
 
-# one bound per closure shape the kernel compiler picks: naturals, w^e with
-# e = 1 and e > 1, one term with a coefficient, several terms with and
-# without coefficient 1; the last tower is tall enough for draws to reach
-# the recursion's depth cap
+# one bound per branch of the kernel's one closure: naturals, w^e with e = 1
+# and e > 1, one term with a coefficient, several terms with and without
+# coefficient 1; the last tower is tall enough for draws to reach the
+# recursion's depth cap
 BOUNDS = ["1", "7", "w", "w^2", "w*2", "w + 1", "w^w", "w^w*3 + w", "w^(w + 1)*2 + w^2*3",
           "w^(w^2)", "w^(w^(w^(w^(w^w))))"]
 # w whose exponent 1 is not from_int's shared object: the compiler compares by key

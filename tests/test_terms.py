@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from corpus import COMPOSITE_TEXT, CORPUS_TEXT, corpus_terms
 from oracles import (
     element_key,
+    eta_embedding,
     reference_admissible_index,
     reference_anti_well_ordered,
     reference_cmp,
@@ -347,6 +348,17 @@ def test_shuffle_brute_force_total_order():
             assert compare_elements(shuffle, s, u) < 0
 
 
+@pytest.mark.parametrize("alphabet", ["2", "w"])
+def test_shuffle_contains_eta(alphabet):
+    # the tree images rise strictly and the depth-9 one refines the depth-8
+    # one, so the recursion embeds the dyadic rationals: shuffle is not scattered
+    shuffle = Shuffle(parse_ordinal(alphabet))
+    d8, d9 = eta_embedding(8), eta_embedding(9)
+    for image in (d8, d9):
+        assert all(compare_elements(shuffle, x, y) == -1 for x, y in zip(image, image[1:]))
+    assert len(d8) == 255 and d9[1::2] == d8
+
+
 def test_shuffle_descending_first_level():
     # each one-letter sequence sits below the empty sequence, and they descend
     k = 4
@@ -490,6 +502,24 @@ def test_decode_rejects_bad_shapes():
         decode_element(Fin(3), 7)
     with pytest.raises(InvalidElement):
         decode_element(parse_term("finsupp(w, fin(2), 0)"), {"supp": [{"pos": "0", "e": 0}]})
+
+
+def test_decode_validates_a_nested_element_once(monkeypatch):
+    # children decode with _decode, so only the boundary validates: one call
+    # per node on the element's path, not one per node per level
+    calls = []
+    for cls in (Fin, SumList):
+        def counted(self, elem, validate=cls.validate):
+            calls.append(self)
+            return validate(self, elem)
+        monkeypatch.setattr(cls, "validate", counted)
+    term, data = Fin(3), 2
+    for _ in range(8):
+        term, data = SumList((term, Fin(1))), {"i": 0, "e": data}
+    assert encode_element(term, decode_element(term, data)) == data
+    assert len(calls) == 9
+    with pytest.raises(InvalidElement, match=r"for sum\[fin\(3\), fin\(1\)\]: decoded value"):
+        decode_element(SumList((Fin(3), Fin(1))), {"i": 0, "e": 5})
 
 
 def test_decode_rejects_booleans():
