@@ -339,7 +339,7 @@ def verify_color_collapse(H: Callable[[FinSuppFn], Any], tree: AlphaTree,
             continue
         level = len(support) - 1
         if level not in colours:
-            raise TreeDomainMiss(f"no level pattern for support size {len(support)}")
+            raise FragmentIncomplete(f"no level pattern for support size {len(support)}")
         key = tuple(v for _, v in support)
         expected = colours[level].get(key)
         if expected is None:

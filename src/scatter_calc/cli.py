@@ -2,10 +2,10 @@
 
 Every command prints a JSON certificate.  Each verb returns only its own
 keys and its exit code; ``main`` adds the one reproducibility header
-(schema, command, seed, pairing choice and fundamental-sequence system id)
-and writes the result.  Exit codes: 0 success or verified-ok, 1 usage or
-input error, 2 a verification witness was found.  A lone ``-`` means stdin
-or stdout.
+(schema, command and seed; the schema fixes the pairing, ``cantor1``, and
+the fundamental sequences, ``wainer-cnf``) and writes the result.  Exit
+codes: 0 success or verified-ok, 1 usage or input error, 2 a verification
+witness was found.  A lone ``-`` means stdin or stdout.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import sys
 
 from .errors import InvalidInput, ScatterCalcError
 from . import antilex, milner_rado, neg_graph, partition, terms
-from .ordinal import FUNDAMENTAL_SEQUENCE_ID, format_ordinal, parse_ordinal
+from .ordinal import format_ordinal, parse_ordinal
 
-SCHEMA = "scatter-calc.v3"
+SCHEMA = "scatter-calc.v4"
 
 # The largest finite size ``parse`` prints: Python writes integers of at most
 # 4300 digits as text by default, and counting stops past this cap.
@@ -289,7 +289,7 @@ def build_parser() -> _CliParser:
     p.add_argument("--n", type=int, required=True)
 
     p = add("ks-check", cmd_ks_check,
-            help="down-up pattern avoidance in a labelled sample")
+            help="class-size check in a labelled sample")
     p.add_argument("--term", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--budget", type=int, default=40)
@@ -325,8 +325,6 @@ def main(argv=None) -> int:
             "schema": SCHEMA,
             "command": f"{args.verb} {args.action}" if "action" in args else args.verb,
             "seed": getattr(args, "seed", None),
-            "pi": "cantor1",
-            "fundamental_sequence": FUNDAMENTAL_SEQUENCE_ID,
             **fields,
         }
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"

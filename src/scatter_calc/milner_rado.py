@@ -56,9 +56,9 @@ LABEL_BIT_LIMIT = 4096
 
 
 def cantor1(m: int, n: int) -> int:
-    """The pairing of index and summand labels, named ``cantor1`` in every
-    certificate header: the Cantor pairing shifted up by one, injective and
-    at least m + n + 1."""
+    """The pairing of index and summand labels, the one schema
+    ``scatter-calc.v4`` fixes: the Cantor pairing shifted up by one,
+    injective and at least m + n + 1."""
     return (m + n) * (m + n + 1) // 2 + n + 1
 
 

@@ -26,8 +26,6 @@ EXPONENT_DEPTH_LIMIT = 64
 # recursion limit.
 TERM_DEPTH_LIMIT = 128
 
-FUNDAMENTAL_SEQUENCE_ID = "wainer-cnf"
-
 # from_int shares one object for each natural below this bound, and the term
 # sampler draws its finite tails below it, so every such draw is shared.
 SHARED_NATURALS = 200

@@ -96,14 +96,20 @@ def find_homogeneous(n: int, pair_colour: Callable[[int, int], int], k: int,
 
 # -- singleton extraction over lexicographic powers ---------------------------------
 
-def _checked_colour(F: Callable, g: tuple, nu: int) -> int:
-    try:
-        c = F(g)
-    except Exception as exc:
-        raise BadColouringDomain(f"colouring undefined at {g!r}: {exc}") from exc
-    if not isinstance(c, int) or not (0 <= c < nu):
-        raise BadColouringDomain(f"colouring value {c!r} at {g!r} not a colour below {nu}")
-    return c
+def _guarded(colour: Callable[..., int], bound: int) -> Callable[..., int]:
+    """colour, refusing with BadColouringDomain any value that is not an int
+    below bound (True and 1.0 are not colours) and any exception it raises."""
+    def checked(*at) -> int:
+        try:
+            c = colour(*at)
+        except Exception as exc:
+            raise BadColouringDomain(
+                f"colouring undefined at {', '.join(map(repr, at))}: {exc}") from exc
+        if type(c) is not int or not 0 <= c < bound:
+            raise BadColouringDomain(f"colouring value {c!r} at {', '.join(map(repr, at))} "
+                                     f"not a colour below {bound}")
+        return c
+    return checked
 
 
 def extract_unary(P: Sequence[Any], nu: int, F: Callable[[tuple], int]
@@ -122,6 +128,7 @@ def extract_unary(P: Sequence[Any], nu: int, F: Callable[[tuple], int]
     points = list(P)
     if not points:
         raise ValueError("P must be nonempty")
+    F = _guarded(F, nu)
 
     prefix: List[Any] = []
     for alpha in range(nu):
@@ -132,7 +139,7 @@ def extract_unary(P: Sequence[Any], nu: int, F: Callable[[tuple], int]
             hit = None
             for tail in itertools.product(points, repeat=free):
                 g = tuple(prefix) + (a,) + tail
-                if _checked_colour(F, g, nu) == alpha:
+                if F(g) == alpha:
                     hit = g
                     break
             if hit is None:
@@ -142,7 +149,7 @@ def extract_unary(P: Sequence[Any], nu: int, F: Callable[[tuple], int]
         if missing is None:
             witness = [family[a] for a in points]
             for g in witness:
-                if _checked_colour(F, g, nu) != alpha:
+                if F(g) != alpha:
                     raise PartitionError("internal: unverified unary witness")
             return witness, alpha
         prefix.append(missing)
@@ -198,12 +205,7 @@ def step_up_extract(P: Sequence[Any], colour: Callable[[Any, Any], int]) -> Step
     if not points:
         raise ValueError("P must be nonempty")
     nu = len(points) - 1
-
-    def check_01(x, y) -> int:
-        c = colour(x, y)
-        if c not in (0, 1):
-            raise BadColouringDomain(f"pair colour {c!r} is not 0 or 1")
-        return c
+    check_01 = _guarded(colour, 2)
 
     chosen: List[Any] = []
     for zi, a in enumerate(points):

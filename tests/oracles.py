@@ -506,10 +506,12 @@ def reference_random_ordinal_below(a, rng, depth=0):
     """A random ordinal below a, summed up with ``ord_add``: a's terms before
     a drawn j, then w^e_j*c for a drawn c < c_j, then, for e_j > 0, either a
     number below 200 or w^(a random ordinal below e_j)*m plus maybe a number
-    below 10."""
-    j = rng.randrange(len(a.terms))
+    below 10.  A draw below 1 is 0 and reads nothing."""
+    n = len(a.terms)
+    j = rng.randrange(n) if n > 1 else 0
     exponent, coefficient = a.terms[j]
-    value = ord_add(CnfOrdinal(a.terms[:j]), omega_power(exponent, rng.randrange(coefficient)))
+    c = rng.randrange(coefficient) if coefficient > 1 else 0
+    value = ord_add(CnfOrdinal(a.terms[:j]), omega_power(exponent, c))
     if exponent.is_zero():
         return value
     return ord_add(value, _reference_random_below_power(exponent, rng, depth))

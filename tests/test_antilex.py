@@ -12,6 +12,7 @@ from scatter_calc.antilex import (
     AlphaTree,
     EqualInputs,
     FinSuppFn,
+    FragmentIncomplete,
     HostMismatch,
     NotSorted,
     TreeDomainMiss,
@@ -317,3 +318,11 @@ def test_verify_color_collapse_and_negative_control():
     ok2, _ = verify_color_collapse(H, tree, corrupted, sample, big)
     assert ok2 is False
 
+
+def test_missing_level_pattern_says_which_support_size():
+    small, big = FinSupp(from_int(1), Fin(3), 0), FinSupp(from_int(12), Fin(3), 0)
+    tree = AlphaTree(from_int(1), {dec_seq([0]): from_int(9)})
+    f = FinSuppFn.build(small, {0: 2})
+    with pytest.raises(FragmentIncomplete) as info:
+        verify_color_collapse(lambda g: 0, tree, {}, [f], big)
+    assert str(info.value) == "no level pattern for support size 1"

@@ -36,8 +36,7 @@ def test_parse_ok():
     assert res.returncode == 0
     data = json.loads(res.stdout)
     assert data["term"] == "scaled(ord(w), fin(2))"
-    assert data["schema"] == "scatter-calc.v3"
-    assert data["fundamental_sequence"] == "wainer-cnf"
+    assert data["schema"] == "scatter-calc.v4"
 
 
 def test_parse_invalid_index_is_usage_error():
@@ -199,7 +198,7 @@ def test_step_up_witnesses_recheck_against_the_reference_colour():
     def flipped(seed, x, y):
         return 1 - reference_step_up_colour(seed, x, y)
 
-    assert cli.SCHEMA == "scatter-calc.v3"   # the colour below is v3's
+    assert cli.SCHEMA == "scatter-calc.v4"   # the colour below is v3's, kept in v4
     sides_at_3 = set()
     for p in range(3, 8):
         for seed in range(60 if p == 3 else 10):
@@ -227,7 +226,7 @@ def test_step_up_n_accepts_only_2():
 
 
 def test_step_up_p7_runs_in_a_fresh_process_within_two_seconds():
-    assert cli.SCHEMA == "scatter-calc.v3"   # v2 tabulated every pair: 10^11 at p = 7
+    assert cli.SCHEMA == "scatter-calc.v4"   # v2 tabulated every pair: 10^11 at p = 7
     start = time.perf_counter()
     res = run("step-up", "--p", "7", "--seed", "1", timeout=60)
     assert res.returncode == 0 and time.perf_counter() - start < 2.0
@@ -238,8 +237,9 @@ def test_step_up_p7_runs_in_a_fresh_process_within_two_seconds():
 
 # The sierpinski, step-up and ks-check calls below with their exit codes and
 # stdout, hashed together.  The digest was computed before pair colourings
-# became callables and labellings became dicts of their classes.
-GOLDEN_CLI = "3c4331591356044fb540d39282ff3f5232eb4a1b04016b84e97d481fa500a95e"
+# became callables and labellings became dicts of their classes, and
+# re-pinned once for the v4 header and samples.
+GOLDEN_CLI = "4f15b7bc92dc1e799c2fe45b5c8753e6482fd8c903b1e743e3eb062df6a6b91b"
 KS_GOLDEN_TERMS = [("scaled(ord(w), fin(2))", "200"), ("ord(w^w)", "40"),
                    ("sum[rev(ord(w)), ord(w^2)]", "60"), ("shuffle(w)", "20")]
 
@@ -336,8 +336,7 @@ def test_mr_label_and_bound():
     assert data["chain"] == [{"m": 0, "n": 1, "value": 3}]
     res = run("mr-bound", "--alpha", "w", "--n", "1")
     assert payload(res)["bound"] == "w"
-    # the pairing is fixed: the header names it and there is no flag for it
-    assert data["pi"] == "cantor1"
+    # the pairing is fixed by the schema and there is no flag for it
     res = run("mr-label", "--term", "fin(2)", "--elem", "0", "--pi", "cantor1")
     assert res.returncode == 1 and "unrecognized arguments: --pi" in res.stderr
 
@@ -657,9 +656,10 @@ ALL_VERB_CALLS = [
 ] + [([verb, "--help"], None, None) for verb in VERBS]
 
 # sha256 of json.dumps([argv, stdin, seed, exit code, stdout, stderr] per call),
-# computed before the header moved from the verbs into main; the --help text
-# is that of argparse in Python 3.10 to 3.12 (3.13 prints it differently)
-ALL_VERB_DIGEST = "9431abda17629b681a4b073e164ca8710112f7f08726507f7abb95d823c8311c"
+# computed before the header moved from the verbs into main and re-pinned once
+# for the v4 header, samples and ks-check help; the --help text is that of
+# argparse in Python 3.10 to 3.12 (3.13 prints it differently)
+ALL_VERB_DIGEST = "2deb0a98db4724ae402e2fa87e044e137077be39adcf1003fd780531d85ec299"
 
 
 def test_every_verb_matches_the_all_verb_digest(monkeypatch):
@@ -804,3 +804,39 @@ def test_json_arguments_end_in_an_exit_code_or_one_error_line(case):
     code, _, err = main_in_process(argv, stdin)
     assert code in (0, 2) or (code == 1 and err.startswith("error: ")
                               and err.count("\n") == 1), (code, err)
+
+
+# -- schema v4 --------------------------------------------------------------------------
+
+def test_v4_header_is_schema_command_and_seed():
+    for argv in (["parse", "--term", "fin(3)"], ["sample", "--term", "fin(3)", "--seed", "4"]):
+        code, out, _ = main_in_process(argv)
+        data = json.loads(out)
+        assert code == 0 and data["schema"] == "scatter-calc.v4"
+        assert data["command"] == argv[0] and data["seed"] == (4 if argv[0] == "sample" else None)
+        assert not {"pi", "fundamental_sequence"} & set(data)
+
+
+@pytest.mark.parametrize("c, problem", [
+    (True, "colouring value True at (1, 0) not a colour below 2"),
+    (1.0, "colouring value 1.0 at (1, 0) not a colour below 2"),
+    (None, "colouring undefined at (1, 0): (1, 0)"),
+])
+def test_extract_unary_refuses_a_colour_that_is_not_a_natural(c, problem):
+    # the table of test_extract_unary_command with (1, 0) coloured c, or left out
+    table = [{"g": [a, b], "c": c if (a, b) == (1, 0) else a} for a in (0, 1) for b in (0, 1)]
+    request = {"p": 2, "nu": 2, "F": [item for item in table if item["c"] is not None]}
+    code, out, err = main_in_process(["extract-unary"], json.dumps(request))
+    assert (code, out) == (1, "")
+    assert err == f"error: BadColouringDomain: {problem}\n"
+
+
+@pytest.mark.parametrize("term, a, b, value", [
+    ("ord(w)", "-3", "1", "-3"),
+    ("finsupp(w, fin(2), 0)", '{"supp": [{"pos": -1, "e": 1}]}', '{"supp": []}', "-1"),
+])
+def test_negative_ordinals_are_refused_with_the_value_and_the_term(term, a, b, value):
+    code, out, err = main_in_process(["compare", "--term", term, "--a", a, "--b", b])
+    assert (code, out) == (1, "")
+    assert err == (f"error: InvalidElement: cannot decode {value} for ord(w): "
+                   "expected a natural number or an ordinal string\n")

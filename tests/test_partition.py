@@ -240,3 +240,39 @@ def test_step_up_witness_check_catches_a_broken_unary_step(monkeypatch):
         monkeypatch.setattr(partition, "extract_unary", broken)
         with pytest.raises(PartitionError, match=problem):
             step_up_extract(range(3), colour)
+
+
+# -- one colour guard for both extractors ------------------------------------------------
+
+@pytest.mark.parametrize("value, problem", [
+    (True, "colouring value True at (0, 0) not a colour below 2"),
+    (1.0, "colouring value 1.0 at (0, 0) not a colour below 2"),
+    (2, "colouring value 2 at (0, 0) not a colour below 2"),
+    (KeyError("gap"), "colouring undefined at (0, 0): 'gap'"),
+])
+def test_extract_unary_refuses_what_is_not_a_colour(value, problem):
+    def F(g):
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    with pytest.raises(BadColouringDomain) as info:
+        extract_unary([0, 1], 2, F)
+    assert str(info.value) == problem
+
+
+@pytest.mark.parametrize("value, problem", [
+    (True, "colouring value True at (0, (0,)), (1, (0,)) not a colour below 2"),
+    (1.0, "colouring value 1.0 at (0, (0,)), (1, (0,)) not a colour below 2"),
+    (2, "colouring value 2 at (0, (0,)), (1, (0,)) not a colour below 2"),
+    (KeyError("gap"), "colouring undefined at (0, (0,)), (1, (0,)): 'gap'"),
+])
+def test_step_up_refuses_what_is_not_a_colour(value, problem):
+    def colour(x, y):
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    with pytest.raises(BadColouringDomain) as info:
+        step_up_extract(range(2), colour)
+    assert str(info.value) == problem

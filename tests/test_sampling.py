@@ -3,6 +3,7 @@ sampler in oracles.py: the same draws from the same random stream, one
 draw at a time, and the same samples from a pool keyed by JSON text."""
 
 import random
+import time
 
 import pytest
 
@@ -126,3 +127,21 @@ def test_empty_terms_sample_to_nothing(text):
 def test_sample_refuses_a_budget_or_seed_that_is_not_an_int(budget, seed):
     with pytest.raises(TermError, match="must be an int"):
         sample_elements(parse_term("ord(w)"), budget, seed)
+
+
+@pytest.mark.parametrize("text", ALL_TEXT)
+def test_canonical_witnesses_are_capped(text):
+    term = parse_term(text)
+    for want in (1, 5, 12, 48):
+        assert len(term.canonical(want)) <= max(want, 8), want
+
+
+def test_a_deep_power_samples_at_once():
+    # each scaled level keeps at most max(want, 8) canonical witnesses, so
+    # the witnesses of a 2^64-point power stay few
+    term = parse_term("pow(fin(2), 64)")
+    start = time.perf_counter()
+    got = sample_elements(term, 10, 0)
+    assert time.perf_counter() - start < 0.1
+    assert len(got) == 10 and all(term.validate(x) for x in got)
+    assert all(term.cmp(x, y) < 0 for x, y in zip(got, got[1:]))
