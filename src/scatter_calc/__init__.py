@@ -61,7 +61,6 @@ from .neg_graph import (
 )
 from .antilex import (
     AlphaTree,
-    DecSeq,
     FinSuppFn,
     check_antilex_lemma,
     compare_antilex,

@@ -61,9 +61,6 @@ class FinSuppFn:
     def build(cls, host: FinSupp, mapping) -> "FinSuppFn":
         return cls(host, finsupp_elem(mapping))
 
-    def support(self) -> Tuple[Tuple[CnfOrdinal, Any], ...]:
-        return self.elem.entries
-
 
 def delta_prime(f: FinSuppFn, g: FinSuppFn) -> CnfOrdinal:
     """Largest position where f and g disagree."""
@@ -97,54 +94,39 @@ def check_antilex_lemma(f: FinSuppFn, g: FinSuppFn, h: FinSuppFn) -> bool:
 # -- decreasing sequences and value trees ------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecSeq:
-    """Finite strictly decreasing sequence of ordinals."""
-
-    entries: Tuple[CnfOrdinal, ...] = ()
-
-    def __post_init__(self):
-        prev = None
-        for x in self.entries:
-            if not isinstance(x, CnfOrdinal):
-                raise AntilexError("DecSeq entries must be CnfOrdinal")
-            if prev is not None and prev.key <= x.key:
-                raise AntilexError("DecSeq entries must be strictly decreasing")
-            prev = x
-
-    def __len__(self):
-        return len(self.entries)
-
-    def parent(self) -> "DecSeq":
-        return DecSeq(self.entries[:-1])
-
-    def prefixes(self) -> List["DecSeq"]:
-        return [DecSeq(self.entries[: i + 1]) for i in range(len(self.entries))]
+def dec_seq(values) -> Tuple[CnfOrdinal, ...]:
+    """The tree node of values, which may be ints: a strictly decreasing
+    tuple of ordinals, checked here for callers outside the library."""
+    seq = tuple(ensure_ordinal(v) for v in values)
+    if not _decreasing(seq):
+        raise AntilexError(f"sequence {list(map(format_ordinal, seq))} is not strictly decreasing")
+    return seq
 
 
-def dec_seq(values) -> DecSeq:
-    return DecSeq(tuple(ensure_ordinal(v) for v in values))
+def _decreasing(seq: Tuple[CnfOrdinal, ...]) -> bool:
+    return all(a.key > b.key for a, b in zip(seq, seq[1:]))
 
 
 @dataclass
 class AlphaTree:
     """Partial assignment of ordinal values to nonempty decreasing sequences
-    below alpha, increasing across siblings and decreasing into parents."""
+    below alpha, increasing across siblings and decreasing into parents; a
+    node is a tuple of ordinals, as a prefix of a support's positions is."""
 
     alpha: CnfOrdinal
-    entries: Dict[DecSeq, CnfOrdinal] = field(default_factory=dict)
+    entries: Dict[Tuple[CnfOrdinal, ...], CnfOrdinal] = field(default_factory=dict)
 
-    def value(self, seq: DecSeq) -> CnfOrdinal:
+    def value(self, seq: Tuple[CnfOrdinal, ...]) -> CnfOrdinal:
         if seq not in self.entries:
-            raise TreeDomainMiss(tuple(format_ordinal(x) for x in seq.entries))
+            raise TreeDomainMiss(tuple(format_ordinal(x) for x in seq))
         return self.entries[seq]
 
     def to_json(self) -> dict:
         items = sorted(self.entries.items(),
-                       key=lambda kv: (len(kv[0]), [format_ordinal(x) for x in kv[0].entries]))
+                       key=lambda kv: (len(kv[0]), [format_ordinal(x) for x in kv[0]]))
         return {
             "alpha": format_ordinal(self.alpha),
-            "entries": [{"seq": [format_ordinal(x) for x in seq.entries],
+            "entries": [{"seq": [format_ordinal(x) for x in seq],
                          "val": format_ordinal(val)} for seq, val in items],
         }
 
@@ -172,21 +154,22 @@ def validate_alpha_tree(tree: AlphaTree) -> Optional[tuple]:
     for seq in tree.entries:
         if len(seq) == 0:
             return ("empty-sequence", seq)
-        for x in seq.entries:
+        for x in seq:
             if x.key >= tree.alpha.key:
                 return ("entry-above-alpha", seq)
+        if not _decreasing(seq):
+            return ("sequence-not-decreasing", seq)
     for seq, val in tree.entries.items():
-        if len(seq) > 1:
-            parent = seq.parent()
-            if parent in tree.entries and val.key >= tree.entries[parent].key:
-                return ("child-not-below-parent", seq, parent)
+        parent = seq[:-1]
+        if parent in tree.entries and val.key >= tree.entries[parent].key:
+            return ("child-not-below-parent", seq, parent)
     # values increase along the siblings of a parent, ordered by their last
     # entry, iff they increase between neighbours in that order
-    siblings: Dict[Tuple[CnfOrdinal, ...], List[DecSeq]] = {}
+    siblings: Dict[Tuple[CnfOrdinal, ...], List[Tuple[CnfOrdinal, ...]]] = {}
     for seq in tree.entries:
-        siblings.setdefault(seq.entries[:-1], []).append(seq)
+        siblings.setdefault(seq[:-1], []).append(seq)
     for family in siblings.values():
-        family.sort(key=lambda s: s.entries[-1].key)
+        family.sort(key=lambda s: s[-1].key)
         for seq_a, seq_b in zip(family, family[1:]):
             if tree.entries[seq_a].key >= tree.entries[seq_b].key:
                 return ("siblings-not-increasing", seq_a, seq_b)
@@ -203,25 +186,20 @@ def ks_embed(tree: AlphaTree, f: FinSuppFn, target_host: FinSupp) -> FinSuppFn:
         raise UnsupportedHost("target host must be a finite-support term")
     if target_host.inner != f.host.inner or target_host.zero != f.host.zero:
         raise HostMismatch("source and target must share inner order and zero")
-    support = f.support()
-    mapping = {}
-    prefix: List[CnfOrdinal] = []
-    for position, value in support:
-        prefix.append(position)
-        t = tree.value(dec_seq(prefix))
-        mapping[t] = value
+    positions = tuple(position for position, _ in f.elem.entries)
+    mapping = {tree.value(positions[:i + 1]): v for i, (_, v) in enumerate(f.elem.entries)}
     return FinSuppFn.build(target_host, mapping)
 
 
 def induced_seq_coloring(H: Callable[[FinSuppFn], Any], host: FinSupp,
-                         seq: DecSeq, alphabet: Sequence[Any]) -> Dict[tuple, Any]:
+                         seq: Sequence[CnfOrdinal], alphabet: Sequence[Any]) -> Dict[tuple, Any]:
     """Restrict a point colouring of the host to the fragment spanned by the
     positions of seq: value tuples over the alphabet map to H of the function
     with those values (zero entries dropped from the support)."""
     n = len(seq)
     out: Dict[tuple, Any] = {}
     for values in itertools.product(list(alphabet), repeat=n):
-        mapping = {seq.entries[i]: v for i, v in enumerate(values)
+        mapping = {seq[i]: v for i, v in enumerate(values)
                    if v != host.zero}
         fn = FinSuppFn.build(host, mapping)
         try:
@@ -318,7 +296,7 @@ def search_alpha_tree(F: Callable[[Tuple[int, ...]], Any], delta: int,
     if not assign(0):
         return None
     tree = AlphaTree(from_int(delta),
-                     {dec_seq(node): from_int(values[node]) for node in nodes})
+                     {tuple(map(from_int, node)): from_int(values[node]) for node in nodes})
     return tree, dict(colours)
 
 
@@ -334,7 +312,7 @@ def verify_color_collapse(H: Callable[[FinSuppFn], Any], tree: AlphaTree,
         image = ks_embed(tree, f, target_host)
         got = H(image)
         realized.add(got)
-        support = f.support()
+        support = f.elem.entries
         if not support:
             continue
         level = len(support) - 1

@@ -219,8 +219,8 @@ def cmd_ks(args):
     levels: dict = {}
     ok = witness is None
     if ok:
-        for seq in sorted(tree.entries, key=lambda s: (len(s), s.entries)):
-            chain = tuple(tree.value(p).as_int() for p in seq.prefixes())
+        for seq in sorted(tree.entries, key=lambda s: (len(s), s)):
+            chain = tuple(tree.value(seq[:i + 1]).as_int() for i in range(len(seq)))
             colour = oracle(chain)
             level = len(seq) - 1
             if level in levels and levels[level] != colour:
@@ -228,7 +228,7 @@ def cmd_ks(args):
                 break
             levels[level] = colour
     tree_witness = None if witness is None else [witness[0]] + [
-        [format_ordinal(x) for x in seq.entries] for seq in witness[1:]]
+        [format_ordinal(x) for x in seq] for seq in witness[1:]]
     return {"ok": ok, "tree_witness": tree_witness}, 0 if ok else 2
 
 

@@ -98,10 +98,13 @@ def find_homogeneous(n: int, pair_colour: Callable[[int, int], int], k: int,
 
 def _guarded(colour: Callable[..., int], bound: int) -> Callable[..., int]:
     """colour, refusing with BadColouringDomain any value that is not an int
-    below bound (True and 1.0 are not colours) and any exception it raises."""
+    below bound (True and 1.0 are not colours) and any exception it raises.
+    A BadColouringDomain from a guard inside colour passes as it is."""
     def checked(*at) -> int:
         try:
             c = colour(*at)
+        except BadColouringDomain:
+            raise
         except Exception as exc:
             raise BadColouringDomain(
                 f"colouring undefined at {', '.join(map(repr, at))}: {exc}") from exc

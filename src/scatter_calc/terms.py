@@ -228,6 +228,19 @@ def _empty(term: OrderTerm) -> bool:
     return term.capped_size(0) == 0
 
 
+def _decode_ordinal(term: OrderTerm, data: Any) -> CnfOrdinal:
+    """The ordinal that data, a natural number or ordinal text, encodes; a
+    refusal names term, whose element data is part of."""
+    if type(data) is int and data >= 0:
+        return from_int(data)
+    if isinstance(data, str):
+        try:
+            return parse_ordinal(data)
+        except ScatterCalcError as exc:
+            raise term._undecodable(data, str(exc)) from exc
+    raise term._undecodable(data, "expected a natural number or an ordinal string")
+
+
 class Fin(OrderTerm):
     __slots__ = fields = ("size",)
 
@@ -272,16 +285,7 @@ class Ord(OrderTerm):
     def _materialize(self): return [from_int(i) for i in range(self.finite_size)]
     def _canonical(self, want): return _canonical_ordinals(self.ordinal, want)
     def _compile(self): return _ordinal_kernel(self.ordinal)
-
-    def _decode(self, data):
-        if type(data) is int and data >= 0:
-            return from_int(data)
-        if isinstance(data, str):
-            try:
-                return parse_ordinal(data)
-            except ScatterCalcError as exc:
-                raise self._undecodable(data, str(exc)) from exc
-        raise self._undecodable(data, "expected a natural number or an ordinal string")
+    def _decode(self, data): return _decode_ordinal(self, data)
 
 
 class Rev(OrderTerm):
@@ -443,8 +447,7 @@ class Shuffle(OrderTerm):
     def _decode(self, data):
         if not isinstance(data, list):
             raise self._undecodable(data, "expected a list of ordinal strings")
-        letters = Ord(self.alphabet)
-        return tuple(letters._decode(x) for x in data)
+        return tuple(_decode_ordinal(self, x) for x in data)
 
     def _canonical(self, want):
         letters = [x for x in (ZERO, ONE) if x.key < self.alphabet.key]
@@ -494,10 +497,12 @@ class FinSupp(OrderTerm):
     def validate(self, elem):
         if not isinstance(elem, FinSuppElem):
             return False
-        bound = self.length.key
+        bound = self.length
         for position, value in elem.entries:
-            if position.key >= bound or not self.inner.validate(value) or value == self.zero:
+            if not (isinstance(position, CnfOrdinal) and position.key < bound.key
+                    and self.inner.validate(value) and value != self.zero):
                 return False
+            bound = position
         return True
 
     def cmp(self, x, y):
@@ -514,11 +519,11 @@ class FinSupp(OrderTerm):
         if not (isinstance(data, dict) and set(data) == {"supp"}
                 and isinstance(data["supp"], list)):
             raise self._undecodable(data, 'expected {"supp": [...]}')
-        entries, positions = [], Ord(self.length)
+        entries = []
         for item in data["supp"]:
             if not (isinstance(item, dict) and set(item) == {"pos", "e"}):
                 raise self._undecodable(data, 'support items must be {"pos": ..., "e": ...}')
-            entries.append((positions._decode(item["pos"]), self.inner._decode(item["e"])))
+            entries.append((_decode_ordinal(self, item["pos"]), self.inner._decode(item["e"])))
         return FinSuppElem(tuple(entries))
 
     def _format(self, text):
@@ -575,7 +580,7 @@ class FinSupp(OrderTerm):
 @dataclass(frozen=True)
 class FinSuppElem:
     """Finite support map: ((position, inner element), ...) with positions
-    strictly decreasing."""
+    strictly decreasing, which ``FinSupp.validate`` checks."""
 
     entries: Tuple[Tuple[CnfOrdinal, Any], ...] = ()
 
@@ -583,13 +588,6 @@ class FinSuppElem:
         # entries given as lists are frozen, so a valid element stays valid
         entries = tuple((position, value) for position, value in self.entries)
         object.__setattr__(self, "entries", entries)
-        prev = None
-        for position, _ in entries:
-            if not isinstance(position, CnfOrdinal):
-                raise InvalidElement("support positions must be CnfOrdinal")
-            if prev is not None and prev.key <= position.key:
-                raise InvalidElement("support positions must be strictly decreasing")
-            prev = position
 
     def first_disagreement(self, other: "FinSuppElem",
                            zero: Any) -> Optional[Tuple[CnfOrdinal, Any, Any]]:

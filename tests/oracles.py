@@ -446,18 +446,21 @@ def reference_validate_alpha_tree(tree):
     for seq in tree.entries:
         if len(seq) == 0:
             return ("empty-sequence", seq)
-        for x in seq.entries:
+        for x in seq:
             if x.key >= tree.alpha.key:
                 return ("entry-above-alpha", seq)
+        for i in range(len(seq) - 1):
+            if seq[i].key <= seq[i + 1].key:
+                return ("sequence-not-decreasing", seq)
     for seq, val in tree.entries.items():
         if len(seq) > 1:
-            parent = seq.parent()
+            parent = seq[:-1]
             if parent in tree.entries and val.key >= tree.entries[parent].key:
                 return ("child-not-below-parent", seq, parent)
     for seq_a, seq_b in itertools.combinations(tree.entries, 2):
-        if len(seq_a) != len(seq_b) or seq_a.entries[:-1] != seq_b.entries[:-1]:
+        if len(seq_a) != len(seq_b) or seq_a[:-1] != seq_b[:-1]:
             continue
-        ca, cb = seq_a.entries[-1], seq_b.entries[-1]
+        ca, cb = seq_a[-1], seq_b[-1]
         va, vb = tree.entries[seq_a], tree.entries[seq_b]
         if ca.key < cb.key and va.key >= vb.key:
             return ("siblings-not-increasing", seq_a, seq_b)

@@ -345,8 +345,8 @@ def test_criterion_8_antilex_suite():
     somes = 0
     oracles = {
         "const": lambda f: 0,
-        "parity": lambda f: len(f.support()) % 2,
-        "weighted": lambda f: (sum(p.as_int() * v for p, v in f.support()) + 1) % 3,
+        "parity": lambda f: len(f.elem.entries) % 2,
+        "weighted": lambda f: (sum(p.as_int() * v for p, v in f.elem.entries) + 1) % 3,
     }
     for delta in (1, 2, 3):
         small = FinSupp(from_int(delta), Fin(3), 0)

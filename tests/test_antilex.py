@@ -88,7 +88,7 @@ def test_compare_decided_at_delta_prime():
         if f.elem == g.elem:
             continue
         d = delta_prime(f, g)
-        fd, gd = dict(f.support()).get(d, 0), dict(g.support()).get(d, 0)
+        fd, gd = dict(f.elem.entries).get(d, 0), dict(g.elem.entries).get(d, 0)
         expected = compare_elements(Fin(3), fd, gd)
         assert compare_antilex(f, g) == expected
 
@@ -169,8 +169,8 @@ def test_validate_tree_matches_the_pairwise_reference():
             assert got == want
             continue
         low, high = got[1], got[2]
-        assert low.entries[:-1] == high.entries[:-1]
-        assert low.entries[-1] < high.entries[-1]
+        assert low[:-1] == high[:-1]
+        assert low[-1] < high[-1]
         assert tree.entries[low] >= tree.entries[high]
     assert kinds == {"empty-sequence", "entry-above-alpha", "child-not-below-parent",
                      "siblings-not-increasing"}
@@ -186,6 +186,18 @@ def test_validate_tree_with_4000_siblings_is_fast():
 def test_dec_seq_rejects_increase():
     with pytest.raises(Exception):
         dec_seq([0, 1])
+
+
+def test_validate_tree_refuses_a_node_that_does_not_decrease():
+    # a library caller keys the tree by plain tuples, which dec_seq does not check
+    for node in [(from_int(0), from_int(1)), (from_int(1), from_int(1)),
+                 (from_int(2), from_int(0), from_int(1))]:
+        tree = AlphaTree(from_int(3), {node: from_int(0)})
+        assert validate_alpha_tree(tree) == ("sequence-not-decreasing", node)
+        assert reference_validate_alpha_tree(tree) == ("sequence-not-decreasing", node)
+    rising = (from_int(0), from_int(1))
+    tree = AlphaTree(from_int(3), {(from_int(0),): from_int(5), rising: from_int(1)})
+    assert validate_alpha_tree(tree) == ("sequence-not-decreasing", rising)
 
 
 def test_search_alpha_tree_constant():
@@ -218,7 +230,7 @@ def test_search_alpha_tree_adversarial_none():
 
 def test_search_returns_least_witness():
     tree, _ = search_alpha_tree(lambda chain: 0, 2, 4, 2)
-    values = {tuple(x.as_int() for x in seq.entries): val.as_int()
+    values = {tuple(x.as_int() for x in seq): val.as_int()
               for seq, val in tree.entries.items()}
     # nodes in assignment order: (0,), (1,), (1,0); least admissible values
     assert values == {(0,): 0, (1,): 1, (1, 0): 0}
@@ -231,10 +243,10 @@ def test_ks_embed_examples():
     big = FinSupp(from_int(12), Fin(3), 0)
     tree = AlphaTree(from_int(1), {dec_seq([0]): from_int(9)})
     zero = FinSuppFn.build(small, {})
-    assert ks_embed(tree, zero, big).support() == ()
+    assert ks_embed(tree, zero, big).elem.entries == ()
     f = FinSuppFn.build(small, {0: 2})
     image = ks_embed(tree, f, big)
-    assert image.support() == ((from_int(9), 2),)
+    assert image.elem.entries == ((from_int(9), 2),)
     with pytest.raises(TreeDomainMiss):
         ks_embed(AlphaTree(from_int(1), {}), f, big)
 
@@ -269,15 +281,15 @@ def test_ks_embed_support_image_law():
     prefixes = [dec_seq([2]), dec_seq([2, 0])]
     expected = tuple(sorted((tree.entries[p] for p in prefixes),
                             key=lambda x: -x.as_int()))
-    assert tuple(p for p, _ in image.support()) == expected
-    assert len(image.support()) == len(f.support())
+    assert tuple(p for p, _ in image.elem.entries) == expected
+    assert len(image.elem.entries) == len(f.elem.entries)
 
 
 def test_induced_coloring_examples():
     host = FinSupp(from_int(8), Fin(3), 0)
     const = induced_seq_coloring(lambda f: 7, host, dec_seq([5, 2]), [0, 1, 2])
     assert set(const.values()) == {7}
-    parity = induced_seq_coloring(lambda f: len(f.support()) % 2, host,
+    parity = induced_seq_coloring(lambda f: len(f.elem.entries) % 2, host,
                                   dec_seq([5, 2]), [0, 1, 2])
     for values, colour in parity.items():
         assert colour == sum(1 for v in values if v != 0) % 2
@@ -292,7 +304,7 @@ def test_verify_color_collapse_and_negative_control():
     alphabet = [0, 1, 2]
 
     def H(f):
-        return len(f.support()) % 2
+        return len(f.elem.entries) % 2
 
     cache = {}
     def F(chain):

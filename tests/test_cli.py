@@ -834,9 +834,35 @@ def test_extract_unary_refuses_a_colour_that_is_not_a_natural(c, problem):
 @pytest.mark.parametrize("term, a, b, value", [
     ("ord(w)", "-3", "1", "-3"),
     ("finsupp(w, fin(2), 0)", '{"supp": [{"pos": -1, "e": 1}]}', '{"supp": []}', "-1"),
+    ("shuffle(2)", "[-1]", "[]", "-1"),
 ])
 def test_negative_ordinals_are_refused_with_the_value_and_the_term(term, a, b, value):
     code, out, err = main_in_process(["compare", "--term", term, "--a", a, "--b", b])
     assert (code, out) == (1, "")
-    assert err == (f"error: InvalidElement: cannot decode {value} for ord(w): "
+    assert err == (f"error: InvalidElement: cannot decode {value} for {term}: "
                    "expected a natural number or an ordinal string\n")
+
+
+@pytest.mark.parametrize("a", [
+    '{"supp": [{"pos": "w+", "e": 1}]}',
+    '{"supp": [{"pos": "1", "e": 1}, {"pos": "2", "e": 1}]}',
+])
+def test_bad_support_positions_name_the_finsupp_term(a):
+    code, out, err = main_in_process(["compare", "--term", "finsupp(w, fin(2), 0)",
+                                      "--a", a, "--b", '{"supp": []}'])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: InvalidElement: cannot decode ")
+    assert " for finsupp(w, fin(2), 0): " in err and err.count("\n") == 1
+
+
+NOT_DECREASING_TREE = '{"alpha": "2", "entries": [{"seq": ["0", "1"], "val": "1"}]}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["ks", "verify", "--tree", "-"],
+    EMBED + ["--source-host", "finsupp(1, fin(3), 0)", "--f", '{"supp": []}'],
+])
+def test_a_tree_node_that_does_not_decrease_is_one_error_line(argv):
+    code, out, err = main_in_process(argv, NOT_DECREASING_TREE)
+    assert (code, out) == (1, "")
+    assert err == "error: AntilexError: sequence ['0', '1'] is not strictly decreasing\n"

@@ -276,3 +276,17 @@ def test_step_up_refuses_what_is_not_a_colour(value, problem):
     with pytest.raises(BadColouringDomain) as info:
         step_up_extract(range(2), colour)
     assert str(info.value) == problem
+
+
+def test_step_up_reports_a_bad_colour_in_a_blocked_stage_once():
+    # the first 9 colours block a stage; the bad colour is met inside
+    # extract_unary, whose guard passes the inner guard's error on as it is
+    calls = []
+
+    def colour(x, y):
+        calls.append((x, y))
+        return 1 if len(calls) <= 9 else 2
+
+    with pytest.raises(BadColouringDomain) as info:
+        step_up_extract(range(3), colour)
+    assert str(info.value) == "colouring value 2 at (0, (0, 0)), (1, (0, 0)) not a colour below 2"

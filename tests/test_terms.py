@@ -306,10 +306,14 @@ def test_compare_rejects_entries_at_the_bound():
 
 
 def test_finsupp_elem_rejects_non_decreasing_positions():
+    # the constructor builds any support; the term's validation refuses it
+    host = parse_term("finsupp(w*2, fin(2), 0)")
     for positions in [(from_int(1), from_int(2)), (from_int(2), from_int(2)),
-                      (from_int(3), W)]:
+                      (from_int(3), W), (2, 1)]:
+        elem = FinSuppElem(tuple((p, 1) for p in positions))
+        assert validate_element(host, elem) is False
         with pytest.raises(InvalidElement):
-            FinSuppElem(tuple((p, 1) for p in positions))
+            compare_elements(host, elem, FinSuppElem())
 
 
 def test_cmp_matches_reference_on_corpus_pools():
