@@ -19,7 +19,6 @@ from .ordinal import (
 from .terms import (
     Fin,
     FinSupp,
-    FinSuppElem,
     Ord,
     OrderTerm,
     Rev,

@@ -12,7 +12,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import InvalidInput, ScatterCalcError
 from .ordinal import CnfOrdinal, ensure_ordinal, format_ordinal, from_int, parse_ordinal
-from .terms import FinSupp, FinSuppElem, InvalidElement, finsupp_elem, validate_element
+from .terms import (FinSupp, InvalidElement, compare_elements, first_disagreement,
+                    validate_element)
 
 
 class AntilexError(ScatterCalcError):
@@ -47,29 +48,23 @@ class UnsupportedHost(AntilexError):
 
 @dataclass(frozen=True)
 class FinSuppFn:
-    """An element of an anti-lexicographic finite-support sum, tied to its host."""
+    """An element of an anti-lexicographic finite-support sum, tied to its
+    host and validated when built."""
 
     host: FinSupp
-    elem: FinSuppElem
+    elem: tuple
 
     def __post_init__(self):
         if not validate_element(self.host, self.elem):
             raise InvalidElement(
                 f"{self.elem!r} is not an element of {self.host.format()}")
 
-    @classmethod
-    def build(cls, host: FinSupp, mapping) -> "FinSuppFn":
-        return cls(host, finsupp_elem(mapping))
 
-
-def delta_prime(f: FinSuppFn, g: FinSuppFn) -> CnfOrdinal:
-    """Largest position where f and g disagree."""
-    if f.host != g.host:
-        raise HostMismatch("both functions must live in the same sum")
-    disagreement = f.elem.first_disagreement(g.elem, f.host.zero)
-    if disagreement is None:
+def delta_prime(host: FinSupp, x: tuple, y: tuple) -> CnfOrdinal:
+    """Largest position where x and y, elements of host, disagree."""
+    if compare_elements(host, x, y) == 0:
         raise EqualInputs("equal functions have no disagreement")
-    return disagreement[0]
+    return first_disagreement(x, y, host.zero)[0]
 
 
 def compare_antilex(f: FinSuppFn, g: FinSuppFn) -> int:
@@ -85,9 +80,11 @@ def check_antilex_lemma(f: FinSuppFn, g: FinSuppFn, h: FinSuppFn) -> bool:
     outer one.  Always true; a False signals a build defect."""
     if not (compare_antilex(f, g) < 0 and compare_antilex(g, h) < 0):
         raise NotSorted("inputs must satisfy f < g < h")
-    left = delta_prime(f, g)
-    right = delta_prime(g, h)
-    outer = delta_prime(f, h)
+    # the three are valid and distinct, so each pair disagrees somewhere
+    zero = f.host.zero
+    left = first_disagreement(f.elem, g.elem, zero)[0]
+    right = first_disagreement(g.elem, h.elem, zero)[0]
+    outer = first_disagreement(f.elem, h.elem, zero)[0]
     return max(left.key, right.key) <= outer.key
 
 
@@ -179,36 +176,44 @@ def validate_alpha_tree(tree: AlphaTree) -> Optional[tuple]:
 # -- the support-chain embedding -----------------------------------------------------
 
 
-def ks_embed(tree: AlphaTree, f: FinSuppFn, target_host: FinSupp) -> FinSuppFn:
-    """Transport f along the tree: the i-th support position (in decreasing
-    order) moves to the tree value of its prefix chain, keeping its value."""
-    if not isinstance(target_host, FinSupp):
+def ks_embed(tree: AlphaTree, source: FinSupp, x: tuple, target: FinSupp) -> tuple:
+    """Transport x, an element of source, along the tree: the i-th support
+    position (in decreasing order) moves to the tree value of its prefix
+    chain, keeping its value.  Of the elements only the image is checked:
+    it must be an element of target."""
+    if not isinstance(target, FinSupp):
         raise UnsupportedHost("target host must be a finite-support term")
-    if target_host.inner != f.host.inner or target_host.zero != f.host.zero:
+    if target.inner != source.inner or target.zero != source.zero:
         raise HostMismatch("source and target must share inner order and zero")
-    positions = tuple(position for position, _ in f.elem.entries)
-    mapping = {tree.value(positions[:i + 1]): v for i, (_, v) in enumerate(f.elem.entries)}
-    return FinSuppFn.build(target_host, mapping)
+    positions = tuple(position for position, _ in x)
+    image = tuple((tree.value(positions[:i + 1]), v) for i, (_, v) in enumerate(x))
+    if not validate_element(target, image):
+        raise InvalidElement(f"{image!r} is not an element of {target.format()}")
+    return image
 
 
-def induced_seq_coloring(H: Callable[[FinSuppFn], Any], host: FinSupp,
+def induced_seq_coloring(H: Callable[[tuple], Any], host: FinSupp,
                          seq: Sequence[CnfOrdinal], alphabet: Sequence[Any]) -> Dict[tuple, Any]:
     """Restrict a point colouring of the host to the fragment spanned by the
-    positions of seq: value tuples over the alphabet map to H of the function
-    with those values (zero entries dropped from the support)."""
-    n = len(seq)
+    positions of seq: value tuples over the alphabet map to H of the element
+    with those values (zero entries dropped from the support).  Each entry
+    of a point is an entry of seq filled with one nonzero letter throughout,
+    so checking those supports, once, up front, checks every point."""
+    alphabet = list(alphabet)
+    for v in alphabet:
+        full = tuple((p, v) for p in seq)
+        if v != host.zero and not validate_element(host, full):
+            raise InvalidElement(f"{full!r} is not an element of {host.format()}")
     out: Dict[tuple, Any] = {}
-    for values in itertools.product(list(alphabet), repeat=n):
-        mapping = {seq[i]: v for i, v in enumerate(values)
-                   if v != host.zero}
-        fn = FinSuppFn.build(host, mapping)
+    for values in itertools.product(alphabet, repeat=len(seq)):
+        point = tuple((p, v) for p, v in zip(seq, values) if v != host.zero)
         try:
-            colour = H(fn)
+            colour = H(point)
         except Exception as exc:
             raise FragmentIncomplete(f"colouring undefined at {values!r}: {exc}") from exc
         if colour is None:
             raise FragmentIncomplete(f"colouring undefined at {values!r}")
-        out[tuple(values)] = colour
+        out[values] = colour
     return out
 
 
@@ -300,25 +305,23 @@ def search_alpha_tree(F: Callable[[Tuple[int, ...]], Any], delta: int,
     return tree, dict(colours)
 
 
-def verify_color_collapse(H: Callable[[FinSuppFn], Any], tree: AlphaTree,
-                          colours: Dict[int, Dict[tuple, Any]], sample: Sequence[FinSuppFn],
-                          target_host: FinSupp) -> Tuple[bool, Set[Any]]:
-    """Check H(embedded f) against the level pattern for each sampled f and
-    collect the realized colour set.  A level pattern is the dict from
-    value tuples to colours that ``induced_seq_coloring`` returns."""
+def verify_color_collapse(H: Callable[[tuple], Any], tree: AlphaTree,
+                          colours: Dict[int, Dict[tuple, Any]], source: FinSupp,
+                          sample: Sequence[tuple], target: FinSupp) -> Tuple[bool, Set[Any]]:
+    """Check H(embedded x) against the level pattern for each element x of
+    source in sample and collect the realized colour set.  A level pattern
+    is the dict from value tuples to colours ``induced_seq_coloring`` returns."""
     ok = True
     realized: Set[Any] = set()
-    for f in sample:
-        image = ks_embed(tree, f, target_host)
-        got = H(image)
+    for x in sample:
+        got = H(ks_embed(tree, source, x, target))
         realized.add(got)
-        support = f.elem.entries
-        if not support:
+        if not x:
             continue
-        level = len(support) - 1
+        level = len(x) - 1
         if level not in colours:
-            raise FragmentIncomplete(f"no level pattern for support size {len(support)}")
-        key = tuple(v for _, v in support)
+            raise FragmentIncomplete(f"no level pattern for support size {len(x)}")
+        key = tuple(v for _, v in x)
         expected = colours[level].get(key)
         if expected is None:
             raise FragmentIncomplete(f"pattern lacks value tuple {key!r}")

@@ -205,13 +205,15 @@ def cmd_ks(args):
             if getattr(args, name) is None:
                 raise InvalidInput("--" + name.replace("_", "-"), "required by ks embed")
         tree = antilex.AlphaTree.from_json(json.loads(_read(args.tree)))
+        witness = antilex.validate_alpha_tree(tree)
+        if witness is not None:
+            raise antilex.AntilexError(f"tree is not coherent: {witness[0]}")
         source = terms.parse_term(args.source_host)
         target = terms.parse_term(args.target_host)
         if not isinstance(source, terms.FinSupp) or not isinstance(target, terms.FinSupp):
             raise ScatterCalcError("hosts must be finsupp(...) terms")
-        elem = terms.decode_element(source, json.loads(args.f))
-        image = antilex.ks_embed(tree, antilex.FinSuppFn(source, elem), target)
-        return {"image": terms.encode_element(target, image.elem)}, 0
+        image = antilex.ks_embed(tree, source, _element(source, args.f), target)
+        return {"image": terms.encode_element(target, image)}, 0
     # verify: re-run the searched tree against its oracle on all chains
     tree = antilex.AlphaTree.from_json(json.loads(_read(args.tree)))
     oracle = _KS_ORACLES[args.oracle]

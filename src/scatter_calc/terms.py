@@ -16,7 +16,6 @@ import itertools
 import json
 import random
 import weakref
-from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .errors import ScatterCalcError
@@ -468,7 +467,9 @@ class Shuffle(OrderTerm):
 
 class FinSupp(OrderTerm):
     """Anti-lexicographic sum of ``length`` copies of inner with finite
-    support away from the designated ``zero``."""
+    support away from the designated ``zero``.  An element is its support:
+    a tuple of (position, inner element) pairs with positions strictly
+    decreasing and no value equal to ``zero``."""
 
     __slots__ = fields = ("length", "inner", "zero")
 
@@ -495,10 +496,15 @@ class FinSupp(OrderTerm):
         return size ** length
 
     def validate(self, elem):
-        if not isinstance(elem, FinSuppElem):
+        # a tuple of 2-tuples: a valid element is immutable, as the memo of
+        # compare_elements needs
+        if type(elem) is not tuple:
             return False
         bound = self.length
-        for position, value in elem.entries:
+        for entry in elem:
+            if not (type(entry) is tuple and len(entry) == 2):
+                return False
+            position, value = entry
             if not (isinstance(position, CnfOrdinal) and position.key < bound.key
                     and self.inner.validate(value) and value != self.zero):
                 return False
@@ -506,14 +512,14 @@ class FinSupp(OrderTerm):
         return True
 
     def cmp(self, x, y):
-        disagreement = x.first_disagreement(y, self.zero)
+        disagreement = first_disagreement(x, y, self.zero)
         if disagreement is None:
             return 0
         return self.inner.cmp(disagreement[1], disagreement[2])
 
     def encode(self, elem):
         return {"supp": [{"pos": format_ordinal(p), "e": self.inner.encode(v)}
-                         for p, v in elem.entries]}
+                         for p, v in elem]}
 
     def _decode(self, data):
         if not (isinstance(data, dict) and set(data) == {"supp"}
@@ -524,7 +530,7 @@ class FinSupp(OrderTerm):
             if not (isinstance(item, dict) and set(item) == {"pos", "e"}):
                 raise self._undecodable(data, 'support items must be {"pos": ..., "e": ...}')
             entries.append((_decode_ordinal(self, item["pos"]), self.inner._decode(item["e"])))
-        return FinSuppElem(tuple(entries))
+        return tuple(entries)
 
     def _format(self, text):
         zero = json.dumps(self.inner.encode(self.zero), sort_keys=True, separators=(",", ":"))
@@ -533,18 +539,18 @@ class FinSupp(OrderTerm):
     def _materialize(self):
         inner = self.inner.materialize()
         if len(inner) <= 1 or self.length.is_zero():
-            return [FinSuppElem()]
+            return [()]
         positions = [from_int(i) for i in range(self.length.as_int())]
         positions.reverse()  # most significant first
         out = [()]
         for position in positions:
             out = [prefix + ((position, v),) for prefix in out for v in inner]
-        return [FinSuppElem(tuple(p for p in entry if p[1] != self.zero)) for entry in out]
+        return [tuple(p for p in entry if p[1] != self.zero) for entry in out]
 
     def _canonical(self, want):
         nonzero = [v for v in self.inner.canonical(4) if v != self.zero][:2]
         positions = _canonical_ordinals(self.length, 3) if not self.length.is_zero() else []
-        out = [FinSuppElem()]
+        out = [()]
         for p in positions:
             for v in nonzero:
                 out.append(finsupp_elem({p: v}))
@@ -554,7 +560,7 @@ class FinSupp(OrderTerm):
 
     def _compile(self):
         if self.length.is_zero():
-            return lambda rng: FinSuppElem()
+            return lambda rng: ()
         inner, zero = self.inner._draw_kernel(), self.zero
         position = _ordinal_kernel(self.length)
 
@@ -565,7 +571,7 @@ class FinSupp(OrderTerm):
                 if v != zero:
                     values.append(v)
             if not values:
-                return FinSuppElem()
+                return ()
             bits = rng.getrandbits
             n, width = len(values), len(values).bit_length()
             mapping = {}
@@ -577,49 +583,37 @@ class FinSupp(OrderTerm):
         return draw
 
 
-@dataclass(frozen=True)
-class FinSuppElem:
-    """Finite support map: ((position, inner element), ...) with positions
-    strictly decreasing, which ``FinSupp.validate`` checks."""
-
-    entries: Tuple[Tuple[CnfOrdinal, Any], ...] = ()
-
-    def __post_init__(self):
-        # entries given as lists are frozen, so a valid element stays valid
-        entries = tuple((position, value) for position, value in self.entries)
-        object.__setattr__(self, "entries", entries)
-
-    def first_disagreement(self, other: "FinSuppElem",
-                           zero: Any) -> Optional[Tuple[CnfOrdinal, Any, Any]]:
-        """(position, own value, other's value) at the largest position where
-        the two maps differ, or None when they are equal.  Both supports are
-        decreasing, so one merge visits the positions largest first."""
-        xs, ys = self.entries, other.entries
-        i = j = 0
-        while i < len(xs) or j < len(ys):
-            if j == len(ys) or (i < len(xs) and xs[i][0].key > ys[j][0].key):
-                position, vx, vy = xs[i][0], xs[i][1], zero
-                i += 1
-            elif i == len(xs) or ys[j][0].key > xs[i][0].key:
-                position, vx, vy = ys[j][0], zero, ys[j][1]
-                j += 1
-            else:
-                position, vx, vy = xs[i][0], xs[i][1], ys[j][1]
-                i += 1
-                j += 1
-            if vx != vy:
-                return position, vx, vy
-        return None
+def first_disagreement(x: tuple, y: tuple,
+                       zero: Any) -> Optional[Tuple[CnfOrdinal, Any, Any]]:
+    """(position, x's value, y's value) at the largest position where two
+    finite-support elements differ, or None when they are equal.  Both
+    supports are decreasing, so one merge visits the positions largest first."""
+    i = j = 0
+    while i < len(x) or j < len(y):
+        if j == len(y) or (i < len(x) and x[i][0].key > y[j][0].key):
+            position, vx, vy = x[i][0], x[i][1], zero
+            i += 1
+        elif i == len(x) or y[j][0].key > x[i][0].key:
+            position, vx, vy = y[j][0], zero, y[j][1]
+            j += 1
+        else:
+            position, vx, vy = x[i][0], x[i][1], y[j][1]
+            i += 1
+            j += 1
+        if vx != vy:
+            return position, vx, vy
+    return None
 
 
-def finsupp_elem(mapping) -> FinSuppElem:
-    """Build a FinSuppElem from {position: value}; positions may be ints."""
+def finsupp_elem(mapping) -> tuple:
+    """The finite-support element of {position: value}, its entries sorted
+    by decreasing position; positions may be ints."""
     return _from_entries([(ensure_ordinal(p), v) for p, v in dict(mapping).items()])
 
 
-def _from_entries(entries) -> FinSuppElem:
-    """The FinSuppElem of (position, value) pairs with distinct positions."""
-    return FinSuppElem(tuple(sorted(entries, key=lambda entry: entry[0].key, reverse=True)))
+def _from_entries(entries) -> tuple:
+    """The support of (position, value) pairs with distinct positions."""
+    return tuple(sorted(entries, key=lambda entry: entry[0].key, reverse=True))
 
 
 def pow_term(base: OrderTerm, n: int) -> OrderTerm:

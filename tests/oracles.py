@@ -33,7 +33,7 @@ import json
 import random
 from typing import Tuple
 
-from scatter_calc import Fin, FinSupp, FinSuppElem, Ord, Rev, Scaled, Shuffle, SumList
+from scatter_calc import Fin, FinSupp, Ord, Rev, Scaled, Shuffle, SumList
 from scatter_calc.milner_rado import ElementOutOfRange, MilnerRadoError
 from scatter_calc.ordinal import (
     ZERO,
@@ -96,11 +96,11 @@ def reference_disagreement(inner, zero, x, y):
     """(position, x's value, y's value) at the largest position where two
     finite-support maps differ, or None: the union of both supports sorted
     in decreasing order, then a lookup of each map at every position."""
-    positions = sorted([p for p, _ in x.entries] + [p for p, _ in y.entries],
+    positions = sorted([p for p, _ in x] + [p for p, _ in y],
                        key=functools.cmp_to_key(reference_ord_compare), reverse=True)
 
     def value_at(f, position):
-        for p, v in f.entries:
+        for p, v in f:
             if reference_ord_compare(p, position) == 0:
                 return v
         return zero
@@ -242,14 +242,13 @@ def textbook_materialize(term):
     if isinstance(term, FinSupp):
         inner = textbook_materialize(term.inner)
         if len(inner) <= 1 or term.length.is_zero():
-            return [FinSuppElem()]
+            return [()]
         # the value at the largest position is the most significant
         positions = [from_int(i) for i in range(term.length.as_int())][::-1]
         rows = [[]]
         for p in positions:
             rows = [row + [(p, v)] for row in rows for v in inner]
-        return [FinSuppElem(tuple((p, v) for p, v in row if v != term.zero))
-                for row in rows]
+        return [tuple((p, v) for p, v in row if v != term.zero) for row in rows]
     raise AssertionError(f"not finite: {term}")
 
 
@@ -548,11 +547,11 @@ def reference_random_element(term, rng):
         return tuple(rng.choice(menu) for _ in range(length))
     if isinstance(term, FinSupp):
         if term.length.is_zero():
-            return FinSuppElem()
+            return ()
         values = [v for v in (reference_random_element(term.inner, rng) for _ in range(8))
                   if reference_cmp(term.inner, v, term.zero) != 0]
         if not values:
-            return FinSuppElem()
+            return ()
         mapping = {}
         for _ in range(rng.randrange(0, 4)):
             mapping[reference_random_ordinal_below(term.length, rng)] = rng.choice(values)

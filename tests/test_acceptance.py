@@ -27,6 +27,7 @@ from scatter_calc import (
     compose_negative_coloring,
     extract_unary,
     find_homogeneous,
+    finsupp_elem,
     materialize,
     parse_term,
     pow_term,
@@ -331,7 +332,7 @@ def test_criterion_8_antilex_suite():
         for _ in range(3):
             size = rng.randrange(4)
             positions = rng.sample(menu, size)
-            fns.append(FinSuppFn.build(host, {p: rng.choice([1, 2]) for p in positions}))
+            fns.append(FinSuppFn(host, finsupp_elem({p: rng.choice([1, 2]) for p in positions})))
         if len({f.elem for f in fns}) < 3:
             continue
         import functools
@@ -345,8 +346,8 @@ def test_criterion_8_antilex_suite():
     somes = 0
     oracles = {
         "const": lambda f: 0,
-        "parity": lambda f: len(f.elem.entries) % 2,
-        "weighted": lambda f: (sum(p.as_int() * v for p, v in f.elem.entries) + 1) % 3,
+        "parity": lambda f: len(f) % 2,
+        "weighted": lambda f: (sum(p.as_int() * v for p, v in f) + 1) % 3,
     }
     for delta in (1, 2, 3):
         small = FinSupp(from_int(delta), Fin(3), 0)
@@ -374,16 +375,16 @@ def test_criterion_8_antilex_suite():
                                 mapping = dict(zip(
                                     map(from_int, sorted(positions, reverse=True)),
                                     values))
-                                fragment.append(FinSuppFn.build(small, mapping))
-                    good, _ = verify_color_collapse(H, tree, colours, fragment, big)
+                                fragment.append(finsupp_elem(mapping))
+                    good, _ = verify_color_collapse(H, tree, colours, small, fragment, big)
                     if not good:
                         ok = False
                     # embedding preserves order on 10^3 seeded pairs
                     prng = random.Random(9000 + somes)
                     for _ in range(1000):
                         f, g = prng.choice(fragment), prng.choice(fragment)
-                        if compare_antilex(ks_embed(tree, f, big),
-                                           ks_embed(tree, g, big)) != compare_antilex(f, g):
+                        image_f, image_g = (ks_embed(tree, small, x, big) for x in (f, g))
+                        if compare_elements(big, image_f, image_g) != compare_elements(small, f, g):
                             ok = False
     ok = ok and somes >= 1
     report(8, f"disagreement lemma 10^4 triples; {somes} searched trees all "

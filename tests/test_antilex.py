@@ -27,7 +27,7 @@ from scatter_calc.antilex import (
     verify_color_collapse,
 )
 from scatter_calc.ordinal import OMEGA, from_int, ord_pow, parse_ordinal
-from scatter_calc.terms import Fin, FinSupp, compare_elements
+from scatter_calc.terms import Fin, FinSupp, InvalidElement, compare_elements, finsupp_elem
 
 W = OMEGA
 HOST = FinSupp(ord_pow(W, 2), Fin(3), 0)
@@ -36,25 +36,36 @@ POSITION_MENU = [parse_ordinal(t) for t in
                  ["0", "1", "2", "3", "7", "w", "w + 1", "w + 4", "w*2", "w*2 + 3", "w*5"]]
 
 
-def random_fn(rng: random.Random) -> FinSuppFn:
+def random_elem(rng: random.Random) -> tuple:
     size = rng.randrange(4)
     positions = rng.sample(POSITION_MENU, size)
-    return FinSuppFn.build(HOST, {p: rng.choice([1, 2]) for p in positions})
+    return finsupp_elem({p: rng.choice([1, 2]) for p in positions})
+
+
+def random_fn(rng: random.Random) -> FinSuppFn:
+    return FinSuppFn(HOST, random_elem(rng))
+
+
+def fn(host, mapping) -> FinSuppFn:
+    return FinSuppFn(host, finsupp_elem(mapping))
 
 
 # -- delta-prime and the order ---------------------------------------------------
 
 def test_delta_prime_examples():
-    f = FinSuppFn.build(HOST, {2: 1})
-    assert delta_prime(f, FinSuppFn.build(HOST, {})) == from_int(2)
-    f2 = FinSuppFn.build(HOST, {3: 1, 1: 2})
-    g2 = FinSuppFn.build(HOST, {3: 1, 0: 2})
-    assert delta_prime(f2, g2) == from_int(1)
+    f = finsupp_elem({2: 1})
+    assert delta_prime(HOST, f, ()) == from_int(2)
+    f2 = finsupp_elem({3: 1, 1: 2})
+    g2 = finsupp_elem({3: 1, 0: 2})
+    assert delta_prime(HOST, f2, g2) == from_int(1)
     with pytest.raises(EqualInputs):
-        delta_prime(f, f)
-    other = FinSupp(W, Fin(3), 0)
-    with pytest.raises(HostMismatch):
-        delta_prime(f, FinSuppFn.build(other, {}))
+        delta_prime(HOST, f, f)
+    # a support at w^2 and one mapping to the zero are not elements of HOST
+    for bad in (finsupp_elem({ord_pow(W, 2): 1}), ((from_int(2), 0),), [(from_int(2), 1)]):
+        with pytest.raises(InvalidElement):
+            delta_prime(HOST, bad, f)
+        with pytest.raises(InvalidElement):
+            delta_prime(HOST, f, bad)
 
 
 def test_delta_prime_matches_reference():
@@ -62,20 +73,20 @@ def test_delta_prime_matches_reference():
     rng = random.Random(23)
     for host, values in [(HOST, [1, 2]), (FinSupp(ord_pow(W, 2), Fin(3), 1), [0, 2])]:
         for _ in range(300):
-            f, g = (FinSuppFn.build(host, {p: rng.choice(values)
-                                           for p in rng.sample(POSITION_MENU, rng.randrange(4))})
+            f, g = (finsupp_elem({p: rng.choice(values)
+                                  for p in rng.sample(POSITION_MENU, rng.randrange(4))})
                     for _ in range(2))
-            expected = reference_disagreement(host.inner, host.zero, f.elem, g.elem)
+            expected = reference_disagreement(host.inner, host.zero, f, g)
             if expected is None:
                 with pytest.raises(EqualInputs):
-                    delta_prime(f, g)
+                    delta_prime(host, f, g)
             else:
-                assert delta_prime(f, g) == expected[0]
+                assert delta_prime(host, f, g) == expected[0]
 
 
 def test_compare_examples():
-    z = FinSuppFn.build(HOST, {})
-    g = FinSuppFn.build(HOST, {0: 1})
+    z = fn(HOST, {})
+    g = fn(HOST, {0: 1})
     assert compare_antilex(z, z) == 0
     assert compare_antilex(z, g) == -1
     assert compare_antilex(g, z) == 1
@@ -87,8 +98,8 @@ def test_compare_decided_at_delta_prime():
         f, g = random_fn(rng), random_fn(rng)
         if f.elem == g.elem:
             continue
-        d = delta_prime(f, g)
-        fd, gd = dict(f.elem.entries).get(d, 0), dict(g.elem.entries).get(d, 0)
+        d = delta_prime(HOST, f.elem, g.elem)
+        fd, gd = dict(f.elem).get(d, 0), dict(g.elem).get(d, 0)
         expected = compare_elements(Fin(3), fd, gd)
         assert compare_antilex(f, g) == expected
 
@@ -102,15 +113,15 @@ def test_compare_agrees_with_term_comparator():
 
 
 def test_antilex_lemma_fixed_triples():
-    a = FinSuppFn.build(HOST, {0: 1})
-    b = FinSuppFn.build(HOST, {1: 1})
-    c = FinSuppFn.build(HOST, {2: 1})
+    a = fn(HOST, {0: 1})
+    b = fn(HOST, {1: 1})
+    c = fn(HOST, {2: 1})
     assert check_antilex_lemma(a, b, c) is True
-    assert delta_prime(a, c) == from_int(2)
+    assert delta_prime(HOST, a.elem, c.elem) == from_int(2)
     # degenerate: g shares f's support except one point
-    f = FinSuppFn.build(HOST, {5: 1, 2: 1})
-    g = FinSuppFn.build(HOST, {5: 1, 2: 2})
-    h = FinSuppFn.build(HOST, {7: 1})
+    f = fn(HOST, {5: 1, 2: 1})
+    g = fn(HOST, {5: 1, 2: 2})
+    h = fn(HOST, {7: 1})
     assert check_antilex_lemma(f, g, h) is True
     with pytest.raises(NotSorted):
         check_antilex_lemma(c, b, a)
@@ -242,13 +253,26 @@ def test_ks_embed_examples():
     small = FinSupp(from_int(1), Fin(3), 0)
     big = FinSupp(from_int(12), Fin(3), 0)
     tree = AlphaTree(from_int(1), {dec_seq([0]): from_int(9)})
-    zero = FinSuppFn.build(small, {})
-    assert ks_embed(tree, zero, big).elem.entries == ()
-    f = FinSuppFn.build(small, {0: 2})
-    image = ks_embed(tree, f, big)
-    assert image.elem.entries == ((from_int(9), 2),)
+    assert ks_embed(tree, small, (), big) == ()
+    f = finsupp_elem({0: 2})
+    assert ks_embed(tree, small, f, big) == ((from_int(9), 2),)
     with pytest.raises(TreeDomainMiss):
-        ks_embed(AlphaTree(from_int(1), {}), f, big)
+        ks_embed(AlphaTree(from_int(1), {}), small, f, big)
+    with pytest.raises(HostMismatch):
+        ks_embed(tree, small, f, FinSupp(from_int(12), Fin(3), 1))
+
+
+def test_ks_embed_refuses_an_image_outside_the_target():
+    # a tree value past the target's length, and an incoherent tree that
+    # sends a support's two positions to one value or to increasing values
+    small = FinSupp(from_int(2), Fin(3), 0)
+    big = FinSupp(from_int(9), Fin(3), 0)
+    f = finsupp_elem({1: 1, 0: 2})
+    for one, two in [(9, 5), (5, 5), (5, 6)]:
+        tree = AlphaTree(from_int(2), {dec_seq([1]): from_int(one),
+                                       dec_seq([1, 0]): from_int(two)})
+        with pytest.raises(InvalidElement, match="is not an element of finsupp"):
+            ks_embed(tree, small, f, big)
 
 
 def test_ks_embed_order_preserved():
@@ -262,12 +286,11 @@ def test_ks_embed_order_preserved():
     def rand_small():
         size = rng.randrange(delta + 1)
         positions = rng.sample(range(delta), size)
-        return FinSuppFn.build(small, {from_int(p): rng.choice([1, 2])
-                                       for p in positions})
+        return finsupp_elem({from_int(p): rng.choice([1, 2]) for p in positions})
     for _ in range(500):
         f, g = rand_small(), rand_small()
-        c = compare_antilex(f, g)
-        ci = compare_antilex(ks_embed(tree, f, big), ks_embed(tree, g, big))
+        c = compare_elements(small, f, g)
+        ci = compare_elements(big, ks_embed(tree, small, f, big), ks_embed(tree, small, g, big))
         assert ci == c
 
 
@@ -276,25 +299,38 @@ def test_ks_embed_support_image_law():
     small = FinSupp(from_int(delta), Fin(3), 0)
     big = FinSupp(from_int(9), Fin(3), 0)
     tree, _ = search_alpha_tree(lambda chain: 0, delta, 9, delta)
-    f = FinSuppFn.build(small, {2: 1, 0: 2})
-    image = ks_embed(tree, f, big)
+    f = finsupp_elem({2: 1, 0: 2})
+    image = ks_embed(tree, small, f, big)
     prefixes = [dec_seq([2]), dec_seq([2, 0])]
     expected = tuple(sorted((tree.entries[p] for p in prefixes),
                             key=lambda x: -x.as_int()))
-    assert tuple(p for p, _ in image.elem.entries) == expected
-    assert len(image.elem.entries) == len(f.elem.entries)
+    assert tuple(p for p, _ in image) == expected
+    assert len(image) == len(f)
 
 
 def test_induced_coloring_examples():
     host = FinSupp(from_int(8), Fin(3), 0)
     const = induced_seq_coloring(lambda f: 7, host, dec_seq([5, 2]), [0, 1, 2])
     assert set(const.values()) == {7}
-    parity = induced_seq_coloring(lambda f: len(f.elem.entries) % 2, host,
+    parity = induced_seq_coloring(lambda f: len(f) % 2, host,
                                   dec_seq([5, 2]), [0, 1, 2])
     for values, colour in parity.items():
         assert colour == sum(1 for v in values if v != 0) % 2
     empty = induced_seq_coloring(lambda f: 9, host, dec_seq([]), [0, 1, 2])
     assert empty == {(): 9}
+
+
+def test_induced_coloring_refuses_a_position_or_letter_outside_the_host():
+    # a refusal, not a colouring: H is never asked about a point that is
+    # not an element of the host
+    host = FinSupp(from_int(8), Fin(3), 0)
+    asked = []
+    for seq, alphabet in [(dec_seq([8, 2]), [0, 1]), (dec_seq([9]), [1]),
+                          (dec_seq([5, 2]), [0, 3]), (dec_seq([5]), [1, True]),
+                          ((from_int(2), from_int(5)), [1]), ((5, 2), [1])]:
+        with pytest.raises(InvalidElement, match="is not an element of finsupp"):
+            induced_seq_coloring(asked.append, host, seq, alphabet)
+    assert asked == []
 
 
 def test_verify_color_collapse_and_negative_control():
@@ -304,7 +340,7 @@ def test_verify_color_collapse_and_negative_control():
     alphabet = [0, 1, 2]
 
     def H(f):
-        return len(f.elem.entries) % 2
+        return len(f) % 2
 
     cache = {}
     def F(chain):
@@ -319,22 +355,22 @@ def test_verify_color_collapse_and_negative_control():
     for size in range(delta + 1):
         for positions in itertools.combinations(range(delta), size):
             for values in itertools.product([1, 2], repeat=size):
-                sample.append(FinSuppFn.build(
-                    small, dict(zip(map(from_int, sorted(positions, reverse=True)), values))))
-    ok, realized = verify_color_collapse(H, tree, colours, sample, big)
+                sample.append(finsupp_elem(
+                    dict(zip(map(from_int, sorted(positions, reverse=True)), values))))
+    ok, realized = verify_color_collapse(H, tree, colours, small, sample, big)
     assert ok is True
     assert realized <= {0, 1}
     # corrupt the level pattern: verification must fail
     corrupted = {level: {k: (v + 1) % 2 for k, v in p.items()}
                  for level, p in colours.items()}
-    ok2, _ = verify_color_collapse(H, tree, corrupted, sample, big)
+    ok2, _ = verify_color_collapse(H, tree, corrupted, small, sample, big)
     assert ok2 is False
 
 
 def test_missing_level_pattern_says_which_support_size():
     small, big = FinSupp(from_int(1), Fin(3), 0), FinSupp(from_int(12), Fin(3), 0)
     tree = AlphaTree(from_int(1), {dec_seq([0]): from_int(9)})
-    f = FinSuppFn.build(small, {0: 2})
+    f = finsupp_elem({0: 2})
     with pytest.raises(FragmentIncomplete) as info:
-        verify_color_collapse(lambda g: 0, tree, {}, [f], big)
+        verify_color_collapse(lambda g: 0, tree, {}, small, [f], big)
     assert str(info.value) == "no level pattern for support size 1"

@@ -569,6 +569,21 @@ def test_ks_embed_command(tmp_path):
     assert data["image"] == {"supp": [{"pos": "9", "e": 2}]}
 
 
+INCOHERENT_TREE = ('{"alpha": "2", "entries": [{"seq": ["1"], "val": "5"},'
+                   ' {"seq": ["1", "0"], "val": "5"}]}')
+
+
+def test_ks_embed_refuses_an_incoherent_tree():
+    # both support points would move to position 5, and one would be lost
+    argv = ["ks", "embed", "--tree", "-", "--source-host", "finsupp(2, fin(3), 0)",
+            "--target-host", "finsupp(9, fin(3), 0)",
+            "--f", '{"supp": [{"pos": "1", "e": 1}, {"pos": "0", "e": 2}]}']
+    assert main_in_process(["ks", "verify", "--tree", "-"], INCOHERENT_TREE)[0] == 2
+    code, out, err = main_in_process(argv, INCOHERENT_TREE)
+    assert (code, out) == (1, "")
+    assert err == "error: AntilexError: tree is not coherent: child-not-below-parent\n"
+
+
 # -- every verb's bytes --------------------------------------------------------------
 
 CLASHING_TREE = ('{"alpha": "2", "entries": [{"seq": ["0"], "val": "4"},'

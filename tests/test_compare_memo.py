@@ -7,6 +7,7 @@ their valid twins, so a memo that trusted equality would accept them."""
 import copy
 import gc
 import random
+import sys
 import weakref
 
 import pytest
@@ -18,7 +19,6 @@ from test_golden import EXTRA_TEXT
 from scatter_calc import (
     Fin,
     FinSupp,
-    FinSuppElem,
     Ord,
     Rev,
     Scaled,
@@ -27,6 +27,7 @@ from scatter_calc import (
     compare_elements,
     parse_term,
     sample_elements,
+    validate_element,
 )
 from scatter_calc.ordinal import from_int
 from scatter_calc.terms import CHECKED_LIMIT, InvalidElement
@@ -51,14 +52,12 @@ def lookalikes(term, elem):
                 + [(a, elem[1]) for a in lookalikes(first, elem[0])]
                 + [(elem[0], a) for a in lookalikes(second, elem[1])])
     assert isinstance(term, FinSupp)
-    entries = elem.entries
-    out = [FinSuppElem([list(entry) for entry in entries])]   # equal and valid
-    for i, (p, v) in enumerate(entries):
-        out += [FinSuppElem(entries[:i] + ((p, a),) + entries[i + 1:])
-                for a in lookalikes(term.inner, v)]
+    out = [list(elem), tuple(list(entry) for entry in elem)]
+    for i, (p, v) in enumerate(elem):
+        out += [elem[:i] + ((p, a),) + elem[i + 1:] for a in lookalikes(term.inner, v)]
     if not term.length.is_zero():   # position 0 mapped to the designated zero
-        kept = entries[:-1] if entries and entries[-1][0].is_zero() else entries
-        out.append(FinSuppElem(kept + ((from_int(0), term.zero),)))
+        kept = elem[:-1] if elem and elem[-1][0].is_zero() else elem
+        out.append(kept + ((from_int(0), term.zero),))
     return out
 
 
@@ -87,11 +86,12 @@ def test_compare_elements_matches_reference_with_lookalikes(text):
 def test_lookalikes_after_their_twins_are_refused():
     fin3, sums = Fin(3), parse_term("sum[fin(2), fin(2)]")
     support = parse_term("finsupp(w, fin(2), 0)")
-    one = FinSuppElem(((from_int(1), 1),))
+    one = ((from_int(1), 1),)
     cases = [(fin3, 1, True), (fin3, 1, 1.0), (fin3, 0, False), (fin3, 0, None),
              (sums, (0, 1), (False, 1)), (sums, (1, 0), [1, 0]),
-             (support, one, FinSuppElem(((from_int(1), True),))),
-             (support, one, FinSuppElem(((from_int(1), 1), (from_int(0), 0))))]
+             (support, one, ((from_int(1), True),)),
+             (support, one, ((from_int(1), 1), (from_int(0), 0))),
+             (support, one, ([from_int(1), 1],))]
     for term, valid, alike in cases:
         assert compare_elements(term, valid, valid) == 0
         with pytest.raises(InvalidElement, match="is not an element of"):
@@ -100,14 +100,18 @@ def test_lookalikes_after_their_twins_are_refused():
             compare_elements(term, valid, alike)
 
 
-def test_finsupp_elements_built_on_lists_cannot_change_after_a_check():
+def test_finsupp_supports_with_list_entries_are_refused():
+    # a list entry could change after a check and the memo would still vouch
+    # for it, so only a tuple of 2-tuples is an element
     term = parse_term("finsupp(w, fin(2), 0)")
-    entries = [(from_int(2), 1)]
-    elem = FinSuppElem(entries)
-    assert compare_elements(term, elem, FinSuppElem()) == 1
-    entries.append((from_int(1), 0))   # would map position 1 to the zero
-    assert elem == FinSuppElem(((from_int(2), 1),))
-    assert compare_elements(term, elem, FinSuppElem()) == 1
+    entry = [from_int(2), 1]
+    for elem in [(entry,), ((from_int(3), 1), entry), [(from_int(2), 1)],
+                 ((from_int(2), 1, 0),), ((from_int(2),),)]:
+        assert validate_element(term, elem) is False
+        with pytest.raises(InvalidElement, match="is not an element of"):
+            compare_elements(term, elem, ())
+        with pytest.raises(InvalidElement, match="is not an element of"):
+            compare_elements(term, (), elem)
 
 
 def test_a_dropped_element_does_not_vouch_for_a_new_one_at_its_id():
@@ -124,21 +128,21 @@ def test_a_dropped_element_does_not_vouch_for_a_new_one_at_its_id():
 
 def test_memo_stays_bounded_and_keeps_nothing_alive():
     term = parse_term("finsupp(w^3, fin(2), 0)")
-    base = FinSuppElem()
-    elem = FinSuppElem(((from_int(0), 1),))
-    ref = weakref.ref(elem)
-    compare_elements(term, elem, base)
-    del elem
-    assert ref() is not None   # held while the memo remembers it
+    # an element is a tuple, which takes no weak reference, so its reference
+    # count shows the memo holding it and letting it go
+    elem = ((from_int(0), 1),)
+    before = sys.getrefcount(elem)
+    compare_elements(term, elem, ())
+    assert sys.getrefcount(elem) == before + 1   # held while the memo remembers it
     for i in range(1, 3 * CHECKED_LIMIT):
-        compare_elements(term, FinSuppElem(((from_int(i), 1),)), base)
+        compare_elements(term, ((from_int(i), 1),), ())
         assert len(term._checked) <= CHECKED_LIMIT
-    assert ref() is None
+    assert sys.getrefcount(elem) == before
     # the memo makes no cycle: a fresh term dies with its last reference
     gc.disable()
     try:
         fresh = parse_term("sum[finsupp(w^4 + 3, fin(7), 5), fin(11)]")
-        compare_elements(fresh, (1, 2), (0, FinSuppElem()))
+        compare_elements(fresh, (1, 2), (0, ()))
         assert fresh._checked
         term_ref = weakref.ref(fresh)
         del fresh

@@ -25,7 +25,6 @@ from oracles import (
 from scatter_calc import (
     Fin,
     FinSupp,
-    FinSuppElem,
     Ord,
     Rev,
     ScatterCalcError,
@@ -295,7 +294,7 @@ def test_compare_rejects_entries_at_the_bound():
     cases = [
         (Ord(W), W, from_int(3)),
         (Shuffle(W), (from_int(1), W), (from_int(1),)),
-        (parse_term("finsupp(w, fin(2), 0)"), FinSuppElem(((W, 1),)), FinSuppElem()),
+        (parse_term("finsupp(w, fin(2), 0)"), ((W, 1),), ()),
     ]
     for term, bad, good in cases:
         assert validate_element(term, good)
@@ -306,14 +305,14 @@ def test_compare_rejects_entries_at_the_bound():
 
 
 def test_finsupp_elem_rejects_non_decreasing_positions():
-    # the constructor builds any support; the term's validation refuses it
+    # a tuple holds any support; the term's validation refuses it
     host = parse_term("finsupp(w*2, fin(2), 0)")
     for positions in [(from_int(1), from_int(2)), (from_int(2), from_int(2)),
                       (from_int(3), W), (2, 1)]:
-        elem = FinSuppElem(tuple((p, 1) for p in positions))
+        elem = tuple((p, 1) for p in positions)
         assert validate_element(host, elem) is False
         with pytest.raises(InvalidElement):
-            compare_elements(host, elem, FinSuppElem())
+            compare_elements(host, elem, ())
 
 
 def test_cmp_matches_reference_on_corpus_pools():
@@ -407,7 +406,7 @@ def test_finsupp_binary_is_binary_counting():
     elems = materialize(host)
     assert len(elems) == 8
     def as_int(e):
-        return sum(1 << p.as_int() for p, v in e.entries)
+        return sum(1 << p.as_int() for p, v in e)
     assert [as_int(e) for e in elems] == list(range(8))
 
 
