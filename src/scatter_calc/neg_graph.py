@@ -39,7 +39,8 @@ class DomainMismatch(NegGraphError):
 
 @dataclass(frozen=True)
 class NegGraphParams:
-    """Finite mock of the hypothesis families behind the recursion.
+    """Finite mock of the hypothesis families behind the recursion, checked
+    when built.
 
     d: guess sets, one finite subset of rho per row rho in [k, l);
     u: per-row strictly increasing k-tuples of naturals;
@@ -52,7 +53,7 @@ class NegGraphParams:
     u: Dict[int, Tuple[int, ...]]
     g: Dict[int, Tuple[int, ...]]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.k < 1:
             raise InvalidParams("k", "need at least one column")
         if self.l < self.k:
@@ -95,33 +96,32 @@ class NegGraphParams:
 
     @classmethod
     def from_json(cls, data: Any) -> "NegGraphParams":
-        """Inverse of ``to_json``: checks the shape of outside input, then
-        ``validate`` checks the values."""
+        """Inverse of ``to_json``: checks the shape of outside input, and
+        the constructor checks the values."""
         if not isinstance(data, dict):
             raise InvalidParams("params", "expected a JSON object")
         for name in ("k", "l"):
             if type(data.get(name)) is not int:
                 raise InvalidParams(name, f"expected an integer, got {data.get(name)!r}")
         rows = {name: _row_lists(name, data.get(name)) for name in ("d", "u", "g")}
-        params = cls(
+        return cls(
             k=data["k"],
             l=data["l"],
             d={r: frozenset(v) for r, v in rows["d"].items()},
             u={r: tuple(v) for r, v in rows["u"].items()},
             g={r: tuple(v) for r, v in rows["g"].items()},
         )
-        params.validate()
-        return params
 
 
 def _row_lists(name: str, value: Any) -> Dict[int, List[int]]:
-    """A JSON object from row numbers to lists of integers, keyed by int."""
+    """A JSON object from row numbers to lists of integers, keyed by int.
+    A row is written in canonical decimal, so no two keys name one row."""
     if not isinstance(value, dict):
         raise InvalidParams(name, "expected an object from rows to lists of integers")
     rows = {}
     for row, entries in value.items():
-        if not (isinstance(row, str) and row.isdecimal()):
-            raise InvalidParams(name, f"row {row!r} is not a natural number")
+        if not (isinstance(row, str) and row.isdecimal() and row == str(int(row))):
+            raise InvalidParams(name, f"row {row!r} is not a natural number in canonical decimal")
         if not (isinstance(entries, list) and all(type(x) is int for x in entries)):
             raise InvalidParams(name, f"row {row}: {entries!r} is not a list of integers")
         rows[int(row)] = entries
@@ -136,8 +136,9 @@ class GridGraph:
     """Corner-shaped edges on the k-by-l grid and the C-sets of the
     recursion.
 
-    A graph built by ``build_neg_graph``, or read from JSON whose edge list
-    is exactly its C-set edge list, is its C-sets: ``csets`` maps (row, col)
+    A graph built by ``build_neg_graph``, or read from JSON whose C-sets are
+    canonical (keys and entries strictly increasing) and whose edge list is,
+    in order, exactly their edge list, is its C-sets: ``csets`` maps (row, col)
     to a sorted tuple of distinct entries, and ``edges`` is derived from it,
     the edges ((iota, rho), (nu, xi)) with xi in C[rho, nu] and iota < nu.
     Any other graph keeps the edges it is given, sorted and without
@@ -176,20 +177,38 @@ class GridGraph:
     @classmethod
     def from_json(cls, data: Any) -> "GridGraph":
         """Inverse of ``to_json`` that checks every field of outside input;
-        unknown keys, such as those of schema v1 certificates, are ignored."""
+        unknown keys, such as those of schema v1 certificates, are ignored,
+        and a C-set key given twice with different entries is refused."""
         if not isinstance(data, dict):
             raise InvalidGraph("graph", "expected a JSON object")
         k, l = data.get("k"), data.get("l")
         for name, value in (("k", k), ("l", l)):
             if type(value) is not int or value < 0:
                 raise InvalidGraph(name, f"expected a natural number, got {value!r}")
-        edges = data.get("edges")
+        edges, csets = data.get("edges"), data.get("csets", [])
         if not isinstance(edges, list):
             raise InvalidGraph("edges", "expected a list of vertex pairs")
-        csets = data.get("csets", [])
-        graph = _cset_graph(k, l, edges, csets)
-        if graph is not None:
-            return graph
+        if not isinstance(csets, list):
+            raise InvalidGraph("csets", "expected a list of C-sets")
+        table: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        canonical, last = True, (-1, -1)   # keys and entries strictly increasing
+        for c in csets:
+            if not (isinstance(c, dict) and _below(c.get("row"), l) and _below(c.get("col"), k)
+                    and isinstance(c.get("entries"), list)
+                    and all(_below(x, l) for x in c["entries"])):
+                raise InvalidGraph("csets", f"{c!r} is not a C-set of the {k} x {l} grid")
+            key, entries = (c["row"], c["col"]), tuple(c["entries"])
+            if table.setdefault(key, entries) != entries:
+                raise InvalidGraph("csets", f"C-set {key} is given twice with different entries")
+            canonical = (canonical and key > last
+                         and all(a < b for a, b in zip(entries, entries[1:])))
+            last = key
+        derived = ([[i, r], [n, x]] for i, r, n, xs in _edge_groups(table) for x in xs)
+        if (canonical and len(edges) == sum(col * len(xs) for (_, col), xs in table.items())
+                and not any(map(ne, edges, derived))
+                # == lets true and 1.0 stand for 1, which the edge loop rejects
+                and not set(map(type, chain.from_iterable(chain.from_iterable(edges)))) - {int}):
+            return cls(k, l, csets=table)
         pairs = []
         for e in edges:
             if isinstance(e, list) and len(e) == 2:
@@ -203,17 +222,7 @@ class GridGraph:
                         pairs.append(((ca, ra), (cb, rb)))
                         continue
             raise InvalidGraph("edges", f"{e!r} is not a pair of vertices of the {k} x {l} grid")
-        if not isinstance(csets, list):
-            raise InvalidGraph("csets", "expected a list of C-sets")
-        for c in csets:
-            if not _is_cset(c, k, l):
-                raise InvalidGraph("csets", f"{c!r} is not a C-set of the {k} x {l} grid")
-        return cls(k, l, pairs, {(c["row"], c["col"]): tuple(c["entries"]) for c in csets})
-
-
-def _is_cset(c: Any, k: int, l: int) -> bool:
-    return (isinstance(c, dict) and _below(c.get("row"), l) and _below(c.get("col"), k)
-            and isinstance(c.get("entries"), list) and all(_below(x, l) for x in c["entries"]))
+        return cls(k, l, pairs, table)
 
 
 def _edge_groups(csets: Dict[Tuple[int, int], Tuple[int, ...]]):
@@ -236,32 +245,6 @@ def _json_edges(k: int, l: int, csets: Dict[Tuple[int, int], Tuple[int, ...]]) -
     return [[vertex[i][r], vertex[n][x]] for i, r, n, xs in _edge_groups(csets) for x in xs]
 
 
-def _cset_graph(k: int, l: int, edges: list, csets: Any) -> Optional[GridGraph]:
-    """The C-set graph of JSON input whose C-sets are valid and canonical
-    (keys and entries strictly increasing) and whose edge list is, in order,
-    exactly their edge list; None for any other input."""
-    if not isinstance(csets, list):
-        return None
-    table: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-    last = (-1, -1)
-    for c in csets:
-        if not _is_cset(c, k, l):
-            return None
-        key, entries = (c["row"], c["col"]), c["entries"]
-        if key <= last or any(a >= b for a, b in zip(entries, entries[1:])):
-            return None
-        table[key] = tuple(entries)
-        last = key
-    derived = ([[i, r], [n, x]] for i, r, n, xs in _edge_groups(table) for x in xs)
-    if (len(edges) != sum(col * len(xs) for (row, col), xs in table.items())
-            or any(map(ne, edges, derived))):
-        return None
-    # == lets true and 1.0 stand for 1, which the edge loop rejects
-    if set(map(type, chain.from_iterable(chain.from_iterable(edges)))) - {int}:
-        return None
-    return GridGraph(k, l, csets=table)
-
-
 def build_neg_graph(params: NegGraphParams) -> GridGraph:
     """Run the row recursion; the graph is the resulting C-sets.
 
@@ -272,7 +255,6 @@ def build_neg_graph(params: NegGraphParams) -> GridGraph:
     Sets are int bitsets, so subtracting is an OR and the minimum is the
     lowest set bit.
     """
-    params.validate()
     k, l = params.k, params.l
     guesses = {row: sum(1 << x for x in dset) for row, dset in params.d.items() if dset}
     csets: Dict[Tuple[int, int], Tuple[int, ...]] = {}

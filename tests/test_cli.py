@@ -881,3 +881,48 @@ def test_a_tree_node_that_does_not_decrease_is_one_error_line(argv):
     code, out, err = main_in_process(argv, NOT_DECREASING_TREE)
     assert (code, out) == (1, "")
     assert err == "error: AntilexError: sequence ['0', '1'] is not strictly decreasing\n"
+
+
+# -- input files and refusals, in process ---------------------------------------------
+
+EXTRACT_REQUEST = json.dumps(
+    {"p": 2, "nu": 2, "F": [{"g": [a, b], "c": a} for a in (0, 1) for b in (0, 1)]})
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["neg-graph", "build", "--params", "{}"], json.dumps(ROUND_TRIP_PARAMS)),
+    (["neg-graph", "check", "{}"], json.dumps({"graph": WITNESS_GRAPH})),
+    (["ks", "verify", "--tree", "{}"], TREE),
+    (["extract-unary", "--input", "{}"], EXTRACT_REQUEST),
+])
+def test_an_input_file_gives_the_bytes_of_stdin(tmp_path, argv, stdin):
+    path = tmp_path / "input.json"
+    path.write_text(stdin, encoding="utf-8")
+    from_file = main_in_process([a.format(path) for a in argv])
+    assert from_file == main_in_process([a.format("-") for a in argv], stdin)
+    assert from_file[0] in (0, 2) and from_file[2] == ""
+    missing = main_in_process([a.format(tmp_path / "missing.json") for a in argv])
+    assert missing[:2] == (1, "") and missing[2].startswith("error: FileNotFoundError: ")
+    assert missing[2].count("\n") == 1
+
+
+CONFLICTING_CSETS = json.dumps({"k": 2, "l": 3, "edges": [[[0, 2], [1, 1]]], "csets": [
+    {"row": 2, "col": 1, "entries": [1]}, {"row": 2, "col": 1, "entries": []}]})
+
+
+@pytest.mark.parametrize("argv, stdin, message", [
+    (["extract-unary"], '{"p": 2, "nu": 2, "F": 5}', "InvalidInput: invalid F: expected a list"),
+    (["extract-unary"], '{"p": 2, "nu": 2, "F": [{"g": 5, "c": 0}]}',
+     """InvalidInput: invalid F: {'g': 5, 'c': 0} is not {"g": [integers], "c": colour}"""),
+    (EMBED + ["--source-host", "fin(3)", "--f", "1"], TREE,
+     "ScatterCalcError: hosts must be finsupp(...) terms"),
+    (["neg-graph", "check", "-"], CONFLICTING_CSETS,
+     "InvalidGraph: invalid csets: C-set (2, 1) is given twice with different entries"),
+    (["neg-graph", "build", "--params", "-"],
+     json.dumps({"k": 1, "l": 2, "d": {}, "u": {"0": [0], "01": [1]}, "g": {}}),
+     "InvalidParams: invalid u: row '01' is not a natural number in canonical decimal"),
+])
+def test_refusals_in_process_are_one_error_line(argv, stdin, message):
+    code, out, err = main_in_process(argv, stdin)
+    assert_one_error_line(subprocess.CompletedProcess(argv, code, out, err))
+    assert (out, err) == ("", f"error: {message}\n")

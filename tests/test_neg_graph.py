@@ -118,17 +118,67 @@ def test_single_column_gives_empty_graph():
 
 def test_invalid_params_name_the_field():
     with pytest.raises(InvalidParams) as err:
-        NegGraphParams(k=2, l=4, d={1: frozenset()}, u={r: (1, 2) for r in range(4)},
-                       g={}).validate()
+        NegGraphParams(k=2, l=4, d={1: frozenset()}, u={r: (1, 2) for r in range(4)}, g={})
     assert err.value.field_name == "d"
     with pytest.raises(InvalidParams) as err:
-        NegGraphParams(k=2, l=4, d={}, u={r: (2, 2) for r in range(4)},
-                       g={}).validate()
+        NegGraphParams(k=2, l=4, d={}, u={r: (2, 2) for r in range(4)}, g={})
     assert err.value.field_name == "u"
     with pytest.raises(InvalidParams) as err:
         NegGraphParams(k=2, l=4, d={}, u={r: (1, 2) for r in range(4)},
-                       g={2: (0, 0), 3: (0, 1)}).validate()
+                       g={2: (0, 0), 3: (0, 1)})
     assert err.value.field_name == "g"
+
+
+U4 = {r: (1, 2) for r in range(4)}
+
+
+@pytest.mark.parametrize("fields, field_name, detail", [
+    (dict(k=0, l=0, u={}), "k", "need at least one column"),
+    (dict(l=1, u={0: (1, 2)}), "l", "need at least k rows"),
+    (dict(d={3: frozenset({1, 3})}), "d", "d(3) not a subset of 3"),
+    (dict(u=U4 | {4: (1, 2)}), "u", "row 4 outside [0, l)"),
+    (dict(u=U4 | {2: (1,)}), "u", "u_2 must have length k"),
+    (dict(u=U4 | {1: (-1, 2)}), "u", "u_1 has negative entries"),
+    (dict(g={1: (0, 1)}), "g", "row 1 outside [k, l)"),
+    (dict(g={3: (0, 1, 2)}), "g", "g_3 must have length k"),
+    (dict(g={3: (0, 3)}), "g", "g_3 does not map into 3"),
+    (dict(u={r: (1, 2) for r in (0, 1, 3)}), "u", "missing u_2"),
+])
+def test_building_invalid_params_raises(fields, field_name, detail):
+    with pytest.raises(InvalidParams) as err:
+        NegGraphParams(**(dict(k=2, l=4, d={}, u=U4, g={}) | fields))
+    assert err.value.field_name == field_name
+    assert str(err.value) == f"invalid {field_name}: {detail}"
+
+
+PARAMS_JSON = {"k": 2, "l": 4, "d": {}, "u": {str(r): [1, 2] for r in range(4)}, "g": {}}
+
+
+@pytest.mark.parametrize("fields, field_name, detail", [
+    ({"d": [1]}, "d", "expected an object from rows to lists of integers"),
+    ({"u": {"x": [1, 2]}}, "u", "row 'x' is not a natural number in canonical decimal"),
+    ({"g": {"2": [0, "1"]}}, "g", "row 2: [0, '1'] is not a list of integers"),
+])
+def test_params_json_of_the_wrong_shape_names_the_field(fields, field_name, detail):
+    with pytest.raises(InvalidParams) as err:
+        NegGraphParams.from_json(PARAMS_JSON | fields)
+    assert err.value.field_name == field_name
+    assert str(err.value) == f"invalid {field_name}: {detail}"
+
+
+@pytest.mark.parametrize("name", ["d", "u", "g"])
+def test_params_rows_are_canonical_decimals(name):
+    # "02" and the fullwidth "２" both read as int 2, and would replace row 2
+    rows = {"d": {"2": [1]}, "u": {"2": [0, 3]}, "g": {"2": [0, 1]}}[name]
+    base = PARAMS_JSON | {name: PARAMS_JSON[name] | rows}
+    assert NegGraphParams.from_json(base).to_json() == base
+    for spelling in ("02", "２"):
+        for order in ({**rows, spelling: rows["2"]}, {spelling: rows["2"], **rows}):
+            with pytest.raises(InvalidParams) as err:
+                NegGraphParams.from_json(base | {name: PARAMS_JSON[name] | order})
+            assert err.value.field_name == name
+            assert str(err.value) == (f"invalid {name}: row {spelling!r} is not a natural "
+                                      "number in canonical decimal")
 
 
 def test_build_is_deterministic():
@@ -273,6 +323,38 @@ def test_from_json_rejects_malformed_graphs(data, field_name):
     with pytest.raises(InvalidGraph) as err:
         GridGraph.from_json(data)
     assert err.value.field_name == field_name
+
+
+@pytest.mark.parametrize("data, field_name, detail", [
+    ({"k": 2, "l": 3, "edges": {}, "csets": []}, "edges", "expected a list of vertex pairs"),
+    ({"k": 2, "l": 3, "edges": [], "csets": {}}, "csets", "expected a list of C-sets"),
+    # a malformed C-set is named before a malformed edge
+    ({"k": 2, "l": 3, "edges": [[[0, 9], [1, 1]]],
+      "csets": [{"row": 3, "col": 1, "entries": []}]},
+     "csets", "{'row': 3, 'col': 1, 'entries': []} is not a C-set of the 2 x 3 grid"),
+])
+def test_from_json_names_the_field_and_the_problem(data, field_name, detail):
+    with pytest.raises(InvalidGraph) as err:
+        GridGraph.from_json(data)
+    assert err.value.field_name == field_name
+    assert str(err.value) == f"invalid {field_name}: {detail}"
+
+
+def test_from_json_refuses_a_cset_given_twice_with_different_entries():
+    # with the later copy winning, C[2, 1] = {1} or {} and the corner check
+    # passed or failed by input order
+    a = {"row": 2, "col": 1, "entries": [1]}
+    b = {"row": 2, "col": 1, "entries": []}
+    edges = [[[0, 2], [1, 1]]]
+    for csets in ([a, b], [b, a]):
+        with pytest.raises(InvalidGraph) as err:
+            GridGraph.from_json({"k": 2, "l": 3, "edges": edges, "csets": csets})
+        assert err.value.field_name == "csets"
+        assert str(err.value).endswith("C-set (2, 1) is given twice with different entries")
+    # an identical repeat is not canonical, so the graph keeps its edges
+    graph = GridGraph.from_json({"k": 2, "l": 3, "edges": edges, "csets": [a, dict(a)]})
+    assert not is_cset_graph(graph) and graph.csets == {(2, 1): (1,)}
+    assert check_corner_invariant(graph) is None
 
 
 # -- graphs that are their C-sets -------------------------------------------------
