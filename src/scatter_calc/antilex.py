@@ -12,8 +12,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import InvalidInput, ScatterCalcError
 from .ordinal import CnfOrdinal, ensure_ordinal, format_ordinal, from_int, parse_ordinal
-from .terms import (FinSupp, InvalidElement, compare_elements, first_disagreement,
-                    validate_element)
+from .terms import FinSupp, InvalidElement, compare_elements, validate_element
 
 
 class AntilexError(ScatterCalcError):
@@ -60,6 +59,28 @@ class FinSuppFn:
                 f"{self.elem!r} is not an element of {self.host.format()}")
 
 
+def first_disagreement(x: tuple, y: tuple,
+                       zero: Any) -> Optional[Tuple[CnfOrdinal, Any, Any]]:
+    """(position, x's value, y's value) at the largest position where two
+    finite-support elements differ, or None when they are equal.  Both
+    supports are decreasing, so one merge visits the positions largest first."""
+    i = j = 0
+    while i < len(x) or j < len(y):
+        if j == len(y) or (i < len(x) and x[i][0].key > y[j][0].key):
+            position, vx, vy = x[i][0], x[i][1], zero
+            i += 1
+        elif i == len(x) or y[j][0].key > x[i][0].key:
+            position, vx, vy = y[j][0], zero, y[j][1]
+            j += 1
+        else:
+            position, vx, vy = x[i][0], x[i][1], y[j][1]
+            i += 1
+            j += 1
+        if vx != vy:
+            return position, vx, vy
+    return None
+
+
 def delta_prime(host: FinSupp, x: tuple, y: tuple) -> CnfOrdinal:
     """Largest position where x and y, elements of host, disagree."""
     if compare_elements(host, x, y) == 0:
@@ -68,11 +89,11 @@ def delta_prime(host: FinSupp, x: tuple, y: tuple) -> CnfOrdinal:
 
 
 def compare_antilex(f: FinSuppFn, g: FinSuppFn) -> int:
-    """Order decided at the largest disagreement by the host's comparator;
-    both elements were validated when f and g were built."""
+    """Order decided at the largest disagreement: the host's element order,
+    which ``compare_elements`` gives."""
     if f.host != g.host:
         raise HostMismatch("both functions must live in the same sum")
-    return f.host.cmp(f.elem, g.elem)
+    return compare_elements(f.host, f.elem, g.elem)
 
 
 def check_antilex_lemma(f: FinSuppFn, g: FinSuppFn, h: FinSuppFn) -> bool:

@@ -117,7 +117,7 @@ def mr_label_ordinal(alpha, xi) -> int:
     alpha, xi = ensure_ordinal(alpha), ensure_ordinal(xi)
     if xi.key >= alpha.key:
         raise ElementOutOfRange(f"{xi} is not an element of {alpha}")
-    j = next((j for j, (a, x) in enumerate(zip(alpha.key, xi.key)) if a != x), len(xi.terms))
+    j = next((j for j, (a, x) in enumerate(zip(alpha.terms, xi.terms)) if a != x), len(xi.terms))
     exponent = alpha.terms[j][0]
     return _label_within_power(
         exponent, CnfOrdinal(tuple(t for t in xi.terms if t[0].key < exponent.key)))

@@ -120,7 +120,11 @@ def _row_lists(name: str, value: Any) -> Dict[int, List[int]]:
         raise InvalidParams(name, "expected an object from rows to lists of integers")
     rows = {}
     for row, entries in value.items():
-        if not (isinstance(row, str) and row.isdecimal() and row == str(int(row))):
+        try:
+            canonical = isinstance(row, str) and row.isdecimal() and row == str(int(row))
+        except ValueError:   # int() reads at most 4300 digits, more than any l has
+            raise InvalidParams(name, f"row {row[:10]}... of {len(row)} digits is past l") from None
+        if not canonical:
             raise InvalidParams(name, f"row {row!r} is not a natural number in canonical decimal")
         if not (isinstance(entries, list) and all(type(x) is int for x in entries)):
             raise InvalidParams(name, f"row {row}: {entries!r} is not a list of integers")

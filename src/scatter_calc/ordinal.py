@@ -3,9 +3,11 @@
 A value is a finite sum ``w^e1*c1 + ... + w^em*cm`` with strictly decreasing
 exponents (themselves ordinals of the same kind) and positive integer
 coefficients.  The empty sum is 0.  Each value carries its canonical key,
-the nested tuple ``((key(e1), c1), ..., (key(em), cm))``: Python's tuple
-order on keys is exactly the ordinal order, so comparison, equality and
-hashing all go through the key.
+the flat tuple of ints ``(1, *key(e1), c1, ..., 1, *key(em), cm, 0)``: each
+term opens with 1 and the sum closes with 0, so no key is a proper prefix of
+another, and Python's tuple order on keys is exactly the ordinal order.
+Comparison, equality and hashing all go through the key, and an element
+order on terms splices it into its own flat keys.
 """
 
 from __future__ import annotations
@@ -53,23 +55,29 @@ class OrdinalSyntaxError(OrdinalError):
 class CnfOrdinal:
     """Cantor normal form ordinal; ``terms`` is a tuple of (exponent, coefficient).
 
-    ``key`` is the canonical key, ``((exponent.key, coefficient), ...)``;
-    two ordinals compare as their keys do."""
+    ``key`` is the canonical key, a flat tuple of ints: for each term 1, the
+    exponent's key and the coefficient, then a closing 0.  The tokens make
+    it prefix-free (no key is a proper prefix of another), so two ordinals
+    compare as their keys do, and a negated key sorts in reverse."""
 
     terms: Tuple[Tuple["CnfOrdinal", int], ...] = ()
     key: tuple = field(init=False, repr=False)
     _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        key = []
+        key, previous = [], None
         for exponent, coefficient in self.terms:
             if not isinstance(exponent, CnfOrdinal):
                 raise OrdinalError(f"exponent must be a CnfOrdinal, got {exponent!r}")
             if type(coefficient) is not int or coefficient < 1:
                 raise OrdinalError(f"coefficient must be a positive int, got {coefficient!r}")
-            if key and key[-1][0] <= exponent.key:
+            if previous is not None and previous <= exponent.key:
                 raise OrdinalError("exponents must be strictly decreasing")
-            key.append((exponent.key, coefficient))
+            previous = exponent.key
+            key.append(1)
+            key += previous
+            key.append(coefficient)
+        key.append(0)
         key = tuple(key)
         object.__setattr__(self, "key", key)
         object.__setattr__(self, "_hash", hash(key))

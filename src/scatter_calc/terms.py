@@ -11,11 +11,11 @@ searched.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import json
 import random
 import weakref
+from operator import attrgetter, neg
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .errors import ScatterCalcError
@@ -74,7 +74,7 @@ TERM_TEXT_LIMIT = 2 ** 20
 
 # Output-size limit for sample_elements: the most elements a sample holds.
 # Sampling time grows with the budget; at this limit the slowest corpus term,
-# finsupp(w, rev(ord(w)), "0"), samples in about 2.0 s (1.9-2.4 s over five
+# finsupp(w, rev(ord(w)), "0"), samples in about 1.0 s (0.9-1.4 s over five
 # runs) on a 2-CPU Intel Xeon host with Python 3.11.7.
 SAMPLE_BUDGET_LIMIT = 10 ** 4
 
@@ -101,12 +101,15 @@ class OrderTerm:
     fin(2) inside d nested pow(..., 2) has 2^(2^d) elements.  Callers that
     only compare the size with a bound ask ``capped_size``, which stops
     counting past it.  Every subclass implements the element model:
-    validate, cmp, encode, _decode, _format (its text, given a function that
-    writes each child), _materialize, _canonical and _compile (its draw
-    kernel, built from its children's).
+    validate, encode, _decode, _format (its text, given a function that
+    writes each child), _materialize, _canonical, _compile (its draw
+    kernel, built from its children's) and _compile_key (its key kernel,
+    likewise).  The element order is the order of the sort keys that the
+    key kernel gives, so ``cmp`` is one method here.
     """
 
-    __slots__ = _FACTS + ("_size", "_over", "_hash", "_checked", "_draw", "__weakref__")
+    __slots__ = _FACTS + ("_size", "_over", "_hash", "_checked", "_draw", "_key",
+                          "__weakref__")
     fields: Tuple[str, ...] = ()
     _table: "weakref.WeakValueDictionary[tuple, OrderTerm]" = weakref.WeakValueDictionary()
 
@@ -222,6 +225,26 @@ class OrderTerm:
             object.__setattr__(self, "_draw", kernel)
             return kernel
 
+    def _key_kernel(self) -> Callable[[Any], tuple]:
+        """The term's key kernel: a function from a valid element to its sort
+        key, a flat tuple of ints whose tuple order is the element order.  No
+        key is a proper prefix of another key of the same term, so a parent
+        may splice it between tokens of its own, and a negated key sorts in
+        reverse.  It is compiled once, on first use, from its children's
+        kernels and kept on the node, as the draw kernel is."""
+        try:
+            return self._key
+        except AttributeError:   # not compiled yet
+            kernel = self._compile_key()
+            object.__setattr__(self, "_key", kernel)
+            return kernel
+
+    def cmp(self, x: Any, y: Any) -> int:
+        """-1, 0 or 1 as x lies below, at or above y; both are valid."""
+        key = self._key_kernel()
+        kx, ky = key(x), key(y)
+        return (kx > ky) - (kx < ky)
+
 
 def _empty(term: OrderTerm) -> bool:
     return term.capped_size(0) == 0
@@ -251,7 +274,7 @@ class Fin(OrderTerm):
 
     def _count(self, cap): return self.size
     def validate(self, elem): return type(elem) is int and 0 <= elem < self.size
-    def cmp(self, x, y): return (x > y) - (x < y)
+    def _compile_key(self): return lambda x: (x,)
     def encode(self, elem): return elem
     def _format(self, text): return f"fin({self.size})"
     def _materialize(self): return list(range(self.size))
@@ -278,7 +301,7 @@ class Ord(OrderTerm):
 
     def _count(self, cap): return self.ordinal.as_int()
     def validate(self, elem): return isinstance(elem, CnfOrdinal) and elem.key < self.ordinal.key
-    def cmp(self, x, y): return (x.key > y.key) - (x.key < y.key)
+    def _compile_key(self): return attrgetter("key")
     def encode(self, elem): return format_ordinal(elem)
     def _format(self, text): return f"ord({format_ordinal(self.ordinal)})"
     def _materialize(self): return [from_int(i) for i in range(self.finite_size)]
@@ -296,13 +319,18 @@ class Rev(OrderTerm):
 
     def _count(self, cap): return self.inner.capped_size(cap)
     def validate(self, elem): return self.inner.validate(elem)
-    def cmp(self, x, y): return -self.inner.cmp(x, y)
     def encode(self, elem): return self.inner.encode(elem)
     def _decode(self, data): return self.inner._decode(data)
     def _format(self, text): return f"rev({text(self.inner)})"
     def _materialize(self): return list(reversed(self.inner.materialize()))
     def _canonical(self, want): return self.inner.canonical(want)
     def _compile(self): return self.inner._draw_kernel()
+
+    def _compile_key(self):
+        # the inner keys are prefix-free, so the first entry where two differ
+        # decides, and negating every entry reverses the order exactly
+        inner = self.inner._key_kernel()
+        return lambda x: tuple(map(neg, inner(x)))
 
 
 class SumList(OrderTerm):
@@ -335,11 +363,6 @@ class SumList(OrderTerm):
         return (type(k) is int and 0 <= k < len(self.children)
                 and self.children[k].validate(inner))
 
-    def cmp(self, x, y):
-        if x[0] != y[0]:
-            return -1 if x[0] < y[0] else 1
-        return self.children[x[0]].cmp(x[1], y[1])
-
     def _decode(self, data):
         if not (isinstance(data, dict) and set(data) == {"i", "e"}):
             raise self._undecodable(data, 'expected {"i": k, "e": ...}')
@@ -367,6 +390,10 @@ class SumList(OrderTerm):
             return k, child(rng)
         return draw
 
+    def _compile_key(self):
+        keys = tuple(child._key_kernel() for child in self.children)
+        return lambda x: (x[0],) + keys[x[0]](x[1])
+
 
 class Scaled(OrderTerm):
     """The sum of copies of inner along index, an admissible index: finite,
@@ -392,7 +419,6 @@ class Scaled(OrderTerm):
         if _empty(self.inner) or _empty(self.index):   # the other side may be infinite
             return 0
         return self.inner.capped_size(cap) * self.index.capped_size(cap)
-    def cmp(self, x, y): return self.index.cmp(x[0], y[0]) or self.inner.cmp(x[1], y[1])
     def _format(self, text): return f"scaled({text(self.inner)}, {text(self.index)})"
 
     def validate(self, elem):
@@ -423,6 +449,10 @@ class Scaled(OrderTerm):
         index, inner = self.index._draw_kernel(), self.inner._draw_kernel()
         return lambda rng: (index(rng), inner(rng))
 
+    def _compile_key(self):
+        index, inner = self.index._key_kernel(), self.inner._key_kernel()
+        return lambda x: index(x[0]) + inner(x[1])
+
 
 class Shuffle(OrderTerm):
     __slots__ = fields = ("alphabet",)
@@ -433,7 +463,6 @@ class Shuffle(OrderTerm):
             raise TermError("shuffle() needs an ordinal alphabet of size >= 2")
         return False, 1, False, False
 
-    def cmp(self, x, y): return _cmp_shuffle(x, y)
     def encode(self, elem): return [format_ordinal(x) for x in elem]
     def _format(self, text): return f"shuffle({format_ordinal(self.alphabet)})"
 
@@ -463,6 +492,8 @@ class Shuffle(OrderTerm):
             bits = rng.getrandbits
             return tuple([menu[_below(bits, n, width)] for _ in range(_below(bits, 8, 4))])
         return draw
+
+    def _compile_key(self): return _shuffle_key
 
 
 class FinSupp(OrderTerm):
@@ -510,12 +541,6 @@ class FinSupp(OrderTerm):
                 return False
             bound = position
         return True
-
-    def cmp(self, x, y):
-        disagreement = first_disagreement(x, y, self.zero)
-        if disagreement is None:
-            return 0
-        return self.inner.cmp(disagreement[1], disagreement[2])
 
     def encode(self, elem):
         return {"supp": [{"pos": format_ordinal(p), "e": self.inner.encode(v)}
@@ -582,27 +607,28 @@ class FinSupp(OrderTerm):
             return _from_entries(mapping.items())
         return draw
 
+    def _compile_key(self):
+        # a block (s, key(p), key(v)) per support entry, largest position
+        # first, where s is 1 when v lies above the zero and -1 below it, and
+        # key(p) is negated when s is -1; a closing 0 stands for the zeros of
+        # every smaller position
+        inner = self.inner._key_kernel()
+        zero = inner(self.zero)
 
-def first_disagreement(x: tuple, y: tuple,
-                       zero: Any) -> Optional[Tuple[CnfOrdinal, Any, Any]]:
-    """(position, x's value, y's value) at the largest position where two
-    finite-support elements differ, or None when they are equal.  Both
-    supports are decreasing, so one merge visits the positions largest first."""
-    i = j = 0
-    while i < len(x) or j < len(y):
-        if j == len(y) or (i < len(x) and x[i][0].key > y[j][0].key):
-            position, vx, vy = x[i][0], x[i][1], zero
-            i += 1
-        elif i == len(x) or y[j][0].key > x[i][0].key:
-            position, vx, vy = y[j][0], zero, y[j][1]
-            j += 1
-        else:
-            position, vx, vy = x[i][0], x[i][1], y[j][1]
-            i += 1
-            j += 1
-        if vx != vy:
-            return position, vx, vy
-    return None
+        def key(elem):
+            out = []
+            for position, value in elem:
+                value_key = inner(value)
+                if value_key > zero:
+                    out.append(1)
+                    out += position.key
+                else:
+                    out.append(-1)
+                    out += map(neg, position.key)
+                out += value_key
+            out.append(0)
+            return tuple(out)
+        return key
 
 
 def finsupp_elem(mapping) -> tuple:
@@ -637,65 +663,68 @@ def validate_element(term: OrderTerm, elem: Any) -> bool:
     return term.validate(elem)
 
 
-def _cmp_shuffle(s: Sequence[CnfOrdinal], t: Sequence[CnfOrdinal]) -> int:
-    """The parity order on sequences whose entries are already checked.
-
-    With d the least position where the sequences disagree (in entries or in
-    domain): at even d the later sequence wins if it is a proper prefix or its
-    entry is smaller; at odd d the roles are swapped.
-    """
-    d = 0
-    for x, y in zip(s, t):
-        if x.key != y.key:
-            break
-        d += 1
-    if d == len(s) == len(t):
-        return 0
-    if d % 2 == 0:
-        if d == len(t):          # t is a proper prefix of s
-            return -1
-        if d == len(s):
-            return 1
-        return -1 if t[d].key < s[d].key else 1
-    if d == len(s):              # s is a proper prefix of t
-        return -1
-    if d == len(t):
-        return 1
-    return -1 if s[d].key < t[d].key else 1
+def _shuffle_key(s: Sequence[CnfOrdinal]) -> tuple:
+    """The sort key of a shuffle sequence: a block (0, -key(s_d)) at even d
+    and (1, key(s_d)) at odd d, closed by 1 after an even length and by 0
+    after an odd one.  At the first position d where two sequences disagree,
+    in entries or in domain, an even d thus puts the smaller entry, or the
+    sequence that ends at d, above, and an odd d puts it below: the parity
+    order."""
+    out = []
+    for d, x in enumerate(s):
+        if d % 2:
+            out.append(1)
+            out += x.key
+        else:
+            out.append(0)
+            out += map(neg, x.key)
+    out.append(0 if len(s) % 2 else 1)
+    return tuple(out)
 
 
 def compare_elements(term: OrderTerm, x: Any, y: Any) -> int:
     """Strict total order on the valid elements of term: -1, 0 or 1.
 
-    Each distinct element object is validated once per term.  The term's
-    ``_checked`` maps ``id(elem)`` to each of the last elements that passed,
-    at most CHECKED_LIMIT of them.  It holds them, so no other live object
-    has their ids: an argument whose id is in it is the element recorded.
-    The key is identity, not equality, because an equal look-alike need not
-    be valid: True == 1 and 1.0 == 1, but fin(3) refuses both.  Valid
-    elements are immutable, so one that passed stays valid."""
+    Each distinct element object is validated, and its sort key built by
+    the term's key kernel, once per term.  The term's ``_checked`` maps
+    ``id(elem)`` to (elem, key) for each of the last elements that passed,
+    at most CHECKED_LIMIT of them, and a compare is one comparison of two
+    int tuples.  The memo holds the elements, so no other live object has
+    their ids: an argument whose id is in it is the element recorded.  The
+    memo is keyed by identity, not equality, because an equal look-alike
+    need not be valid: True == 1 and 1.0 == 1, but fin(3) refuses both.
+    Valid elements are immutable, so one that passed stays valid and keeps
+    its key."""
     try:
         checked = term._checked
     except AttributeError:
         checked = {}
         object.__setattr__(term, "_checked", checked)
-    if id(x) not in checked:
-        _check_element(term, checked, x)
-    if id(y) not in checked:
-        _check_element(term, checked, y)
-    return term.cmp(x, y)
+    try:
+        kx = checked[id(x)][1]
+    except KeyError:
+        kx = _check_element(term, checked, x)
+    try:
+        ky = checked[id(y)][1]
+    except KeyError:
+        ky = _check_element(term, checked, y)
+    return (kx > ky) - (kx < ky)
 
 
-def _check_element(term: OrderTerm, checked: dict, elem: Any) -> None:
+def _check_element(term: OrderTerm, checked: dict, elem: Any) -> tuple:
+    """Validate elem, record it with its sort key, and return the key."""
     if not term.validate(elem):
         raise InvalidElement(f"{elem!r} is not an element of {term.format()}")
     if len(checked) >= CHECKED_LIMIT:
         checked.clear()
-    checked[id(elem)] = elem
+    key = term._key_kernel()(elem)
+    checked[id(elem)] = elem, key
+    return key
 
 
 def sort_elements(term: OrderTerm, elems: Sequence[Any]) -> List[Any]:
-    return sorted(elems, key=functools.cmp_to_key(term.cmp))
+    """The valid elems in ascending order, sorted by their keys."""
+    return sorted(elems, key=term._key_kernel())
 
 
 # -- text form --------------------------------------------------------------------

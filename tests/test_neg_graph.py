@@ -181,6 +181,16 @@ def test_params_rows_are_canonical_decimals(name):
                                       "number in canonical decimal")
 
 
+@pytest.mark.parametrize("name", ["d", "u", "g"])
+def test_params_row_past_the_int_digit_limit_is_refused(name):
+    # int() refuses more than 4300 digits; the row is past any l
+    row = "1" * 5000
+    with pytest.raises(InvalidParams) as err:
+        NegGraphParams.from_json(PARAMS_JSON | {name: PARAMS_JSON[name] | {row: [0, 1]}})
+    assert err.value.field_name == name
+    assert str(err.value) == f"invalid {name}: row 1111111111... of 5000 digits is past l"
+
+
 def test_build_is_deterministic():
     p = small_params()
     a, b = build_neg_graph(p), build_neg_graph(p)
