@@ -45,6 +45,11 @@ class UnsupportedHost(AntilexError):
     pass
 
 
+def _check_host(host: Any, role: str = "host") -> None:
+    if not isinstance(host, FinSupp):
+        raise UnsupportedHost(f"{role} must be a finite-support term")
+
+
 @dataclass(frozen=True)
 class FinSuppFn:
     """An element of an anti-lexicographic finite-support sum, tied to its
@@ -54,6 +59,7 @@ class FinSuppFn:
     elem: tuple
 
     def __post_init__(self):
+        _check_host(self.host)
         if not validate_element(self.host, self.elem):
             raise InvalidElement(
                 f"{self.elem!r} is not an element of {self.host.format()}")
@@ -83,6 +89,7 @@ def first_disagreement(x: tuple, y: tuple,
 
 def delta_prime(host: FinSupp, x: tuple, y: tuple) -> CnfOrdinal:
     """Largest position where x and y, elements of host, disagree."""
+    _check_host(host)
     if compare_elements(host, x, y) == 0:
         raise EqualInputs("equal functions have no disagreement")
     return first_disagreement(x, y, host.zero)[0]
@@ -202,8 +209,8 @@ def ks_embed(tree: AlphaTree, source: FinSupp, x: tuple, target: FinSupp) -> tup
     position (in decreasing order) moves to the tree value of its prefix
     chain, keeping its value.  Of the elements only the image is checked:
     it must be an element of target."""
-    if not isinstance(target, FinSupp):
-        raise UnsupportedHost("target host must be a finite-support term")
+    _check_host(source, "source host")
+    _check_host(target, "target host")
     if target.inner != source.inner or target.zero != source.zero:
         raise HostMismatch("source and target must share inner order and zero")
     positions = tuple(position for position, _ in x)
@@ -220,6 +227,7 @@ def induced_seq_coloring(H: Callable[[tuple], Any], host: FinSupp,
     with those values (zero entries dropped from the support).  Each entry
     of a point is an entry of seq filled with one nonzero letter throughout,
     so checking those supports, once, up front, checks every point."""
+    _check_host(host)
     alphabet = list(alphabet)
     for v in alphabet:
         full = tuple((p, v) for p in seq)

@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import ne
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from .errors import InvalidInput, ScatterCalcError
 
@@ -40,7 +42,8 @@ class DomainMismatch(NegGraphError):
 @dataclass(frozen=True)
 class NegGraphParams:
     """Finite mock of the hypothesis families behind the recursion, checked
-    when built.
+    when built.  It keeps read-only copies of d, u and g, so a checked
+    object stays valid whatever happens to the mappings it was built from.
 
     d: guess sets, one finite subset of rho per row rho in [k, l);
     u: per-row strictly increasing k-tuples of naturals;
@@ -49,11 +52,14 @@ class NegGraphParams:
 
     k: int
     l: int
-    d: Dict[int, FrozenSet[int]]
-    u: Dict[int, Tuple[int, ...]]
-    g: Dict[int, Tuple[int, ...]]
+    d: Mapping[int, FrozenSet[int]]
+    u: Mapping[int, Tuple[int, ...]]
+    g: Mapping[int, Tuple[int, ...]]
 
     def __post_init__(self) -> None:
+        for name, freeze in (("d", frozenset), ("u", tuple), ("g", tuple)):
+            rows = {r: freeze(v) for r, v in getattr(self, name).items()}
+            object.__setattr__(self, name, MappingProxyType(rows))
         if self.k < 1:
             raise InvalidParams("k", "need at least one column")
         if self.l < self.k:
@@ -104,13 +110,7 @@ class NegGraphParams:
             if type(data.get(name)) is not int:
                 raise InvalidParams(name, f"expected an integer, got {data.get(name)!r}")
         rows = {name: _row_lists(name, data.get(name)) for name in ("d", "u", "g")}
-        return cls(
-            k=data["k"],
-            l=data["l"],
-            d={r: frozenset(v) for r, v in rows["d"].items()},
-            u={r: tuple(v) for r, v in rows["u"].items()},
-            g={r: tuple(v) for r, v in rows["g"].items()},
-        )
+        return cls(k=data["k"], l=data["l"], **rows)
 
 
 def _row_lists(name: str, value: Any) -> Dict[int, List[int]]:

@@ -85,7 +85,7 @@ CHECKED_LIMIT = 64
 
 # -- term constructors --------------------------------------------------------
 
-_FACTS = ("finite", "depth", "well_ordered", "anti_well_ordered")
+_FACTS = ("finite", "depth", "well_ordered", "anti_well_ordered", "empty")
 
 
 class OrderTerm:
@@ -95,17 +95,26 @@ class OrderTerm:
 
     Every call checks its arguments and derives the node's facts from its
     children's (``_facts``): whether the denotation is ``finite``, the
-    ``depth`` (constructor nesting; fin, ord and shuffle count 1) and the
-    ``well_ordered`` and ``anti_well_ordered`` flags.  A new node stores them
-    with its hash.  The exact ``finite_size`` is counted once, on first use:
-    fin(2) inside d nested pow(..., 2) has 2^(2^d) elements.  Callers that
-    only compare the size with a bound ask ``capped_size``, which stops
-    counting past it.  Every subclass implements the element model:
-    validate, encode, _decode, _format (its text, given a function that
-    writes each child), _materialize, _canonical, _compile (its draw
-    kernel, built from its children's) and _compile_key (its key kernel,
-    likewise).  The element order is the order of the sort keys that the
-    key kernel gives, so ``cmp`` is one method here.
+    ``depth`` (constructor nesting; fin, ord and shuffle count 1), the
+    ``well_ordered`` and ``anti_well_ordered`` flags and whether it is
+    ``empty``.  A new node is built complete: it stores its facts, its hash,
+    its key kernel (``_key``), its draw kernel (``_draw``, None when the
+    node is empty) and the empty memo of ``compare_elements``
+    (``_checked``).  Only the exact ``finite_size`` is counted later, once,
+    on first use: fin(2) inside d nested pow(..., 2) has 2^(2^d) elements.
+    Callers that only compare the size with a bound ask ``capped_size``,
+    which stops counting past it.
+
+    Every subclass implements the element model: validate, encode, _decode,
+    _format (its text, given a function that writes each child),
+    _materialize, _canonical, _compile (its draw kernel, a function of a
+    ``random.Random`` returning one element, built from its children's) and
+    _compile_key (its key kernel, likewise).  A key kernel maps a valid
+    element to its sort key, a flat tuple of ints whose tuple order is the
+    element order, so ``cmp`` is one method here.  No key is a proper prefix
+    of another key of the same term, so a parent may splice a child's key
+    between tokens of its own, and a negated key sorts in reverse.  No
+    kernel holds its own node, so a node dies with its last reference.
     """
 
     __slots__ = _FACTS + ("_size", "_over", "_hash", "_checked", "_draw", "_key",
@@ -122,6 +131,9 @@ class OrderTerm:
             for name, value in zip(cls.fields + _FACTS, args + facts):
                 object.__setattr__(node, name, value)
             object.__setattr__(node, "_hash", hash(key))
+            object.__setattr__(node, "_key", node._compile_key())
+            object.__setattr__(node, "_draw", None if node.empty else node._compile())
+            object.__setattr__(node, "_checked", {})
             OrderTerm._table[key] = node
         return node
 
@@ -211,43 +223,10 @@ class OrderTerm:
             return self.materialize()
         return _thin(self._canonical(want), cap)
 
-    def _draw_kernel(self) -> Callable[[random.Random], Any]:
-        """The term's draw kernel: a function of a ``random.Random`` that
-        returns one random element.  It is compiled once, on first use, from
-        its children's kernels and kept on the node, so it lives as long as
-        the node does."""
-        try:
-            return self._draw
-        except AttributeError:   # not compiled yet
-            if _empty(self):
-                raise TermError(f"{self.format()} has no elements") from None
-            kernel = self._compile()
-            object.__setattr__(self, "_draw", kernel)
-            return kernel
-
-    def _key_kernel(self) -> Callable[[Any], tuple]:
-        """The term's key kernel: a function from a valid element to its sort
-        key, a flat tuple of ints whose tuple order is the element order.  No
-        key is a proper prefix of another key of the same term, so a parent
-        may splice it between tokens of its own, and a negated key sorts in
-        reverse.  It is compiled once, on first use, from its children's
-        kernels and kept on the node, as the draw kernel is."""
-        try:
-            return self._key
-        except AttributeError:   # not compiled yet
-            kernel = self._compile_key()
-            object.__setattr__(self, "_key", kernel)
-            return kernel
-
     def cmp(self, x: Any, y: Any) -> int:
         """-1, 0 or 1 as x lies below, at or above y; both are valid."""
-        key = self._key_kernel()
-        kx, ky = key(x), key(y)
+        kx, ky = self._key(x), self._key(y)
         return (kx > ky) - (kx < ky)
-
-
-def _empty(term: OrderTerm) -> bool:
-    return term.capped_size(0) == 0
 
 
 def _decode_ordinal(term: OrderTerm, data: Any) -> CnfOrdinal:
@@ -270,7 +249,7 @@ class Fin(OrderTerm):
     def _facts(size):
         if type(size) is not int or size < 0:
             raise TermError(f"fin() needs a natural number, got {size!r}")
-        return True, 1, True, True
+        return True, 1, True, True, size == 0
 
     def _count(self, cap): return self.size
     def validate(self, elem): return type(elem) is int and 0 <= elem < self.size
@@ -297,7 +276,7 @@ class Ord(OrderTerm):
     def _facts(ordinal):
         if not isinstance(ordinal, CnfOrdinal):
             raise TermError("ord() needs a CnfOrdinal")
-        return ordinal.is_finite(), 1, True, ordinal.is_finite()
+        return ordinal.is_finite(), 1, True, ordinal.is_finite(), ordinal.is_zero()
 
     def _count(self, cap): return self.ordinal.as_int()
     def validate(self, elem): return isinstance(elem, CnfOrdinal) and elem.key < self.ordinal.key
@@ -315,7 +294,8 @@ class Rev(OrderTerm):
 
     @staticmethod
     def _facts(inner):
-        return inner.finite, inner.depth + 1, inner.anti_well_ordered, inner.well_ordered
+        return (inner.finite, inner.depth + 1, inner.anti_well_ordered, inner.well_ordered,
+                inner.empty)
 
     def _count(self, cap): return self.inner.capped_size(cap)
     def validate(self, elem): return self.inner.validate(elem)
@@ -324,12 +304,12 @@ class Rev(OrderTerm):
     def _format(self, text): return f"rev({text(self.inner)})"
     def _materialize(self): return list(reversed(self.inner.materialize()))
     def _canonical(self, want): return self.inner.canonical(want)
-    def _compile(self): return self.inner._draw_kernel()
+    def _compile(self): return self.inner._draw
 
     def _compile_key(self):
         # the inner keys are prefix-free, so the first entry where two differ
         # decides, and negating every entry reverses the order exactly
-        inner = self.inner._key_kernel()
+        inner = self.inner._key
         return lambda x: tuple(map(neg, inner(x)))
 
 
@@ -343,7 +323,8 @@ class SumList(OrderTerm):
         return (all(c.finite for c in children),
                 1 + max(c.depth for c in children),
                 all(c.well_ordered for c in children),
-                all(c.anti_well_ordered for c in children))
+                all(c.anti_well_ordered for c in children),
+                all(c.empty for c in children))
 
     def encode(self, elem): return {"i": elem[0], "e": self.children[elem[0]].encode(elem[1])}
     def _format(self, text): return "sum[" + ", ".join(text(c) for c in self.children) + "]"
@@ -381,8 +362,7 @@ class SumList(OrderTerm):
     def _compile(self):
         # draws pick among the non-empty children, keeping their indices; with
         # none empty this is randrange(len(children))
-        live = tuple((k, child._draw_kernel())
-                     for k, child in enumerate(self.children) if not _empty(child))
+        live = tuple((k, child._draw) for k, child in enumerate(self.children) if not child.empty)
         n, width = len(live), len(live).bit_length()
 
         def draw(rng):
@@ -391,7 +371,7 @@ class SumList(OrderTerm):
         return draw
 
     def _compile_key(self):
-        keys = tuple(child._key_kernel() for child in self.children)
+        keys = tuple(child._key for child in self.children)
         return lambda x: (x[0],) + keys[x[0]](x[1])
 
 
@@ -408,15 +388,16 @@ class Scaled(OrderTerm):
                 f"scaled() index must be finite, well-ordered or anti-well-ordered: "
                 f"{index.format()}")
         depth = 1 + max(inner.depth, index.depth)
-        if _empty(inner) or _empty(index):   # the empty order, as fin(0) is
-            return True, depth, True, True
+        if inner.empty or index.empty:   # the empty order, as fin(0) is
+            return True, depth, True, True, True
         return (inner.finite and index.finite,
                 depth,
                 inner.well_ordered and index.well_ordered,
-                inner.anti_well_ordered and index.anti_well_ordered)
+                inner.anti_well_ordered and index.anti_well_ordered,
+                False)
 
     def _count(self, cap):
-        if _empty(self.inner) or _empty(self.index):   # the other side may be infinite
+        if self.empty:   # the other side may be infinite
             return 0
         return self.inner.capped_size(cap) * self.index.capped_size(cap)
     def _format(self, text): return f"scaled({text(self.inner)}, {text(self.index)})"
@@ -435,7 +416,7 @@ class Scaled(OrderTerm):
         return self.index._decode(data["i"]), self.inner._decode(data["e"])
 
     def _materialize(self):
-        if self.finite_size == 0:   # the other side may be infinite
+        if self.empty:   # the other side may be infinite
             return []
         inner = self.inner.materialize()
         return [(ie, e) for ie in self.index.materialize() for e in inner]
@@ -446,11 +427,11 @@ class Scaled(OrderTerm):
         return [(ie, e) for ie in self.index.canonical(half) for e in inner]
 
     def _compile(self):
-        index, inner = self.index._draw_kernel(), self.inner._draw_kernel()
+        index, inner = self.index._draw, self.inner._draw
         return lambda rng: (index(rng), inner(rng))
 
     def _compile_key(self):
-        index, inner = self.index._key_kernel(), self.inner._key_kernel()
+        index, inner = self.index._key, self.inner._key
         return lambda x: index(x[0]) + inner(x[1])
 
 
@@ -461,7 +442,7 @@ class Shuffle(OrderTerm):
     def _facts(alphabet):
         if not isinstance(alphabet, CnfOrdinal) or alphabet < 2:
             raise TermError("shuffle() needs an ordinal alphabet of size >= 2")
-        return False, 1, False, False
+        return False, 1, False, False, False
 
     def encode(self, elem): return [format_ordinal(x) for x in elem]
     def _format(self, text): return f"shuffle({format_ordinal(self.alphabet)})"
@@ -513,7 +494,8 @@ class FinSupp(OrderTerm):
                 f"designated zero {zero!r} is not an element of {inner.format()}")
         # a one-point inner gives one point at any length
         finite = inner.finite and (length.is_finite() or inner.capped_size(1) == 1)
-        return finite, inner.depth + 1, finite, finite
+        # the empty support is an element
+        return finite, inner.depth + 1, finite, finite, False
 
     def _count(self, cap):
         size = self.inner.capped_size(cap)
@@ -586,7 +568,7 @@ class FinSupp(OrderTerm):
     def _compile(self):
         if self.length.is_zero():
             return lambda rng: ()
-        inner, zero = self.inner._draw_kernel(), self.zero
+        inner, zero = self.inner._draw, self.zero
         position = _ordinal_kernel(self.length)
 
         def draw(rng):
@@ -612,7 +594,7 @@ class FinSupp(OrderTerm):
         # first, where s is 1 when v lies above the zero and -1 below it, and
         # key(p) is negated when s is -1; a closing 0 stands for the zeros of
         # every smaller position
-        inner = self.inner._key_kernel()
+        inner = self.inner._key
         zero = inner(self.zero)
 
         def key(elem):
@@ -686,20 +668,16 @@ def compare_elements(term: OrderTerm, x: Any, y: Any) -> int:
     """Strict total order on the valid elements of term: -1, 0 or 1.
 
     Each distinct element object is validated, and its sort key built by
-    the term's key kernel, once per term.  The term's ``_checked`` maps
-    ``id(elem)`` to (elem, key) for each of the last elements that passed,
-    at most CHECKED_LIMIT of them, and a compare is one comparison of two
-    int tuples.  The memo holds the elements, so no other live object has
-    their ids: an argument whose id is in it is the element recorded.  The
-    memo is keyed by identity, not equality, because an equal look-alike
-    need not be valid: True == 1 and 1.0 == 1, but fin(3) refuses both.
-    Valid elements are immutable, so one that passed stays valid and keeps
-    its key."""
-    try:
-        checked = term._checked
-    except AttributeError:
-        checked = {}
-        object.__setattr__(term, "_checked", checked)
+    the term's key kernel, once per term.  The term's ``_checked``, set
+    empty when the node is interned, maps ``id(elem)`` to (elem, key) for
+    each of the last elements that passed, at most CHECKED_LIMIT of them,
+    and a compare is one comparison of two int tuples.  The memo holds the
+    elements, so no other live object has their ids: an argument whose id
+    is in it is the element recorded.  The memo is keyed by identity, not
+    equality, because an equal look-alike need not be valid: True == 1 and
+    1.0 == 1, but fin(3) refuses both.  Valid elements are immutable, so
+    one that passed stays valid and keeps its key."""
+    checked = term._checked
     try:
         kx = checked[id(x)][1]
     except KeyError:
@@ -717,14 +695,14 @@ def _check_element(term: OrderTerm, checked: dict, elem: Any) -> tuple:
         raise InvalidElement(f"{elem!r} is not an element of {term.format()}")
     if len(checked) >= CHECKED_LIMIT:
         checked.clear()
-    key = term._key_kernel()(elem)
+    key = term._key(elem)
     checked[id(elem)] = elem, key
     return key
 
 
 def sort_elements(term: OrderTerm, elems: Sequence[Any]) -> List[Any]:
     """The valid elems in ascending order, sorted by their keys."""
-    return sorted(elems, key=term._key_kernel())
+    return sorted(elems, key=term._key)
 
 
 # -- text form --------------------------------------------------------------------
@@ -902,8 +880,10 @@ def sample_elements(term: OrderTerm, budget: int, seed: int = 0) -> List[Any]:
     """Deterministic sorted sample of at most ``budget`` distinct elements.
 
     Mixes small canonical witnesses with seeded deep paths, then thins the
-    sorted pool evenly so both ends of the order stay represented.  The
-    budget and the seed are ints: a seed of None would draw from OS entropy.
+    sorted pool evenly so both ends of the order stay represented.  Each
+    draw is one call of the term's draw kernel, set when the node is
+    interned; an empty term samples to [] before any draw.  The budget and
+    the seed are ints: a seed of None would draw from OS entropy.
     """
     for name, value in (("budget", budget), ("seed", seed)):
         if type(value) is not int:
@@ -921,7 +901,7 @@ def sample_elements(term: OrderTerm, budget: int, seed: int = 0) -> List[Any]:
     pool = dict.fromkeys(term.canonical(budget))
     # a pool holding every element of a finite term cannot grow
     target = 3 * budget if size is None else min(3 * budget, size)
-    draw = term._draw_kernel()
+    draw = term._draw
     attempts = 0
     while len(pool) < target and attempts < 12 * budget:
         attempts += 1

@@ -16,6 +16,7 @@ from scatter_calc.antilex import (
     HostMismatch,
     NotSorted,
     TreeDomainMiss,
+    UnsupportedHost,
     check_antilex_lemma,
     compare_antilex,
     dec_seq,
@@ -27,7 +28,8 @@ from scatter_calc.antilex import (
     verify_color_collapse,
 )
 from scatter_calc.ordinal import OMEGA, from_int, ord_pow, parse_ordinal
-from scatter_calc.terms import Fin, FinSupp, InvalidElement, compare_elements, finsupp_elem
+from scatter_calc.terms import (Fin, FinSupp, InvalidElement, compare_elements, finsupp_elem,
+                                parse_term)
 
 W = OMEGA
 HOST = FinSupp(ord_pow(W, 2), Fin(3), 0)
@@ -331,6 +333,26 @@ def test_induced_coloring_refuses_a_position_or_letter_outside_the_host():
         with pytest.raises(InvalidElement, match="is not an element of finsupp"):
             induced_seq_coloring(asked.append, host, seq, alphabet)
     assert asked == []
+
+
+NOT_A_HOST = [Fin(3), parse_term("sum[fin(2), ord(w)]"), None]
+
+
+@pytest.mark.parametrize("host", NOT_A_HOST, ids=repr)
+def test_each_entry_point_refuses_a_host_that_is_not_finsupp(host):
+    # each refusal names the role of the host it refuses
+    small = FinSupp(from_int(1), Fin(3), 0)
+    tree = AlphaTree(from_int(1), {dec_seq([0]): from_int(0)})
+    calls = [
+        (lambda: FinSuppFn(host, ()), "host"),
+        (lambda: delta_prime(host, 0, 1), "host"),
+        (lambda: induced_seq_coloring(lambda f: 0, host, dec_seq([0]), [0, 1]), "host"),
+        (lambda: ks_embed(tree, host, (), small), "source host"),
+        (lambda: ks_embed(tree, small, (), host), "target host"),
+    ]
+    for call, role in calls:
+        with pytest.raises(UnsupportedHost, match=f"^{role} must be a finite-support term$"):
+            call()
 
 
 def test_verify_color_collapse_and_negative_control():

@@ -191,6 +191,26 @@ def test_params_row_past_the_int_digit_limit_is_refused(name):
     assert str(err.value) == f"invalid {name}: row 1111111111... of 5000 digits is past l"
 
 
+def test_checked_params_cannot_be_changed():
+    d, u, g = {2: [1], 3: [0, 2]}, {r: (1, 3) for r in range(4)}, {2: (0, 1), 3: (2, 0)}
+    p = NegGraphParams(k=2, l=4, d=d, u=u, g=g)
+    edges = build_neg_graph(p).edges
+    for rows in (p.d, p.u, p.g):
+        with pytest.raises(TypeError):
+            del rows[2]
+        with pytest.raises(TypeError):
+            rows[2] = (0, 1)
+        with pytest.raises(AttributeError):
+            rows.pop(2)
+    # the caller's mappings, and the lists in them, are copied, not shared
+    u.pop(2)
+    g[2] = (1, 1)
+    d[3].append(1)
+    assert build_neg_graph(p).edges == edges
+    assert p == NegGraphParams.from_json(p.to_json())
+    assert p.d[3] == frozenset({0, 2})
+
+
 def test_build_is_deterministic():
     p = small_params()
     a, b = build_neg_graph(p), build_neg_graph(p)

@@ -51,7 +51,7 @@ def test_below_follows_randrange_and_choice():
 @pytest.mark.parametrize("a", [parse_ordinal(text) for text in BOUNDS] + [OMEGA_UNSHARED],
                          ids=BOUNDS + ["w-unshared"])
 def test_random_ordinal_below_matches_reference(a):
-    draw = Ord(a)._draw_kernel()
+    draw = Ord(a)._draw
     for seed in range(250):
         rng, reference = _twins(seed)
         for _ in range(3):   # later draws start from the state the first left
@@ -67,7 +67,7 @@ def test_random_ordinal_below_matches_reference(a):
 @pytest.mark.parametrize("text", ALL_TEXT)
 def test_each_kernel_draw_matches_the_reference_draw(text):
     term = parse_term(text)
-    draw = term._draw_kernel()
+    draw = term._draw
     for seed in range(200):
         rng, reference = _twins(seed)
         for _ in range(3):
@@ -98,7 +98,7 @@ EMPTY_SUBTERM_TEXT = [
 @pytest.mark.parametrize("text", EMPTY_SUBTERM_TEXT)
 def test_sums_with_empty_children_sample_their_other_children(text):
     term = parse_term(text)
-    draw = term._draw_kernel()
+    draw = term._draw
     for seed in range(50):
         rng, reference = _twins(seed)
         for _ in range(3):
@@ -118,9 +118,8 @@ def test_empty_terms_sample_to_nothing(text):
     term = parse_term(text)
     assert term.finite and term.finite_size == 0 and term.materialize() == []
     assert term.well_ordered and term.anti_well_ordered
+    assert term.empty and term._draw is None
     assert sample_elements(term, 12, 0) == []
-    with pytest.raises(TermError, match="has no elements"):
-        term._draw_kernel()
 
 
 @pytest.mark.parametrize("budget, seed", [(2.5, 0), (True, 0), (12, None), (12, 1.0), (12, False)])

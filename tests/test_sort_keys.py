@@ -46,7 +46,7 @@ def small_finite(term):
 @pytest.mark.parametrize("text", TEXTS)
 def test_key_order_matches_reference_cmp(text):
     term = parse_term(text)
-    key = term._key_kernel()
+    key = term._key
     for seed in (7, 8):
         pool = sample_elements(term, 48, seed)
         keys = [key(x) for x in pool]
@@ -61,7 +61,7 @@ def test_keys_are_prefix_free_and_one_per_element(text):
     """On samples at two seeds, and on every element of a small finite term,
     whose materialization ascends by key."""
     term = parse_term(text)
-    key = term._key_kernel()
+    key = term._key
     elems = sample_elements(term, 32, 0) + sample_elements(term, 32, 1)
     if small_finite(term):
         every = [key(x) for x in materialize(term)]

@@ -5,6 +5,7 @@ import itertools
 import pickle
 import random
 import time
+import weakref
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -21,6 +22,8 @@ from oracles import (
     reference_well_ordered,
     textbook_materialize,
 )
+from test_golden import EXTRA_TEXT
+from test_sampling import EMPTY_SUBTERM_TEXT
 
 from scatter_calc import (
     Fin,
@@ -187,6 +190,7 @@ def test_node_facts_match_tree_walks(term):
     assert term.depth == reference_depth(term)
     assert term.well_ordered == reference_well_ordered(term)
     assert term.anti_well_ordered == reference_anti_well_ordered(term)
+    assert term.empty == (size == 0)
     twin = parse_term(term.format())
     assert twin is term and hash(twin) == hash(term)
 
@@ -233,6 +237,39 @@ def test_separately_parsed_equal_terms_are_one_object():
     assert parse_term("finsupp(w, fin(2), 0)") is not parse_term("finsupp(w, fin(2), 1)")
     with pytest.raises(AttributeError):
         Fin(3).size = 4
+
+
+def _nodes(term, seen):
+    """term and every node below it, each once."""
+    if term not in seen:
+        seen[term] = None
+        for name in term.fields:
+            value = getattr(term, name)
+            for child in value if isinstance(value, tuple) else (value,):
+                if isinstance(child, OrderTerm):
+                    _nodes(child, seen)
+    return seen
+
+
+# the exact size and the largest cap it passes are the only slots filled later
+LATER_SLOTS = {"_size", "_over"}
+
+
+@pytest.mark.parametrize("text", CORPUS_TEXT + COMPOSITE_TEXT + EXTRA_TEXT + EMPTY_SUBTERM_TEXT)
+def test_nodes_are_complete_when_interned(text, monkeypatch):
+    # a fresh intern table, so every node of the term is built here
+    monkeypatch.setattr(OrderTerm, "_table", weakref.WeakValueDictionary())
+    nodes = _nodes(parse_term(text), {})
+    assert set(nodes) <= set(OrderTerm._table.values())
+    for node in nodes:
+        slots = {name for cls in type(node).__mro__ for name in getattr(cls, "__slots__", ())}
+        slots -= LATER_SLOTS | {"__weakref__"}
+        assert all(hasattr(node, name) for name in slots), node
+        assert node._checked == {}
+        assert (node._draw is None) == node.empty
+        if not node.empty:
+            elem = node._draw(random.Random(0))
+            assert node.validate(elem) and type(node._key(elem)) is tuple
 
 
 def test_deep_pow_nest_is_linear_to_parse():
@@ -423,25 +460,27 @@ def test_sample_examples():
 
 
 def test_sample_of_a_complete_finite_pool_makes_no_draws(monkeypatch):
-    calls = []
-    kernel_of = OrderTerm._draw_kernel
+    reads = []
 
-    def counting(term):
-        draw = kernel_of(term)
+    class CountingRandom(random.Random):
+        """A random stream that records each read."""
 
-        def counted(rng):
-            calls.append(term)
-            return draw(rng)
-        return counted
+        def getrandbits(self, k):
+            reads.append(k)
+            return super().getrandbits(k)
 
-    monkeypatch.setattr(OrderTerm, "_draw_kernel", counting)
+        def random(self):
+            reads.append(None)
+            return super().random()
+
+    monkeypatch.setattr(random, "Random", CountingRandom)
     assert sample_elements(Fin(3), 48, 0) == [0, 1, 2]
     host = parse_term("finsupp(3, fin(2), 0)")
     assert sample_elements(host, 48, 0) == textbook_materialize(host)
-    assert calls == []
+    assert reads == []
     # an infinite term still tops its pool up with random draws
     sample_elements(parse_term("ord(w^2)"), 48, 0)
-    assert calls
+    assert reads
 
 
 def test_sampling_below_w_constructs_no_ordinal(constructions):
@@ -465,7 +504,7 @@ def test_finite_draws_are_shared_naturals(constructions):
     for bound in ("7", "w", "w^2", "w*2", "w^w", "w^w*3 + w", "w^(w + 1)*2 + w^2*3",
                   "w^(w^(w + 1))"):
         a, rng = parse_ordinal(bound), random.Random(5)
-        draw = Ord(a)._draw_kernel()
+        draw = Ord(a)._draw
         finite = 0
         for _ in range(600):
             before = len(constructions)
