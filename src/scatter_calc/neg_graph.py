@@ -11,7 +11,7 @@ choice; the checkers verify this exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from operator import ne
 from types import MappingProxyType
 from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
@@ -146,8 +146,11 @@ class GridGraph:
     to a sorted tuple of distinct entries, and ``edges`` is derived from it,
     the edges ((iota, rho), (nu, xi)) with xi in C[rho, nu] and iota < nu.
     Any other graph keeps the edges it is given, sorted and without
-    duplicates.  Either way ``edges`` is a sorted, duplicate-free tuple, the
-    order in which ``to_json`` prints them and the checkers scan them."""
+    duplicates; read from JSON, its edges share one tuple per vertex.
+    Either way ``edges`` is a sorted, duplicate-free tuple, the order in
+    which ``to_json`` prints them and the checkers scan them, and the work
+    of ``to_json`` and the checkers follows the edges and the C-sets, never
+    the k x l grid."""
 
     def __init__(self, k: int, l: int, edges: Optional[Iterable[Edge]] = None,
                  csets: Optional[Dict[Tuple[int, int], Tuple[int, ...]]] = None) -> None:
@@ -159,13 +162,13 @@ class GridGraph:
     @property
     def edges(self) -> Tuple[Edge, ...]:
         if self._edges is None:
-            return tuple(((i, r), (n, x)) for i, r, n, xs in _edge_groups(self.csets)
-                         for x in xs)
+            return tuple(((i, r), (n, x)) for i, r, cols in _edge_groups(self.csets)
+                         for n, xs in cols for x in xs)
         return self._edges
 
     def to_json(self) -> dict:
         if self._edges is None:
-            edges = _json_edges(self.k, self.l, self.csets)
+            edges = _json_edges(self.csets)
         else:
             edges = [[list(a), list(b)] for a, b in self._edges]
         return {
@@ -197,23 +200,27 @@ class GridGraph:
         table: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         canonical, last = True, (-1, -1)   # keys and entries strictly increasing
         for c in csets:
-            if not (isinstance(c, dict) and _below(c.get("row"), l) and _below(c.get("col"), k)
-                    and isinstance(c.get("entries"), list)
-                    and all(_below(x, l) for x in c["entries"])):
+            row, col, xs = ((c.get("row"), c.get("col"), c.get("entries"))
+                            if isinstance(c, dict) else (None, None, None))
+            if not (_below(row, l) and _below(col, k) and isinstance(xs, list)
+                    and all(type(x) is int and 0 <= x < l for x in xs)):
                 raise InvalidGraph("csets", f"{c!r} is not a C-set of the {k} x {l} grid")
-            key, entries = (c["row"], c["col"]), tuple(c["entries"])
+            key, entries = (row, col), tuple(xs)
             if table.setdefault(key, entries) != entries:
                 raise InvalidGraph("csets", f"C-set {key} is given twice with different entries")
-            canonical = (canonical and key > last
-                         and all(a < b for a, b in zip(entries, entries[1:])))
+            if canonical:
+                canonical = key > last and all(map(int.__lt__, entries, entries[1:]))
             last = key
-        derived = ([[i, r], [n, x]] for i, r, n, xs in _edge_groups(table) for x in xs)
+        derived = ([[i, r], [n, x]] for i, r, cols in _edge_groups(table)
+                   for n, xs in cols for x in xs)
         if (canonical and len(edges) == sum(col * len(xs) for (_, col), xs in table.items())
                 and not any(map(ne, edges, derived))
                 # == lets true and 1.0 stand for 1, which the edge loop rejects
                 and not set(map(type, chain.from_iterable(chain.from_iterable(edges)))) - {int}):
             return cls(k, l, csets=table)
         pairs = []
+        vertex: Dict[Vertex, Vertex] = {}   # one shared tuple per vertex met so far
+        prev = start = None                 # the last source read, and its vertex
         for e in edges:
             if isinstance(e, list) and len(e) == 2:
                 a, b = e
@@ -223,30 +230,46 @@ class GridGraph:
                             and 0 <= ca < k and 0 <= cb < k and 0 <= ra < l and 0 <= rb < l):
                         if ca == cb and ra == rb:
                             raise InvalidGraph("edges", f"{e!r} is a self-loop")
-                        pairs.append(((ca, ra), (cb, rb)))
+                        if a != prev:   # sorted edges from one source are adjacent
+                            prev, start = a, (ca, ra)
+                            start = vertex.setdefault(start, start)
+                        b = (cb, rb)
+                        pairs.append((start, vertex.setdefault(b, b)))
                         continue
             raise InvalidGraph("edges", f"{e!r} is not a pair of vertices of the {k} x {l} grid")
         return cls(k, l, pairs, table)
 
 
 def _edge_groups(csets: Dict[Tuple[int, int], Tuple[int, ...]]):
-    """(iota, rho, nu, C[rho, nu]) for iota < nu, ordered so that the edges
-    ((iota, rho), (nu, xi)) for xi in C[rho, nu] come out sorted.  Columns
-    past the largest C-set column start no edge."""
+    """(iota, rho, [(nu, C[rho, nu]), ...]) for each vertex (iota, rho) that
+    starts an edge, with the non-empty C-sets of row rho past column iota,
+    ordered so that the edges ((iota, rho), (nu, xi)) for xi in C[rho, nu]
+    come out sorted.  Columns past the largest non-empty C-set column start
+    no edge."""
     rows: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
     for (rho, nu), xs in sorted(csets.items()):
-        rows.setdefault(rho, []).append((nu, xs))
-    for iota in range(max((nu for _, nu in csets), default=0)):
+        if xs:
+            rows.setdefault(rho, []).append((nu, xs))
+    for iota in range(max((cols[-1][0] for cols in rows.values()), default=0)):
         for rho, cols in rows.items():
-            for nu, xs in cols:
-                if nu > iota:
-                    yield iota, rho, nu, xs
+            if cols and cols[0][0] <= iota:   # columns are distinct, so one leaves at a time
+                cols = rows[rho] = cols[1:]
+            if cols:
+                yield iota, rho, cols
 
 
-def _json_edges(k: int, l: int, csets: Dict[Tuple[int, int], Tuple[int, ...]]) -> List[list]:
-    """The edges in JSON form; edges share their vertex lists, one list per vertex."""
-    vertex = [[[c, r] for r in range(l)] for c in range(k)]
-    return [[vertex[i][r], vertex[n][x]] for i, r, n, xs in _edge_groups(csets) for x in xs]
+def _json_edges(csets: Dict[Tuple[int, int], Tuple[int, ...]]) -> List[list]:
+    """The edges in JSON form.  Edges share their vertex lists: one list per
+    vertex (iota, rho) that starts an edge, and one per vertex (nu, xi) with
+    xi in a C-set of column nu >= 1, which ends an edge.  So the work
+    follows the C-sets, not the k x l grid."""
+    entries: Dict[int, set] = {}
+    for (_, nu), xs in csets.items():
+        if nu:
+            entries.setdefault(nu, set()).update(xs)
+    target = {nu: {x: [nu, x] for x in xs} for nu, xs in entries.items()}
+    return [[start, column[x]] for iota, rho, cols in _edge_groups(csets)
+            for start in [[iota, rho]] for nu, xs in cols for column in [target[nu]] for x in xs]
 
 
 def build_neg_graph(params: NegGraphParams) -> GridGraph:
@@ -334,15 +357,21 @@ def check_triangle_free(graph: GridGraph) -> Optional[Tuple[Vertex, Vertex, Vert
     if graph._edges is None and not _cset_triangle(graph):
         return None
     edges = graph.edges
-    vertices = sorted({v for edge in edges for v in edge})
-    rank = {v: i for i, v in enumerate(vertices)}
+    vertices = sorted(set(chain.from_iterable(edges)))
+    rank = dict(zip(vertices, count()))
     masks = [0] * len(vertices)
+    prev = None   # the sorted edges from a vertex are adjacent, and share it if read from JSON
     for a, b in edges:
-        ia, ib = rank[a], rank[b]
+        if a is not prev:
+            prev, ia = a, rank[a]
+        ib = rank[b]
         masks[ia] |= 1 << ib
         masks[ib] |= 1 << ia
+    prev = None
     for a, b in edges:
-        common = masks[rank[a]] & masks[rank[b]]
+        if a is not prev:
+            prev, mask = a, masks[rank[a]]
+        common = mask & masks[rank[b]]
         if common:
             c = vertices[(common & -common).bit_length() - 1]
             return tuple(sorted((a, b, c)))
@@ -359,15 +388,16 @@ def check_corner_invariant(graph: GridGraph) -> Optional[Edge]:
     if graph._edges is None and _cset_corners(graph):
         return None
     overfull = None
-    key = None
+    source, column = None, -1
     for edge in graph.edges:
-        (a, ra), (b, rb) = edge
+        start, (b, rb) = edge
+        a, ra = start
         if not (a < b and rb < ra):
             return edge
-        if key != (a, ra, b):   # the sorted edges from (a, ra) into column b are adjacent
-            key, first, count = (a, ra, b), edge, 0
-        count += 1
-        if overfull is None and count > len(graph.csets.get((ra, b), ())):
+        if b != column or start != source:   # sorted edges from a vertex into a column are adjacent
+            source, column, first, room = start, b, edge, len(graph.csets.get((ra, b), ()))
+        room -= 1
+        if room < 0 and overfull is None:
             overfull = first
     return overfull
 

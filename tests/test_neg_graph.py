@@ -299,6 +299,57 @@ def test_from_json_rejects_self_loops():
     assert str(err.value) == "invalid edges: [[0, 1], [0, 1]] is a self-loop"
 
 
+def add_corner_edge(data: dict, edge) -> None:
+    """Append a corner-shaped edge to a graph in JSON form and grow the
+    C-set of its source row and target column to hold it, so the degree
+    bound of every column still holds."""
+    (a, ra), (b, rb) = edge
+    data["edges"].append([[a, ra], [b, rb]])
+    for c in data["csets"]:
+        if (c["row"], c["col"]) == (ra, b):
+            c["entries"] = sorted(set(c["entries"]) | {rb})
+            return
+    data["csets"].append({"row": ra, "col": b, "entries": [rb]})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_edge_path_at_workload_scale(seed):
+    """Built graphs of benchmark size with a planted corner-shaped triangle
+    and a few extra edges, piped through JSON, take the edge path; both
+    checkers agree with the references, and each vertex is one shared tuple."""
+    rng = random.Random(seed)
+    verdicts = set()
+    for k in range(4, 9):
+        l = round(110 * 64 / (k * k))   # 440 rows at k = 4, 110 at k = 8
+        data = build_neg_graph(grid_params(rng, k, l)).to_json()
+        cols = sorted(rng.sample(range(k), 3))
+        rows = sorted(rng.sample(range(l), 3), reverse=True)
+        for u, v in itertools.combinations(list(zip(cols, rows)), 2):
+            add_corner_edge(data, (u, v))
+        for _ in range(3):
+            (a, b), (ra, rb) = sorted(rng.sample(range(k), 2)), rng.sample(range(l), 2)
+            if k % 2:   # misshapen edges, in either direction, outside the C-sets
+                data["edges"].append(rng.choice([[[a, ra], [b, rb]], [[b, rb], [a, ra]]]))
+            else:
+                add_corner_edge(data, ((a, max(ra, rb)), (b, min(ra, rb))))
+        data = json.loads(json.dumps(data))
+        graph = GridGraph.from_json(data)
+        assert not is_cset_graph(graph)
+        edges = {(tuple(a), tuple(b)) for a, b in data["edges"]}
+        csets = {(c["row"], c["col"]): tuple(c["entries"]) for c in data["csets"]}
+        assert graph.edges == tuple(sorted(edges)) and graph.csets == csets
+        vertices = [v for edge in graph.edges for v in edge]
+        assert len({id(v) for v in vertices}) == len(set(vertices))
+        witness, corner = check_triangle_free(graph), check_corner_invariant(graph)
+        assert witness is not None
+        assert witness == reference_triangle_free(k, l, edges)
+        assert corner == reference_corner_invariant(edges, csets)
+        verdicts.add(corner is None)
+        reordered = dict(data, edges=data["edges"][::-1] + data["edges"][:2])
+        assert GridGraph.from_json(reordered).to_json() == graph.to_json()
+    assert verdicts == {True, False}
+
+
 def test_random_corpus_invariants():
     seen_edges = 0
     for graph in random_corpus():
@@ -558,6 +609,8 @@ TOP = 10 ** 9 - 1
     ([[[0, TOP], [1, TOP - 1]], [[0, TOP], [2, TOP - 2]], [[1, TOP], [2, TOP - 2]]],
      [{"row": TOP, "col": 1, "entries": [TOP - 1]}, {"row": TOP, "col": 2, "entries": [TOP - 2]}],
      None, None),
+    # an empty C-set in the last column has no edges to write
+    ([], [{"row": TOP, "col": TOP, "entries": []}], None, None),
 ])
 def test_checks_on_a_10e9_grid_follow_the_edges_and_csets(edges, csets, triangle, corner):
     start = time.perf_counter()
@@ -565,6 +618,12 @@ def test_checks_on_a_10e9_grid_follow_the_edges_and_csets(edges, csets, triangle
     assert is_cset_graph(graph) == (edges == [] or csets != [])
     assert check_triangle_free(graph) == triangle
     assert check_corner_invariant(graph) == corner
+    if is_cset_graph(graph):   # so does the certificate, with one list per edge end
+        written = graph.to_json()["edges"]
+        assert [(tuple(a), tuple(b)) for a, b in written] \
+            == sorted(reference_cset_edges(graph.csets)) == list(graph.edges)
+        for ends in ([a for a, _ in written], [b for _, b in written]):
+            assert len({id(v) for v in ends}) == len({tuple(v) for v in ends})
     assert time.perf_counter() - start < 1.0
     if edges is TRIANGLE_EDGES:   # the same witness on the smallest grid that holds it
         small = GridGraph.from_json({"k": 3, "l": 3, "edges": edges, "csets": csets})
