@@ -11,10 +11,12 @@ witness was found.  A lone ``-`` means stdin or stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
 import os
+import shutil
 import sys
 
 from .errors import InvalidInput, ScatterCalcError
@@ -238,12 +240,22 @@ def cmd_ks(args):
 
 
 def build_parser() -> _CliParser:
-    parser = _CliParser(prog="scatter-calc",
+    """The ``scatter-calc`` parser, with the terminal width read once.
+
+    argparse builds a help formatter for every argument it adds, and each
+    formatter asks the terminal for its width: 62 queries per build.  So the
+    width is read here, as argparse reads it, and every parser gets a
+    formatter fixed at it.  A parser kept across calls would freeze that
+    width, so one built once per process must read it at format time.
+    """
+    width = shutil.get_terminal_size().columns - 2
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
+    parser = _CliParser(prog="scatter-calc", formatter_class=formatter,
                         description="scattered order calculator and verifiers")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+        p = sub.add_parser(name, formatter_class=formatter, **kwargs)
         p.set_defaults(fn=fn)
         p.add_argument("--out", default="-", help="output file, - for stdout")
         return p

@@ -689,13 +689,16 @@ def compare_elements(term: OrderTerm, x: Any, y: Any) -> int:
     return (kx > ky) - (kx < ky)
 
 
-def _check_element(term: OrderTerm, checked: dict, elem: Any) -> tuple:
-    """Validate elem, record it with its sort key, and return the key."""
+def _check_element(term: OrderTerm, checked: dict, elem: Any,
+                   key: Optional[tuple] = None) -> tuple:
+    """Validate elem, record it with its sort key (built here unless given),
+    and return the key."""
     if not term.validate(elem):
         raise InvalidElement(f"{elem!r} is not an element of {term.format()}")
     if len(checked) >= CHECKED_LIMIT:
         checked.clear()
-    key = term._key(elem)
+    if key is None:
+        key = term._key(elem)
     checked[id(elem)] = elem, key
     return key
 
@@ -906,7 +909,13 @@ def sample_elements(term: OrderTerm, budget: int, seed: int = 0) -> List[Any]:
     while len(pool) < target and attempts < 12 * budget:
         attempts += 1
         pool.setdefault(draw(rng))
-    return _thin(sort_elements(term, pool), budget)
+    # distinct elements have distinct keys, so the sort never compares two
+    # elements, and the kept ones go to the compare memo with their keys
+    kept = _thin(sorted((term._key(elem), elem) for elem in pool), budget)
+    checked = term._checked
+    for key, elem in kept[:CHECKED_LIMIT]:
+        _check_element(term, checked, elem, key)
+    return [elem for _, elem in kept]
 
 
 def _thin(items: List[Any], most: int) -> List[Any]:

@@ -1,11 +1,13 @@
 """Command-line interface tests: wiring, exit codes, certificates."""
 
+import argparse
 import contextlib
 import hashlib
 import io
 import itertools
 import json
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -688,6 +690,32 @@ def test_every_verb_matches_the_all_verb_digest(monkeypatch):
         records.append([argv, stdin, seed, *main_in_process(argv, stdin or "")])
     assert {code for *_, code, _, _ in records} == {0, 1, 2}
     assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == ALL_VERB_DIGEST
+
+
+def test_a_parser_build_asks_the_terminal_width_once(monkeypatch):
+    queries = []
+    query = shutil.get_terminal_size
+
+    def counted(*args):
+        queries.append(args)
+        return query(*args)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    cli.build_parser()
+    assert len(queries) == 1
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_help_follows_the_terminal_width(monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    parser = cli.build_parser()
+    verbs, = [action for action in parser._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    assert sorted(verbs.choices) == sorted(VERBS)
+    for each in [parser, *verbs.choices.values()]:
+        text = each.format_help()
+        each.formatter_class = argparse.HelpFormatter   # reads the width as it formats
+        assert each.format_help() == text, (columns, each.prog)
 
 
 def test_out_file_gets_the_stdout_bytes(tmp_path):

@@ -149,3 +149,27 @@ def test_memo_stays_bounded_and_keeps_nothing_alive():
         assert term_ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("text", ["ord(w^3 * 2 + 7)", "scaled(shuffle(w), fin(5))",
+                                  "sum[finsupp(w^2 + 1, fin(3), 0), rev(ord(w^2))]"])
+def test_a_sample_and_its_compares_key_each_pool_element_once(text):
+    term = parse_term(text)
+    term._checked.clear()   # interned terms share one memo across tests
+    kernel, keyed = term._key, []
+
+    def counting(elem):
+        keyed.append(elem)   # kept alive, so no two keyed elements share an id
+        return kernel(elem)
+
+    object.__setattr__(term, "_key", counting)
+    try:
+        sample = sample_elements(term, CHECKED_LIMIT // 2, 3)
+        pooled = len(keyed)
+        orders = [[compare_elements(term, x, y) for y in sample] for x in sample]
+    finally:
+        object.__setattr__(term, "_key", kernel)
+    assert len(sample) == CHECKED_LIMIT // 2 and pooled > len(sample)
+    assert len(keyed) == pooled == len({id(elem) for elem in keyed})
+    assert orders == [[(i > j) - (i < j) for j in range(len(sample))]
+                      for i in range(len(sample))]
