@@ -239,97 +239,101 @@ def cmd_ks(args):
 # -- wiring ---------------------------------------------------------------------------
 
 
-def build_parser() -> _CliParser:
+def _arg(*names, **options):
+    return names, options
+
+
+# verb -> (command, help, its arguments as (names, add_argument options)), in
+# the order the verbs are listed in the help
+_VERBS = {
+    "parse": (cmd_parse, "parse a term and echo its canonical form", [
+        _arg("--term", required=True)]),
+    "compare": (cmd_compare, "compare two elements of a term", [
+        _arg("--term", required=True),
+        _arg("--a", required=True, help="JSON element encoding"),
+        _arg("--b", required=True, help="JSON element encoding")]),
+    "sample": (cmd_sample, "deterministic sorted sample of a term", [
+        _arg("--term", required=True),
+        _arg("--budget", type=int, default=20),
+        _arg("--seed", type=int, default=None)]),
+    "embed-search": (cmd_embed_search, "search a finite pattern inside a sampled fragment", [
+        _arg("--pattern", required=True),
+        _arg("--term", required=True),
+        _arg("--budget", type=int, default=40),
+        _arg("--seed", type=int, default=None)]),
+    "sierpinski": (cmd_sierpinski, "emit the order-vs-tag pair colouring", [
+        _arg("--tags", required=True, help="JSON list of injective naturals")]),
+    "extract-unary": (cmd_extract_unary, "monochromatic copy inside a lexicographic power", [
+        _arg("--input", default="-", help="JSON {p, nu, F}")]),
+    "step-up": (cmd_step_up, "run the pair extraction on a seeded random colouring", [
+        _arg("--p", type=int, default=4),
+        _arg("--n", type=int, default=2, choices=(2,),
+             help="the one-side witness has n + 1 points; only 2 is supported"),
+        _arg("--seed", type=int, default=None)]),
+    "mr-label": (cmd_mr_label, "decomposition label of a term element", [
+        _arg("--term", required=True),
+        _arg("--elem", required=True, help="JSON element encoding")]),
+    "mr-bound": (cmd_mr_bound, "symbolic class-size bound", [
+        _arg("--alpha", required=True),
+        _arg("--n", type=int, required=True)]),
+    "ks-check": (cmd_ks_check, "class-size check in a labelled sample", [
+        _arg("--term", required=True),
+        _arg("--n", type=int, required=True),
+        _arg("--budget", type=int, default=40),
+        _arg("--seed", type=int, default=None)]),
+    "neg-graph": (cmd_neg_graph, "build or check the grid graph", [
+        _arg("action", choices=("build", "check")),
+        _arg("--params", default="-", help="params JSON (build)"),
+        _arg("graph", nargs="?", default="-", help="graph JSON (check)")]),
+    "ks": (cmd_ks, "value-tree search, embedding and verification", [
+        _arg("action", choices=("search", "embed", "verify")),
+        _arg("--delta", type=int, default=2),
+        _arg("--mu-range", dest="mu_range", type=int, default=6),
+        _arg("--level-bound", dest="level_bound", type=int, default=2),
+        _arg("--oracle", default="const", choices=sorted(_KS_ORACLES)),
+        _arg("--tree", default="-", help="tree JSON file"),
+        _arg("--source-host", dest="source_host", default=None),
+        _arg("--target-host", dest="target_host", default=None),
+        _arg("--f", default=None, help="JSON element of the source host")]),
+}
+
+
+def build_parser(verb=None) -> _CliParser:
     """The ``scatter-calc`` parser, with the terminal width read once.
 
+    Every verb is registered, so the top-level help, the missing-verb error
+    and the invalid-choice error list them all.  But argparse only ever
+    parses the verb named first, so when ``verb`` names one, only that
+    verb's subparser gets ``--out`` and its own arguments; adding the other
+    verbs' arguments was most of the cost of a call.  With no ``verb``, or
+    a word that is no verb, every subparser gets its arguments.
+
     argparse builds a help formatter for every argument it adds, and each
-    formatter asks the terminal for its width: 62 queries per build.  So the
-    width is read here, as argparse reads it, and every parser gets a
-    formatter fixed at it.  A parser kept across calls would freeze that
-    width, so one built once per process must read it at format time.
+    formatter asks the terminal for its width.  So the width is read here,
+    as argparse reads it, and every parser gets a formatter fixed at it.  A
+    parser kept across calls would freeze that width, so one built once per
+    process must read it at format time.
     """
     width = shutil.get_terminal_size().columns - 2
     formatter = functools.partial(argparse.HelpFormatter, width=width)
     parser = _CliParser(prog="scatter-calc", formatter_class=formatter,
                         description="scattered order calculator and verifiers")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, formatter_class=formatter, **kwargs)
+    every = verb not in _VERBS
+    for name, (fn, help_text, arguments) in _VERBS.items():
+        p = sub.add_parser(name, formatter_class=formatter, help=help_text)
         p.set_defaults(fn=fn)
-        p.add_argument("--out", default="-", help="output file, - for stdout")
-        return p
-
-    p = add("parse", cmd_parse, help="parse a term and echo its canonical form")
-    p.add_argument("--term", required=True)
-
-    p = add("compare", cmd_compare, help="compare two elements of a term")
-    p.add_argument("--term", required=True)
-    p.add_argument("--a", required=True, help="JSON element encoding")
-    p.add_argument("--b", required=True, help="JSON element encoding")
-
-    p = add("sample", cmd_sample, help="deterministic sorted sample of a term")
-    p.add_argument("--term", required=True)
-    p.add_argument("--budget", type=int, default=20)
-    p.add_argument("--seed", type=int, default=None)
-
-    p = add("embed-search", cmd_embed_search,
-            help="search a finite pattern inside a sampled fragment")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--term", required=True)
-    p.add_argument("--budget", type=int, default=40)
-    p.add_argument("--seed", type=int, default=None)
-
-    p = add("sierpinski", cmd_sierpinski, help="emit the order-vs-tag pair colouring")
-    p.add_argument("--tags", required=True, help="JSON list of injective naturals")
-
-    p = add("extract-unary", cmd_extract_unary,
-            help="monochromatic copy inside a lexicographic power")
-    p.add_argument("--input", default="-", help="JSON {p, nu, F}")
-
-    p = add("step-up", cmd_step_up,
-            help="run the pair extraction on a seeded random colouring")
-    p.add_argument("--p", type=int, default=4)
-    p.add_argument("--n", type=int, default=2, choices=(2,),
-                   help="the one-side witness has n + 1 points; only 2 is supported")
-    p.add_argument("--seed", type=int, default=None)
-
-    p = add("mr-label", cmd_mr_label, help="decomposition label of a term element")
-    p.add_argument("--term", required=True)
-    p.add_argument("--elem", required=True, help="JSON element encoding")
-
-    p = add("mr-bound", cmd_mr_bound, help="symbolic class-size bound")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("ks-check", cmd_ks_check,
-            help="class-size check in a labelled sample")
-    p.add_argument("--term", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=40)
-    p.add_argument("--seed", type=int, default=None)
-
-    p = add("neg-graph", cmd_neg_graph, help="build or check the grid graph")
-    p.add_argument("action", choices=("build", "check"))
-    p.add_argument("--params", default="-", help="params JSON (build)")
-    p.add_argument("graph", nargs="?", default="-", help="graph JSON (check)")
-
-    p = add("ks", cmd_ks, help="value-tree search, embedding and verification")
-    p.add_argument("action", choices=("search", "embed", "verify"))
-    p.add_argument("--delta", type=int, default=2)
-    p.add_argument("--mu-range", dest="mu_range", type=int, default=6)
-    p.add_argument("--level-bound", dest="level_bound", type=int, default=2)
-    p.add_argument("--oracle", default="const", choices=sorted(_KS_ORACLES))
-    p.add_argument("--tree", default="-", help="tree JSON file")
-    p.add_argument("--source-host", dest="source_host", default=None)
-    p.add_argument("--target-host", dest="target_host", default=None)
-    p.add_argument("--f", default=None, help="JSON element of the source host")
-
+        if every or name == verb:
+            p.add_argument("--out", default="-", help="output file, - for stdout")
+            for names, options in arguments:
+                p.add_argument(*names, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if "seed" in args and args.seed is None:    # only verbs that declare --seed
             env = os.environ.get("SCATTER_CALC_SEED")

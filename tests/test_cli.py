@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import itertools
@@ -679,14 +680,18 @@ ALL_VERB_CALLS = [
 ALL_VERB_DIGEST = "2deb0a98db4724ae402e2fa87e044e137077be39adcf1003fd780531d85ec299"
 
 
+def use_seed(monkeypatch, seed):
+    if seed is None:
+        monkeypatch.delenv("SCATTER_CALC_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SCATTER_CALC_SEED", seed)
+
+
 def test_every_verb_matches_the_all_verb_digest(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")   # --help wraps at the terminal width
     records = []
     for argv, stdin, seed in ALL_VERB_CALLS:
-        if seed is None:
-            monkeypatch.delenv("SCATTER_CALC_SEED", raising=False)
-        else:
-            monkeypatch.setenv("SCATTER_CALC_SEED", seed)
+        use_seed(monkeypatch, seed)
         records.append([argv, stdin, seed, *main_in_process(argv, stdin or "")])
     assert {code for *_, code, _, _ in records} == {0, 1, 2}
     assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == ALL_VERB_DIGEST
@@ -701,21 +706,73 @@ def test_a_parser_build_asks_the_terminal_width_once(monkeypatch):
         return query(*args)
 
     monkeypatch.setattr(shutil, "get_terminal_size", counted)
-    cli.build_parser()
-    assert len(queries) == 1
+    for verb in [None, *VERBS]:
+        queries.clear()
+        cli.build_parser(verb)
+        assert len(queries) == 1, verb
+
+
+def subparsers(parser):
+    verbs, = [action for action in parser._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    return verbs.choices
 
 
 @pytest.mark.parametrize("columns", ["40", "80", "200"])
 def test_help_follows_the_terminal_width(monkeypatch, columns):
     monkeypatch.setenv("COLUMNS", columns)
     parser = cli.build_parser()
-    verbs, = [action for action in parser._actions
-              if isinstance(action, argparse._SubParsersAction)]
-    assert sorted(verbs.choices) == sorted(VERBS)
-    for each in [parser, *verbs.choices.values()]:
+    verbs = subparsers(parser)
+    assert sorted(verbs) == sorted(VERBS)
+    for each in [parser, *verbs.values()]:
         text = each.format_help()
         each.formatter_class = argparse.HelpFormatter   # reads the width as it formats
         assert each.format_help() == text, (columns, each.prog)
+
+
+# first words that name no verb, or a verb with too little after it
+FIRST_WORDS = [["bogus"], ["--", "parse", "--term", "fin(2)"], ["-h"], ["--help", "parse"],
+               ["PARSE", "--term", "fin(2)"], ["parse"], ["neg-graph"], ["ks", "--bogus"]]
+
+
+def test_the_per_verb_parser_answers_as_the_full_parser(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")   # --help wraps at the terminal width
+    full = cli.build_parser
+    for argv, stdin, seed in ALL_VERB_CALLS + [(argv, None, None) for argv in FIRST_WORDS]:
+        use_seed(monkeypatch, seed)
+        answer = main_in_process(argv, stdin or "")
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_parser", lambda verb=None: full())
+            assert main_in_process(argv, stdin or "") == answer, argv
+
+
+def test_only_the_called_verb_gets_its_arguments():
+    for name, each in subparsers(cli.build_parser("ks")).items():
+        dests = [action.dest for action in each._actions]
+        if name == "ks":
+            assert dests == ["help", "out", "action", "delta", "mu_range", "level_bound",
+                             "oracle", "tree", "source_host", "target_host", "f"]
+        else:
+            assert dests == ["help"], name
+    for name, each in subparsers(cli.build_parser()).items():
+        assert [action.dest for action in each._actions][:2] == ["help", "out"], name
+        assert len(each._actions) > 2, name
+
+
+def test_a_call_leaves_less_garbage_than_a_full_parser():
+    argv = ["parse", "--term", "fin(2)"]
+    main_in_process(argv)   # warm the caches a first call fills
+    gc.collect()
+    gc.disable()
+    try:
+        gc.collect()
+        main_in_process(argv)
+        call = gc.collect()
+        cli.build_parser()
+        full = gc.collect()
+    finally:
+        gc.enable()
+    assert call < full, (call, full)
 
 
 def test_out_file_gets_the_stdout_bytes(tmp_path):
