@@ -157,7 +157,8 @@ class AlphaTree:
 
     @classmethod
     def from_json(cls, data: Any) -> "AlphaTree":
-        """Inverse of ``to_json`` that checks the shape of outside input."""
+        """Inverse of ``to_json`` that checks the shape of outside input; a
+        sequence given twice with different values is refused."""
         if not (isinstance(data, dict) and isinstance(data.get("alpha"), str)):
             raise InvalidInput("tree", 'expected {"alpha": ordinal string, "entries": [...]}')
         if not isinstance(data.get("entries"), list):
@@ -170,7 +171,10 @@ class AlphaTree:
                 raise InvalidInput("entries", f'{item!r} is not {{"seq": [ordinal strings], '
                                               f'"val": ordinal string}}')
             seq = dec_seq([parse_ordinal(s) for s in item["seq"]])
-            entries[seq] = parse_ordinal(item["val"])
+            val = parse_ordinal(item["val"])
+            if entries.setdefault(seq, val) != val:
+                raise InvalidInput("entries", f"sequence {list(map(format_ordinal, seq))} "
+                                              f"is given twice with different values")
         return cls(parse_ordinal(data["alpha"]), entries)
 
 

@@ -25,11 +25,6 @@ from .ordinal import format_ordinal, parse_ordinal
 
 SCHEMA = "scatter-calc.v4"
 
-# The largest finite size ``parse`` prints: Python writes integers of at most
-# 4300 digits as text by default, and counting stops past this cap.
-PARSE_SIZE_DIGITS = 4300
-PARSE_SIZE_LIMIT = 10 ** PARSE_SIZE_DIGITS - 1
-
 
 class _CliParser(argparse.ArgumentParser):
     def error(self, message):   # one line, like every other refusal
@@ -57,9 +52,9 @@ _COMPARE_WORD = {-1: "Less", 0: "Equal", 1: "Greater"}
 def cmd_parse(args):
     term = terms.parse_term(args.term)
     text = term.format()
-    size = term.capped_size(PARSE_SIZE_LIMIT)
-    if size is not None and size > PARSE_SIZE_LIMIT:
-        raise terms.TermError(f"finite size has more than {PARSE_SIZE_DIGITS} digits")
+    size = term.finite_size
+    if size is not None and size > terms.SIZE_LIMIT:
+        raise terms.TermError(f"finite size has more than {len(str(terms.SIZE_LIMIT))} digits")
     return {"term": text, "finite_size": size}, 0
 
 

@@ -78,6 +78,12 @@ TERM_TEXT_LIMIT = 2 ** 20
 # runs) on a 2-CPU Intel Xeon host with Python 3.11.7.
 SAMPLE_BUDGET_LIMIT = 10 ** 4
 
+# The largest finite size a term states exactly: Python writes integers of at
+# most 4300 digits as text by default.  A larger finite size is stored as
+# SIZE_LIMIT + 1, and sizes are counted from the children's stored ones, so
+# no count grows much past this.
+SIZE_LIMIT = 10 ** 4300 - 1
+
 # Elements compare_elements remembers per term as checked: a sample pool at
 # the benchmark's budget (48) plus a materialisation of up to 8 points fits.
 CHECKED_LIMIT = 64
@@ -85,7 +91,12 @@ CHECKED_LIMIT = 64
 
 # -- term constructors --------------------------------------------------------
 
-_FACTS = ("finite", "depth", "well_ordered", "anti_well_ordered", "empty")
+_FACTS = ("finite_size", "depth", "well_ordered", "anti_well_ordered")
+
+
+def _clamp(size: int) -> int:
+    """size, or SIZE_LIMIT + 1 when it is larger."""
+    return size if size <= SIZE_LIMIT else SIZE_LIMIT + 1
 
 
 class OrderTerm:
@@ -94,16 +105,15 @@ class OrderTerm:
     subterm is built, hashed and compared once.
 
     Every call checks its arguments and derives the node's facts from its
-    children's (``_facts``): whether the denotation is ``finite``, the
-    ``depth`` (constructor nesting; fin, ord and shuffle count 1), the
-    ``well_ordered`` and ``anti_well_ordered`` flags and whether it is
-    ``empty``.  A new node is built complete: it stores its facts, its hash,
-    its key kernel (``_key``), its draw kernel (``_draw``, None when the
-    node is empty) and the empty memo of ``compare_elements``
-    (``_checked``).  Only the exact ``finite_size`` is counted later, once,
-    on first use: fin(2) inside d nested pow(..., 2) has 2^(2^d) elements.
-    Callers that only compare the size with a bound ask ``capped_size``,
-    which stops counting past it.
+    children's (``_facts``): the ``finite_size`` (None when the denotation
+    is infinite, and SIZE_LIMIT + 1 for any finite size above SIZE_LIMIT:
+    fin(2) inside d nested pow(..., 2) has 2^(2^d) elements), the ``depth``
+    (constructor nesting; fin, ord and shuffle count 1) and the
+    ``well_ordered`` and ``anti_well_ordered`` flags.  ``finite`` and
+    ``empty`` are read from the size.  A new node is built complete: it
+    stores its facts, its hash, its key kernel (``_key``), its draw kernel
+    (``_draw``, None when the node is empty) and the empty memo of
+    ``compare_elements`` (``_checked``).
 
     Every subclass implements the element model: validate, encode, _decode,
     _format (its text, given a function that writes each child),
@@ -111,14 +121,13 @@ class OrderTerm:
     ``random.Random`` returning one element, built from its children's) and
     _compile_key (its key kernel, likewise).  A key kernel maps a valid
     element to its sort key, a flat tuple of ints whose tuple order is the
-    element order, so ``cmp`` is one method here.  No key is a proper prefix
-    of another key of the same term, so a parent may splice a child's key
-    between tokens of its own, and a negated key sorts in reverse.  No
-    kernel holds its own node, so a node dies with its last reference.
+    element order.  No key is a proper prefix of another key of the same
+    term, so a parent may splice a child's key between tokens of its own,
+    and a negated key sorts in reverse.  No kernel holds its own node, so a
+    node dies with its last reference.
     """
 
-    __slots__ = _FACTS + ("_size", "_over", "_hash", "_checked", "_draw", "_key",
-                          "__weakref__")
+    __slots__ = _FACTS + ("_hash", "_checked", "_draw", "_key", "__weakref__")
     fields: Tuple[str, ...] = ()
     _table: "weakref.WeakValueDictionary[tuple, OrderTerm]" = weakref.WeakValueDictionary()
 
@@ -149,29 +158,12 @@ class OrderTerm:
         return type(self), tuple(getattr(self, name) for name in self.fields)
 
     @property
-    def finite_size(self) -> Optional[int]:
-        """Number of elements when the denotation is finite, else None."""
-        return self.capped_size(None)
+    def finite(self) -> bool:
+        return self.finite_size is not None
 
-    def capped_size(self, cap: Optional[int]) -> Optional[int]:
-        """``finite_size`` if it is at most ``cap``, else ``cap + 1``; None
-        when infinite.  Counting stops once the size passes ``cap``, and
-        ``cap=None`` counts exactly.  An exact size is kept, and so is the
-        largest cap the size is known to pass (``_over``)."""
-        try:
-            size = self._size
-        except AttributeError:   # not counted yet
-            if not self.finite:
-                size = None
-            elif cap is not None and getattr(self, "_over", -1) >= cap:
-                return cap + 1
-            else:
-                size = self._count(cap)
-                if cap is not None and size > cap:
-                    object.__setattr__(self, "_over", cap)
-                    return cap + 1
-            object.__setattr__(self, "_size", size)
-        return size if cap is None or size is None else min(size, cap + 1)
+    @property
+    def empty(self) -> bool:
+        return self.finite_size == 0
 
     def format(self) -> str:
         """The term's text.  Its length is counted first, once per distinct
@@ -218,15 +210,10 @@ class OrderTerm:
         """At most max(want, 8) small witnesses of the order: all of it when
         it is that small and finite, else its own witnesses thinned evenly."""
         cap = max(want, 8)
-        size = self.capped_size(cap)
+        size = self.finite_size
         if size is not None and size <= cap:
             return self.materialize()
         return _thin(self._canonical(want), cap)
-
-    def cmp(self, x: Any, y: Any) -> int:
-        """-1, 0 or 1 as x lies below, at or above y; both are valid."""
-        kx, ky = self._key(x), self._key(y)
-        return (kx > ky) - (kx < ky)
 
 
 def _decode_ordinal(term: OrderTerm, data: Any) -> CnfOrdinal:
@@ -249,9 +236,8 @@ class Fin(OrderTerm):
     def _facts(size):
         if type(size) is not int or size < 0:
             raise TermError(f"fin() needs a natural number, got {size!r}")
-        return True, 1, True, True, size == 0
+        return _clamp(size), 1, True, True
 
-    def _count(self, cap): return self.size
     def validate(self, elem): return type(elem) is int and 0 <= elem < self.size
     def _compile_key(self): return lambda x: (x,)
     def encode(self, elem): return elem
@@ -276,14 +262,14 @@ class Ord(OrderTerm):
     def _facts(ordinal):
         if not isinstance(ordinal, CnfOrdinal):
             raise TermError("ord() needs a CnfOrdinal")
-        return ordinal.is_finite(), 1, True, ordinal.is_finite(), ordinal.is_zero()
+        finite = ordinal.is_finite()
+        return _clamp(ordinal.as_int()) if finite else None, 1, True, finite
 
-    def _count(self, cap): return self.ordinal.as_int()
     def validate(self, elem): return isinstance(elem, CnfOrdinal) and elem.key < self.ordinal.key
     def _compile_key(self): return attrgetter("key")
     def encode(self, elem): return format_ordinal(elem)
     def _format(self, text): return f"ord({format_ordinal(self.ordinal)})"
-    def _materialize(self): return [from_int(i) for i in range(self.finite_size)]
+    def _materialize(self): return [from_int(i) for i in range(self.ordinal.as_int())]
     def _canonical(self, want): return _canonical_ordinals(self.ordinal, want)
     def _compile(self): return _ordinal_kernel(self.ordinal)
     def _decode(self, data): return _decode_ordinal(self, data)
@@ -294,10 +280,8 @@ class Rev(OrderTerm):
 
     @staticmethod
     def _facts(inner):
-        return (inner.finite, inner.depth + 1, inner.anti_well_ordered, inner.well_ordered,
-                inner.empty)
+        return inner.finite_size, inner.depth + 1, inner.anti_well_ordered, inner.well_ordered
 
-    def _count(self, cap): return self.inner.capped_size(cap)
     def validate(self, elem): return self.inner.validate(elem)
     def encode(self, elem): return self.inner.encode(elem)
     def _decode(self, data): return self.inner._decode(data)
@@ -320,22 +304,14 @@ class SumList(OrderTerm):
     def _facts(children):
         if not children:
             raise TermError("sum[] needs at least one child")
-        return (all(c.finite for c in children),
+        sizes = [c.finite_size for c in children]
+        return (None if None in sizes else _clamp(sum(sizes)),
                 1 + max(c.depth for c in children),
                 all(c.well_ordered for c in children),
-                all(c.anti_well_ordered for c in children),
-                all(c.empty for c in children))
+                all(c.anti_well_ordered for c in children))
 
     def encode(self, elem): return {"i": elem[0], "e": self.children[elem[0]].encode(elem[1])}
     def _format(self, text): return "sum[" + ", ".join(text(c) for c in self.children) + "]"
-
-    def _count(self, cap):
-        total = 0
-        for child in self.children:
-            total += child.capped_size(cap)
-            if cap is not None and total > cap:
-                break
-        return total
 
     def validate(self, elem):
         if not (isinstance(elem, tuple) and len(elem) == 2):
@@ -389,17 +365,13 @@ class Scaled(OrderTerm):
                 f"{index.format()}")
         depth = 1 + max(inner.depth, index.depth)
         if inner.empty or index.empty:   # the empty order, as fin(0) is
-            return True, depth, True, True, True
-        return (inner.finite and index.finite,
+            return 0, depth, True, True
+        a, b = inner.finite_size, index.finite_size
+        return (None if a is None or b is None else _clamp(a * b),
                 depth,
                 inner.well_ordered and index.well_ordered,
-                inner.anti_well_ordered and index.anti_well_ordered,
-                False)
+                inner.anti_well_ordered and index.anti_well_ordered)
 
-    def _count(self, cap):
-        if self.empty:   # the other side may be infinite
-            return 0
-        return self.inner.capped_size(cap) * self.index.capped_size(cap)
     def _format(self, text): return f"scaled({text(self.inner)}, {text(self.index)})"
 
     def validate(self, elem):
@@ -442,7 +414,7 @@ class Shuffle(OrderTerm):
     def _facts(alphabet):
         if not isinstance(alphabet, CnfOrdinal) or alphabet < 2:
             raise TermError("shuffle() needs an ordinal alphabet of size >= 2")
-        return False, 1, False, False, False
+        return None, 1, False, False
 
     def encode(self, elem): return [format_ordinal(x) for x in elem]
     def _format(self, text): return f"shuffle({format_ordinal(self.alphabet)})"
@@ -492,21 +464,19 @@ class FinSupp(OrderTerm):
         if not inner.validate(zero):
             raise InvalidElement(
                 f"designated zero {zero!r} is not an element of {inner.format()}")
-        # a one-point inner gives one point at any length
-        finite = inner.finite and (length.is_finite() or inner.capped_size(1) == 1)
-        # the empty support is an element
-        return finite, inner.depth + 1, finite, finite, False
-
-    def _count(self, cap):
-        size = self.inner.capped_size(cap)
-        if size == 1:   # the length may be infinite
-            return 1
-        length = self.length.as_int()
-        # size^length >= 2^((bits(size) - 1) * length), so past cap's bit length
-        # the power passes cap; short of it the power has at most twice its bits
-        if cap is not None and (size.bit_length() - 1) * length >= cap.bit_length():
-            return cap + 1
-        return size ** length
+        size = inner.finite_size
+        if length.is_zero() or size == 1:   # only the empty support: one point
+            size = 1
+        elif size is not None and length.is_finite():
+            # size^length >= 2^((bits(size) - 1) * length), so past the limit's
+            # bit length the power passes it; short of it the power has at most
+            # twice its bits
+            n = length.as_int()
+            size = (SIZE_LIMIT + 1 if (size.bit_length() - 1) * n >= SIZE_LIMIT.bit_length()
+                    else _clamp(size ** n))
+        else:
+            size = None
+        return size, inner.depth + 1, size is not None, size is not None
 
     def validate(self, elem):
         # a tuple of 2-tuples: a valid element is immutable, as the memo of
@@ -544,9 +514,9 @@ class FinSupp(OrderTerm):
         return f"finsupp({format_ordinal(self.length)}, {text(self.inner)}, {zero})"
 
     def _materialize(self):
-        inner = self.inner.materialize()
-        if len(inner) <= 1 or self.length.is_zero():
+        if self.finite_size == 1:   # only the empty support; inner may be infinite
             return [()]
+        inner = self.inner.materialize()
         positions = [from_int(i) for i in range(self.length.as_int())]
         positions.reverse()  # most significant first
         out = [()]
@@ -701,11 +671,6 @@ def _check_element(term: OrderTerm, checked: dict, elem: Any,
         key = term._key(elem)
     checked[id(elem)] = elem, key
     return key
-
-
-def sort_elements(term: OrderTerm, elems: Sequence[Any]) -> List[Any]:
-    """The valid elems in ascending order, sorted by their keys."""
-    return sorted(elems, key=term._key)
 
 
 # -- text form --------------------------------------------------------------------
@@ -895,7 +860,7 @@ def sample_elements(term: OrderTerm, budget: int, seed: int = 0) -> List[Any]:
         raise ValueError("budget must be >= 1")
     if budget > SAMPLE_BUDGET_LIMIT:
         raise TermError(f"budget {budget} exceeds the limit of {SAMPLE_BUDGET_LIMIT}")
-    size = term.capped_size(3 * budget)
+    size = term.finite_size
     if size == 0:
         return []
     rng = random.Random(seed)
@@ -935,7 +900,7 @@ def search_embedding(pattern: OrderTerm, target: Sequence[Any],
     sample, or None.  Both sides are linear orders, so an embedding exists
     exactly when the pattern fits; None is exhaustive for the given sample.
     """
-    size = pattern.capped_size(len(target))
+    size = pattern.finite_size
     if size is None:
         raise PatternNotFinite(f"{pattern.format()} is not a finite pattern")
     if size > len(target):

@@ -137,11 +137,12 @@ def reference_cmp(term, x, y):
 
 def reference_compare_elements(term, x, y):
     """compare_elements without its memo: both arguments validated on every
-    call, then the term's comparator."""
+    call, then their sort keys compared."""
     for elem in (x, y):
         if not term.validate(elem):
             raise InvalidElement(f"{elem!r} is not an element of {term.format()}")
-    return term.cmp(x, y)
+    kx, ky = term._key(x), term._key(y)
+    return (kx > ky) - (kx < ky)
 
 
 def reference_depth(term):
@@ -175,12 +176,12 @@ def reference_finite_size(term):
     if isinstance(term, Shuffle):
         return None
     if isinstance(term, FinSupp):
+        # only the empty support when the length is 0 or the inner order has
+        # one point, even if the other is infinite
         inner = reference_finite_size(term.inner)
-        if inner is None:
-            return None
-        if inner <= 1:
+        if term.length.is_zero() or inner == 1:
             return 1
-        if not term.length.is_finite():
+        if inner is None or not term.length.is_finite():
             return None
         return inner ** term.length.as_int()
     raise AssertionError(f"not a term: {term}")
@@ -240,8 +241,10 @@ def textbook_materialize(term):
         inner = textbook_materialize(term.inner)
         return [(ie, e) for ie in textbook_materialize(term.index) for e in inner]
     if isinstance(term, FinSupp):
+        if term.length.is_zero():   # the inner order may be infinite
+            return [()]
         inner = textbook_materialize(term.inner)
-        if len(inner) <= 1 or term.length.is_zero():
+        if len(inner) == 1:
             return [()]
         # the value at the largest position is the most significant
         positions = [from_int(i) for i in range(term.length.as_int())][::-1]

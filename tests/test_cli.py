@@ -77,6 +77,11 @@ def test_parse_refuses_sizes_past_4300_digits_at_once():
         assert payload(run("parse", "--term", term))["finite_size"] == size
 
 
+def test_parse_counts_a_finsupp_of_length_0_as_one_point():
+    # the inner order is infinite, yet the empty support is the only element
+    assert payload(run("parse", "--term", "finsupp(0, ord(w), 0)"))["finite_size"] == 1
+
+
 def test_term_text_past_the_limit_is_refused_unbuilt():
     limit = cli.terms.TERM_TEXT_LIMIT
     res = run("parse", "--term", pow_nest(26), timeout=3)
@@ -529,6 +534,22 @@ def test_ks_verify_reports_a_missing_prefix():
     res = run("ks", "verify", "--tree", "-", stdin=json.dumps(tree))
     assert_one_error_line(res)
     assert res.stderr == "error: TreeDomainMiss: tree has no value for prefix ('2',)\n"
+
+
+def test_a_tree_sequence_given_twice_with_different_values_is_refused():
+    # kept as the last of the two, the order of the entries would decide
+    # between exit 2 and exit 0
+    first, second = {"seq": ["1"], "val": "0"}, {"seq": ["1"], "val": "2"}
+    sibling = {"seq": ["2"], "val": "1"}
+    for entries in ([first, second, sibling], [second, first, sibling]):
+        tree = json.dumps({"alpha": "3", "entries": entries})
+        assert main_in_process(["ks", "verify", "--tree", "-"], tree) == (
+            1, "", "error: InvalidInput: invalid entries: sequence ['1'] is given twice "
+                   "with different values\n")
+    # the same value twice is one entry
+    tree = json.dumps({"alpha": "3", "entries": [first, first, sibling]})
+    code, out, _ = main_in_process(["ks", "verify", "--tree", "-"], tree)
+    assert code == 0 and json.loads(out)["ok"] is True
 
 
 def test_ks_search_refuses_more_than_512_tree_nodes_at_once():

@@ -39,7 +39,7 @@ def assert_prefix_free(keys):
 
 
 def small_finite(term):
-    size = term.capped_size(256)
+    size = term.finite_size
     return size is not None and size <= 256
 
 

@@ -54,8 +54,8 @@ from scatter_calc.terms import (
     TermError,
     TermSyntaxError,
     OrderTerm,
+    SIZE_LIMIT,
     TermTooDeep,
-    sort_elements,
 )
 
 W = OMEGA
@@ -195,12 +195,14 @@ def test_node_facts_match_tree_walks(term):
     assert twin is term and hash(twin) == hash(term)
 
 
-@settings(max_examples=300, deadline=None)
-@given(order_terms(), st.integers(0, 40))
-def test_capped_size_is_the_size_clamped_to_the_cap(term, cap):
-    size = reference_finite_size(term)
-    assert term.capped_size(cap) == (None if size is None else min(size, cap + 1))
-    assert term.finite_size == size
+def test_a_size_past_the_limit_reads_the_limit_plus_one():
+    huge = parse_term("finsupp(100000, fin(3), 0)")   # 3^100000 has 47713 digits
+    nest = "pow(" * 120 + "fin(2)" + ", 2)" * 120     # 2^(2^120) points
+    for term in (huge, SumList((huge, huge)), parse_term(nest)):
+        assert term.finite_size == SIZE_LIMIT + 1
+    assert parse_term("pow(fin(2), 128)").finite_size == 2 ** 128
+    # a clamped size still counts as finite and non-empty
+    assert huge.finite and not huge.empty and huge.well_ordered
 
 
 def test_sampling_a_huge_finite_support_power_stops_counting():
@@ -212,7 +214,7 @@ def test_sampling_a_huge_finite_support_power_stops_counting():
     elapsed = time.perf_counter() - start
     assert len(sample) == 5
     assert all(compare_elements(term, x, y) < 0 for x, y in zip(sample, sample[1:]))
-    assert not wide.finite and term.capped_size(100) == 101
+    assert not wide.finite and term.finite_size == SIZE_LIMIT + 1
     assert elapsed < 1.0, f"took {elapsed:.2f} s"
     assert parse_term("finsupp(40, fin(3), 0)").finite_size == 3 ** 40
 
@@ -251,10 +253,6 @@ def _nodes(term, seen):
     return seen
 
 
-# the exact size and the largest cap it passes are the only slots filled later
-LATER_SLOTS = {"_size", "_over"}
-
-
 @pytest.mark.parametrize("text", CORPUS_TEXT + COMPOSITE_TEXT + EXTRA_TEXT + EMPTY_SUBTERM_TEXT)
 def test_nodes_are_complete_when_interned(text, monkeypatch):
     # a fresh intern table, so every node of the term is built here
@@ -263,7 +261,7 @@ def test_nodes_are_complete_when_interned(text, monkeypatch):
     assert set(nodes) <= set(OrderTerm._table.values())
     for node in nodes:
         slots = {name for cls in type(node).__mro__ for name in getattr(cls, "__slots__", ())}
-        slots -= LATER_SLOTS | {"__weakref__"}
+        slots.discard("__weakref__")   # every other slot is set at interning
         assert all(hasattr(node, name) for name in slots), node
         assert node._checked == {}
         assert (node._draw is None) == node.empty
@@ -272,9 +270,21 @@ def test_nodes_are_complete_when_interned(text, monkeypatch):
             assert node.validate(elem) and type(node._key(elem)) is tuple
 
 
+@pytest.mark.parametrize("text", ["finsupp(0, ord(w), 0)", "finsupp(0, shuffle(2), [])",
+                                  "finsupp(0, rev(ord(w)), 0)", "finsupp(w, fin(1), 0)"])
+def test_a_finsupp_with_only_the_empty_support_is_one_point(text):
+    # a length of 0 or a one-point inner order leaves only the empty
+    # support, whether or not the other is infinite
+    term = parse_term(text)
+    assert term.finite_size == 1 and term.well_ordered and term.anti_well_ordered
+    assert term.materialize() == [()] and sample_elements(term, 5) == [()]
+    assert parse_term(f"scaled(ord(w), {text})").index is term
+
+
 def test_deep_pow_nest_is_linear_to_parse():
     # 120 nested squarings share every subterm; walked as a tree they would
-    # take 2^120 steps, and the finite size has 2^120 bits
+    # take 2^120 steps, and the finite size, which has 2^120 bits, is
+    # stored clamped, so each level multiplies two bounded sizes
     text = "pow(" * 120 + "fin(2)" + ", 2)" * 120
     start = time.perf_counter()
     term = parse_term(text)
@@ -317,7 +327,7 @@ def test_compare_anti_index_against_truncation():
     anti = Scaled(Ord(W), Rev(Ord(W)))
     elems = [(from_int(i), from_int(j)) for i in range(10) for j in range(6)]
     expected = sorted(elems, key=lambda e: (-e[0].as_int(), e[1].as_int()))
-    assert sort_elements(anti, elems) == expected
+    assert sorted(elems, key=anti._key) == expected
 
 
 def test_compare_invalid_element():
@@ -358,7 +368,8 @@ def test_cmp_matches_reference_on_corpus_pools():
         pool = sample_elements(term, 48, 2000 + t_index)
         for x in pool:
             for y in pool:
-                assert term.cmp(x, y) == reference_cmp(term, x, y), (term.format(), x, y)
+                kx, ky = term._key(x), term._key(y)
+                assert (kx > ky) - (kx < ky) == reference_cmp(term, x, y), (term.format(), x, y)
 
 
 def test_shuffle_examples():
@@ -435,7 +446,7 @@ def test_materialize_matches_textbook_oracle():
         # comparator sort of the same elements reproduces the textbook order
         shuffled = list(expected)
         random.Random(1).shuffle(shuffled)
-        assert sort_elements(term, shuffled) == expected
+        assert sorted(shuffled, key=term._key) == expected
 
 
 def test_finsupp_binary_is_binary_counting():
@@ -453,10 +464,10 @@ def test_sample_examples():
     assert sample_elements(Fin(3), 10, 0) == [0, 1, 2]
     s = sample_elements(Ord(ord_pow(W, 2)), 6, 3)
     assert len(s) == 6
-    assert s == sort_elements(Ord(ord_pow(W, 2)), s)
+    assert s == sorted(s, key=Ord(ord_pow(W, 2))._key)
     sh = sample_elements(Shuffle(W), 20, 4)
     assert len(sh) == 20
-    assert sh == sort_elements(Shuffle(W), sh)
+    assert sh == sorted(sh, key=Shuffle(W)._key)
 
 
 def test_sample_of_a_complete_finite_pool_makes_no_draws(monkeypatch):
