@@ -6,13 +6,15 @@ keys and its exit code; ``main`` adds the one reproducibility header
 the fundamental sequences, ``wainer-cnf``) and writes the result.  Exit
 codes: 0 success or verified-ok, 1 usage or input error, 2 a verification
 witness was found.  A lone ``-`` means stdin or stdout.
+
+Each verb imports the library modules it uses when it runs, so a call loads
+only those, and ``--help`` loads none.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import itertools
 import json
 import os
@@ -20,8 +22,6 @@ import shutil
 import sys
 
 from .errors import InvalidInput, ScatterCalcError
-from . import antilex, milner_rado, neg_graph, partition, terms
-from .ordinal import format_ordinal, parse_ordinal
 
 SCHEMA = "scatter-calc.v4"
 
@@ -40,7 +40,8 @@ def _read(path: str) -> str:
 
 
 def _element(term, raw: str):
-    return terms.decode_element(term, json.loads(raw))
+    from .terms import decode_element
+    return decode_element(term, json.loads(raw))
 
 
 _COMPARE_WORD = {-1: "Less", 0: "Equal", 1: "Greater"}
@@ -50,6 +51,7 @@ _COMPARE_WORD = {-1: "Less", 0: "Equal", 1: "Greater"}
 
 
 def cmd_parse(args):
+    from . import terms
     term = terms.parse_term(args.term)
     text = term.format()
     size = term.finite_size
@@ -59,6 +61,7 @@ def cmd_parse(args):
 
 
 def cmd_compare(args):
+    from . import terms
     term = terms.parse_term(args.term)
     a = _element(term, args.a)
     b = _element(term, args.b)
@@ -67,6 +70,7 @@ def cmd_compare(args):
 
 
 def cmd_sample(args):
+    from . import terms
     term = terms.parse_term(args.term)
     sample = terms.sample_elements(term, args.budget, args.seed)
     return {"term": term.format(),
@@ -74,6 +78,7 @@ def cmd_sample(args):
 
 
 def cmd_embed_search(args):
+    from . import terms
     pattern = terms.parse_term(args.pattern)
     target_term = terms.parse_term(args.term)
     sample = terms.sample_elements(target_term, args.budget, args.seed)
@@ -92,6 +97,7 @@ def cmd_embed_search(args):
 
 
 def cmd_sierpinski(args):
+    from . import partition
     tags = json.loads(args.tags)
     if not (isinstance(tags, list) and all(type(t) is int for t in tags)):
         raise InvalidInput("tags", f"expected a JSON list of integers, got {args.tags}")
@@ -105,6 +111,7 @@ def cmd_sierpinski(args):
 
 
 def cmd_extract_unary(args):
+    from . import partition
     request = json.loads(_read(args.input))
     if not isinstance(request, dict):
         raise InvalidInput("request", 'expected {"p": ..., "nu": ..., "F": [...]}')
@@ -123,24 +130,27 @@ def cmd_extract_unary(args):
     return {"witness": [list(g) for g in witness], "colour": colour}, 0
 
 
-def _step_up_colour(seed: int, x, y) -> int:
+def _step_up_colour(blake2b, seed: int, x, y) -> int:
     """Colour of the pair {x, y} of P x R in the ``step-up`` verb: the low bit
     of the one-byte BLAKE2b digest of ``json.dumps([seed, low, high])``,
     where low < high in the lexicographic order of P x R."""
     low, high = (x, y) if x < y else (y, x)
-    digest = hashlib.blake2b(json.dumps([seed, low, high]).encode(), digest_size=1)
+    digest = blake2b(json.dumps([seed, low, high]).encode(), digest_size=1)
     return digest.digest()[0] & 1
 
 
 def cmd_step_up(args):
+    from hashlib import blake2b
+    from . import partition
     seed, p = args.seed, args.p
     if p < 1:
         raise partition.PartitionError(f"step-up needs --p of at least 1, got {p}")
-    result = partition.step_up_extract(range(p), lambda x, y: _step_up_colour(seed, x, y))
+    result = partition.step_up_extract(range(p), lambda x, y: _step_up_colour(blake2b, seed, x, y))
     return {"side": result.side, "witness": [[a, list(b)] for a, b in result.witness]}, 0
 
 
 def cmd_mr_label(args):
+    from . import milner_rado, terms
     term = terms.parse_term(args.term)
     elem = _element(term, args.elem)
     label, trace = milner_rado.mr_label_term_trace(term, elem)
@@ -149,12 +159,15 @@ def cmd_mr_label(args):
 
 
 def cmd_mr_bound(args):
+    from . import milner_rado
+    from .ordinal import format_ordinal, parse_ordinal
     alpha = parse_ordinal(args.alpha)
     bound = milner_rado.mr_class_type_bound(alpha, args.n)
     return {"alpha": format_ordinal(alpha), "n": args.n, "bound": format_ordinal(bound)}, 0
 
 
 def cmd_ks_check(args):
+    from . import milner_rado, terms
     term = terms.parse_term(args.term)
     sample = terms.sample_elements(term, args.budget, args.seed)
     classes = milner_rado.mr_labeling(term, sample)
@@ -163,6 +176,7 @@ def cmd_ks_check(args):
 
 
 def cmd_neg_graph(args):
+    from . import neg_graph
     if args.action == "build":
         params = neg_graph.NegGraphParams.from_json(json.loads(_read(args.params)))
         return {"graph": neg_graph.build_neg_graph(params).to_json()}, 0
@@ -189,6 +203,8 @@ _KS_ORACLES = {
 
 
 def cmd_ks(args):
+    from . import antilex, terms
+    from .ordinal import format_ordinal
     if args.action == "search":
         found = antilex.search_alpha_tree(_KS_ORACLES[args.oracle], args.delta,
                                           args.mu_range, args.level_bound)

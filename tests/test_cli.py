@@ -18,7 +18,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import reference_step_up_colour
-from scatter_calc import cli, decode_element, encode_element, parse_term, sample_elements
+from scatter_calc import antilex, cli, partition, terms
+from scatter_calc import decode_element, encode_element, parse_term, sample_elements
 from scatter_calc.milner_rado import LabelTooLarge, mr_label_term
 
 PY = [sys.executable, "-m", "scatter_calc"]
@@ -83,7 +84,7 @@ def test_parse_counts_a_finsupp_of_length_0_as_one_point():
 
 
 def test_term_text_past_the_limit_is_refused_unbuilt():
-    limit = cli.terms.TERM_TEXT_LIMIT
+    limit = terms.TERM_TEXT_LIMIT
     res = run("parse", "--term", pow_nest(26), timeout=3)
     assert_one_error_line(res)
     assert f"exceeds the limit of {limit}" in res.stderr
@@ -127,9 +128,9 @@ def test_sample_matches_library(tmp_path):
 
 
 def test_budgets_past_the_limit_are_refused_at_once():
-    limit = cli.terms.SAMPLE_BUDGET_LIMIT
+    limit = terms.SAMPLE_BUDGET_LIMIT
     assert len(sample_elements(parse_term("fin(3)"), limit)) == 3
-    with pytest.raises(cli.terms.TermError, match=f"budget {limit + 1} exceeds the limit"):
+    with pytest.raises(terms.TermError, match=f"budget {limit + 1} exceeds the limit"):
         sample_elements(parse_term("fin(3)"), limit + 1)
     for argv in [["sample", "--term", "ord(w)"],
                  ["embed-search", "--pattern", "fin(3)", "--term", "ord(w)"],
@@ -274,7 +275,7 @@ def test_certificates_match_golden_digest():
 
 
 def test_step_up_refuses_large_p_at_once():
-    limit = cli.partition.LEX_POWER_LIMIT
+    limit = partition.LEX_POWER_LIMIT
     for p in ("10" * 20, "1000000", "8"):
         start = time.perf_counter()
         res = run("step-up", "--p", p, timeout=3)
@@ -288,7 +289,7 @@ def test_step_up_refuses_large_p_at_once():
 
 
 def test_sierpinski_refuses_too_many_tags_at_once():
-    limit = cli.partition.SIERPINSKI_TAG_LIMIT
+    limit = partition.SIERPINSKI_TAG_LIMIT
     # 10,000 tags are 5e7 pairs, minutes and tens of GB if tabulated
     res = run("sierpinski", "--tags", json.dumps(list(range(10_000))), timeout=3)
     assert_one_error_line(res)
@@ -553,7 +554,7 @@ def test_a_tree_sequence_given_twice_with_different_values_is_refused():
 
 
 def test_ks_search_refuses_more_than_512_tree_nodes_at_once():
-    limit = cli.antilex.ALPHA_TREE_NODE_LIMIT
+    limit = antilex.ALPHA_TREE_NODE_LIMIT
     # 1023 nodes, 1000, 465 + 4060 and 10^9: the parent ran out of stack,
     # of memory or of time on these
     for args in (["--delta", "10", "--level-bound", "10", "--mu-range", "20"],
